@@ -3,7 +3,6 @@ lifting, pose metrics, sequence encoding, and a from-scratch transformer
 action classifier with synthetic-scene experiment harnesses."""
 
 from . import errors
-from ._kernels import BACKEND as kernel_backend
 from .geometry import (
     CameraIntrinsics,
     HandPose2D,
@@ -14,7 +13,6 @@ from .geometry import (
     mpjpe,
     mpjpe_report,
     project_to_image,
-    rotate_pose_2d,
 )
 from .rangeseg import (
     DepthMap,
@@ -41,3 +39,4 @@ from .model import ActionModel, ActionModelConfig, evaluate, train
 from .synth import SynthParams, gen_hand_sequence, gen_scene_depth, noisy_pose_oracle
 
 __version__ = "0.1.0"
+kernel_backend = "numpy"

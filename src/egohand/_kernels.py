@@ -1,19 +1,15 @@
-"""Hot per-pixel kernels, JIT-compiled with numba when available.
+"""Hot per-pixel kernels, vectorized with numpy.
 
-Set ``EGOHAND_NUMBA=0`` to force the pure-numpy fallback path. Both paths
-implement identical arithmetic; ``BACKEND`` reports which one is active.
-``benchmarks/bench_kernels.py`` compares the two.
+``tests/test_rangeseg.py`` checks each against a plain-loop reference.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _box_blur_numpy(values: np.ndarray, radius: int) -> np.ndarray:
-    """Border-renormalized separable box average (numpy cumsum path)."""
+def box_blur(values: np.ndarray, radius: int) -> np.ndarray:
+    """Border-renormalized separable box average (cumulative-sum path)."""
     out = values.astype(np.float64, copy=True)
     for axis in (1, 0):
         v = out if axis == 1 else out.T
@@ -28,38 +24,7 @@ def _box_blur_numpy(values: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-def _box_blur_loops(values, radius):
-    h, w = values.shape
-    tmp = np.empty((h, w), np.float64)
-    for i in range(h):
-        for j in range(w):
-            lo = j - radius
-            if lo < 0:
-                lo = 0
-            hi = j + radius + 1
-            if hi > w:
-                hi = w
-            s = 0.0
-            for k in range(lo, hi):
-                s += values[i, k]
-            tmp[i, j] = s / (hi - lo)
-    out = np.empty((h, w), np.float64)
-    for j in range(w):
-        for i in range(h):
-            lo = i - radius
-            if lo < 0:
-                lo = 0
-            hi = i + radius + 1
-            if hi > h:
-                hi = h
-            s = 0.0
-            for k in range(lo, hi):
-                s += tmp[k, j]
-            out[i, j] = s / (hi - lo)
-    return out
-
-
-def _capsule_zfield_numpy(height: int, width: int, segs: np.ndarray) -> np.ndarray:
+def capsule_zfield(height: int, width: int, segs: np.ndarray) -> np.ndarray:
     """Depth buffer of capsules (x0,y0,z0,x1,y1,z1,r); +inf where uncovered."""
     zbuf = np.full((height, width), np.inf, np.float64)
     for x0, y0, z0, x1, y1, z1, r in segs:
@@ -86,48 +51,8 @@ def _capsule_zfield_numpy(height: int, width: int, segs: np.ndarray) -> np.ndarr
     return zbuf
 
 
-def _capsule_zfield_loops(height, width, segs):
-    zbuf = np.full((height, width), np.inf, np.float64)
-    for s in range(segs.shape[0]):
-        x0, y0, z0 = segs[s, 0], segs[s, 1], segs[s, 2]
-        x1, y1, z1 = segs[s, 3], segs[s, 4], segs[s, 5]
-        r = segs[s, 6]
-        jlo = int(np.floor(min(x0, x1) - r))
-        jhi = int(np.ceil(max(x0, x1) + r)) + 1
-        ilo = int(np.floor(min(y0, y1) - r))
-        ihi = int(np.ceil(max(y0, y1) + r)) + 1
-        if jlo < 0:
-            jlo = 0
-        if ilo < 0:
-            ilo = 0
-        if jhi > width:
-            jhi = width
-        if ihi > height:
-            ihi = height
-        dx, dy = x1 - x0, y1 - y0
-        den = dx * dx + dy * dy
-        r2 = r * r
-        for i in range(ilo, ihi):
-            for j in range(jlo, jhi):
-                if den > 0.0:
-                    t = ((j - x0) * dx + (i - y0) * dy) / den
-                    if t < 0.0:
-                        t = 0.0
-                    elif t > 1.0:
-                        t = 1.0
-                else:
-                    t = 0.0
-                ex = j - (x0 + t * dx)
-                ey = i - (y0 + t * dy)
-                if ex * ex + ey * ey <= r2:
-                    z = z0 + t * (z1 - z0)
-                    if z < zbuf[i, j]:
-                        zbuf[i, j] = z
-    return zbuf
-
-
-def _gaussian_stack_numpy(points: np.ndarray, flags: np.ndarray,
-                          height: int, width: int, sigma: float) -> np.ndarray:
+def gaussian_stack(points: np.ndarray, flags: np.ndarray,
+                   height: int, width: int, sigma: float) -> np.ndarray:
     """Per-point peak-1 Gaussian maps; flagged-off points render all-zero."""
     out = np.zeros((points.shape[0], height, width), np.float64)
     inv = 1.0 / (2.0 * sigma * sigma)
@@ -141,47 +66,3 @@ def _gaussian_stack_numpy(points: np.ndarray, flags: np.ndarray,
         cy = np.exp(-((ys - points[k, 1]) ** 2) * inv)
         out[k] = cy[:, None] * cx[None, :]
     return out
-
-
-def _gaussian_stack_loops(points, flags, height, width, sigma):
-    out = np.zeros((points.shape[0], height, width), np.float64)
-    inv = 1.0 / (2.0 * sigma * sigma)
-    cx = np.empty(width, np.float64)
-    cy = np.empty(height, np.float64)
-    for k in range(points.shape[0]):
-        if not flags[k]:
-            continue
-        u, v = points[k, 0], points[k, 1]
-        for j in range(width):
-            cx[j] = np.exp(-(j - u) * (j - u) * inv)
-        for i in range(height):
-            cy[i] = np.exp(-(i - v) * (i - v) * inv)
-        for i in range(height):
-            for j in range(width):
-                out[k, i, j] = cy[i] * cx[j]
-    return out
-
-
-_WANT_NUMBA = os.environ.get("EGOHAND_NUMBA", "1") != "0"
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:
-        _WANT_NUMBA = False
-
-if _WANT_NUMBA:
-    BACKEND = "numba"
-    box_blur = njit(cache=True)(_box_blur_loops)
-    capsule_zfield = njit(cache=True)(_capsule_zfield_loops)
-    gaussian_stack = njit(cache=True)(_gaussian_stack_loops)
-else:
-    BACKEND = "numpy"
-    box_blur = _box_blur_numpy
-    capsule_zfield = _capsule_zfield_numpy
-    gaussian_stack = _gaussian_stack_numpy
-
-NUMPY_IMPLS = {
-    "box_blur": _box_blur_numpy,
-    "capsule_zfield": _capsule_zfield_numpy,
-    "gaussian_stack": _gaussian_stack_numpy,
-}

@@ -1,10 +1,14 @@
 """Command-line surface for the pipeline stages and experiment sweeps.
 
 Exit codes: 0 success, 2 missing/unreadable files, 3 config or format
-errors (including out-of-range thresholds), 4 usage errors, 5 data
-consistency errors. Every command takes all randomness from --seed;
-identical flags and seed produce byte-identical CSV/SVG/checkpoint/dmap
-outputs (the report.json wall-time field is the one exception).
+errors, 4 usage errors, 5 data consistency errors. Code 3 covers
+out-of-range thresholds, all-zero depth maps (FlatMapError), joints with
+z <= 0 (DegenerateDepthError), truncated checkpoints (FormatError) and
+training that diverges to non-finite values (NumericFaultError). Every
+error ends with a one-line message on stderr. Every command takes all
+randomness from --seed; identical flags and seed produce byte-identical
+CSV/SVG/checkpoint/dmap outputs (the report.json wall-time field is the
+one exception).
 """
 
 from __future__ import annotations
@@ -19,15 +23,11 @@ import numpy as np
 
 from . import experiments, model, reports, synth
 from .errors import (
-    CheckpointMismatchError,
-    ConfigError,
     DataConsistencyError,
-    DatasetFormatError,
+    EgohandError,
     EmptyActionError,
     EmptyDatasetError,
     FormatError,
-    RangeError,
-    StructuralError,
 )
 from .geometry import CameraIntrinsics, lift_to_camera, mpjpe_report
 from .rangeseg import (
@@ -475,36 +475,30 @@ def build_parser() -> _Parser:
     return p
 
 
+# exit code of each error class; an error takes the entry of the first class
+# in its MRO, so subclasses not named here share their base class's code
+_EXIT_CODES = {
+    UsageError: 4,
+    OSError: 2,
+    EgohandError: 3,
+    ValueError: 3,
+    KeyError: 3,
+    DataConsistencyError: 5,
+    EmptyDatasetError: 5,
+    EmptyActionError: 5,
+}
+_EXIT_LABELS = {2: "i/o error", 3: "format/config error", 4: "usage error", 5: "data consistency error"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 4
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return 2
-    except (
-        FormatError,
-        ConfigError,
-        DatasetFormatError,
-        RangeError,
-        StructuralError,
-        CheckpointMismatchError,
-        ValueError,
-        json.JSONDecodeError,
-        KeyError,
-    ) as e:
-        print(f"format/config error: {e}", file=sys.stderr)
-        return 3
-    except (DataConsistencyError, EmptyDatasetError, EmptyActionError) as e:
-        print(f"data consistency error: {e}", file=sys.stderr)
-        return 5
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return 2
+    except tuple(_EXIT_CODES) as e:
+        code = next(_EXIT_CODES[cls] for cls in type(e).__mro__ if cls in _EXIT_CODES)
+        print(f"{_EXIT_LABELS[code]}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

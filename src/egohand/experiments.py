@@ -44,14 +44,23 @@ def _noise_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(3, *key))))
 
 
-def _scene_pair(scene: EvalScene, f_bg: float, f_loss: float, params: SynthParams, rng):
-    pred_l = noisy_pose_oracle(scene.left, f_bg, params, rng, arm_loss_fraction=f_loss)
-    pred_r = noisy_pose_oracle(scene.right, f_bg, params, rng, arm_loss_fraction=f_loss)
-    return (pred_l, pred_r), (scene.left, scene.right)
+def _sharp_qualities(scenes: list[EvalScene], t: float) -> list[tuple[float, float]]:
+    """Per-scene (f_bg, f_loss) of the sharp range mask at threshold ``t``."""
+    return [mask_quality(range_mask(scene.norm, t), scene.gt) for scene in scenes]
 
 
-def _report(pred_pairs, gt_pairs):
-    return mpjpe_report(pred_pairs, gt_pairs)
+def _paired_mpjpe(params: SynthParams, scenes: list[EvalScene], qualities, seed: int, *key: int):
+    """(left, right, both) MPJPE of the simulated estimator at per-scene
+    (f_bg, f_loss); scene ``si`` draws its noise from ``(seed, *key, si)``, so
+    two calls with the same seed and key see the same noise."""
+    preds, gts = [], []
+    for si, (scene, (f_bg, f_loss)) in enumerate(zip(scenes, qualities)):
+        rng = _noise_rng(seed, *key, si)
+        pred_l = noisy_pose_oracle(scene.left, f_bg, params, rng, arm_loss_fraction=f_loss)
+        pred_r = noisy_pose_oracle(scene.right, f_bg, params, rng, arm_loss_fraction=f_loss)
+        preds.append((pred_l, pred_r))
+        gts.append((scene.left, scene.right))
+    return mpjpe_report(preds, gts)
 
 
 def sweep_threshold(
@@ -70,21 +79,13 @@ def sweep_threshold(
     for ti, t in enumerate(t_list):
         if not (0.0 < t < 1.0):
             raise RangeError(f"threshold must lie in (0, 1), got {t}")
-        preds, gts = [], []
-        for si, scene in enumerate(scenes):
-            mask = range_mask(scene.norm, t)
-            f_bg, f_loss = mask_quality(mask, scene.gt)
-            if mode == "infer":
-                f_bg *= params.infer_damping
-                f_loss *= params.infer_damping
-                rng = _noise_rng(seed, si)
-            else:
-                rng = _noise_rng(seed, ti, si)
-            pred, gt = _scene_pair(scene, f_bg, f_loss, params, rng)
-            preds.append(pred)
-            gts.append(gt)
-        left, right, both = _report(preds, gts)
-        rows.append((float(t), left, right, both))
+        qualities = _sharp_qualities(scenes, t)
+        if mode == "infer":
+            d = params.infer_damping
+            report = _paired_mpjpe(params, scenes, [(d * fb, d * fl) for fb, fl in qualities], seed)
+        else:
+            report = _paired_mpjpe(params, scenes, qualities, seed, ti)
+        rows.append((float(t), *report))
     return rows
 
 
@@ -95,53 +96,27 @@ def ablation_masking(params: SynthParams, seeds, scenes: list[EvalScene]):
     the whole background (clutter fraction 1). Noise draws are paired per
     (seed, scene) so the comparison isolates the sigma difference.
     """
-    t_mid = params.band_midpoint
-    results = []
-    for seed in seeds:
-        for with_mask in (True, False):
-            preds, gts = [], []
-            for si, scene in enumerate(scenes):
-                if with_mask:
-                    mask = range_mask(scene.norm, t_mid)
-                    f_bg, f_loss = mask_quality(mask, scene.gt)
-                else:
-                    f_bg, f_loss = 1.0, 0.0
-                rng = _noise_rng(seed, si)
-                pred, gt = _scene_pair(scene, f_bg, f_loss, params, rng)
-                preds.append(pred)
-                gts.append(gt)
-            _, _, both = _report(preds, gts)
-            if with_mask:
-                masked = both
-            else:
-                results.append((masked, both))
-    return results
+    masked = _sharp_qualities(scenes, params.band_midpoint)
+    unmasked = [(1.0, 0.0)] * len(scenes)
+    return [
+        (_paired_mpjpe(params, scenes, masked, seed)[2],
+         _paired_mpjpe(params, scenes, unmasked, seed)[2])
+        for seed in seeds
+    ]
 
 
 def ablation_desharpen(params: SynthParams, radius: int, seeds, scenes: list[EvalScene]):
     """Paired per-seed MPJPE(both): sharp band-midpoint mask vs its blur."""
-    t_mid = params.band_midpoint
-    results = []
-    for seed in seeds:
-        sharp_both = blurred_both = None
-        for blurred in (False, True):
-            preds, gts = [], []
-            for si, scene in enumerate(scenes):
-                mask = range_mask(scene.norm, t_mid)
-                if blurred:
-                    mask = desharpen_mask(mask, radius)
-                f_bg, f_loss = mask_quality(mask, scene.gt)
-                rng = _noise_rng(seed, si)
-                pred, gt = _scene_pair(scene, f_bg, f_loss, params, rng)
-                preds.append(pred)
-                gts.append(gt)
-            _, _, both = _report(preds, gts)
-            if blurred:
-                blurred_both = both
-            else:
-                sharp_both = both
-        results.append((sharp_both, blurred_both))
-    return results
+    sharp, blurred = [], []
+    for scene in scenes:
+        mask = range_mask(scene.norm, params.band_midpoint)
+        sharp.append(mask_quality(mask, scene.gt))
+        blurred.append(mask_quality(desharpen_mask(mask, radius), scene.gt))
+    return [
+        (_paired_mpjpe(params, scenes, sharp, seed)[2],
+         _paired_mpjpe(params, scenes, blurred, seed)[2])
+        for seed in seeds
+    ]
 
 
 def paired_significance(diffs) -> float:

@@ -24,8 +24,6 @@ JOINT_COUNT = 21
 # parent joint index for each joint; -1 marks the wrist root
 JOINT_PARENTS = (-1, 0, 1, 2, 3, 0, 5, 6, 7, 0, 9, 10, 11, 0, 13, 14, 15, 0, 17, 18, 19)
 
-FINGER_NAMES = ("thumb", "index", "middle", "ring", "pinky")
-
 
 def _as_joints(values, cols: int) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=np.float64)
@@ -186,8 +184,3 @@ def rotate_points_2d(points, angle: float, center=(0.0, 0.0)) -> np.ndarray:
     out[..., 0] = c * d[..., 0] - s * d[..., 1]
     out[..., 1] = s * d[..., 0] + c * d[..., 1]
     return out + ctr
-
-
-def rotate_pose_2d(joints, angle: float, center=(0.0, 0.0)) -> np.ndarray:
-    """Rotate a joint list in the image plane; preserves pairwise distances."""
-    return rotate_points_2d(joints, angle, center)

@@ -53,31 +53,38 @@ class ActionModelConfig:
 
 
 _INT_FIELDS = {f.name for f in dataclasses.fields(ActionModelConfig) if f.type == "int"}
-_FLOAT_FIELDS = {f.name for f in dataclasses.fields(ActionModelConfig) if f.type == "float"}
+
+
+def _with_values(cfg: ActionModelConfig, entries) -> ActionModelConfig:
+    """``cfg`` with each ``(key, value text, line or None)`` entry parsed and set."""
+    values = dataclasses.asdict(cfg)
+    for key, val, line in entries:
+        if key not in values:
+            raise ConfigError(f"unknown config key {key!r}", line)
+        try:
+            values[key] = int(val) if key in _INT_FIELDS else float(val)
+        except ValueError as e:
+            raise ConfigError(f"bad value for {key!r}: {e}", line) from e
+    try:
+        return ActionModelConfig(**values)
+    except StructuralError as e:
+        raise ConfigError(str(e)) from e
 
 
 def parse_config_text(text: str, base: ActionModelConfig | None = None) -> ActionModelConfig:
     """Parse ``key = value`` lines (# comments allowed) over the defaults."""
-    values = dataclasses.asdict(base) if base is not None else {}
-    cfg = dataclasses.asdict(ActionModelConfig())
-    cfg.update(values)
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {raw!r}", ln)
-        key, _, val = (s.strip() for s in line.partition("="))
-        if key not in cfg:
-            raise ConfigError(f"unknown config key {key!r}", ln)
-        try:
-            cfg[key] = int(val) if key in _INT_FIELDS else float(val)
-        except ValueError as e:
-            raise ConfigError(f"bad value for {key!r}: {e}", ln) from e
-    try:
-        return ActionModelConfig(**cfg)
-    except StructuralError as e:
-        raise ConfigError(str(e)) from e
+
+    def entries():
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"expected 'key = value', got {raw!r}", ln)
+            key, _, val = (s.strip() for s in line.partition("="))
+            yield key, val, ln
+
+    return _with_values(base if base is not None else ActionModelConfig(), entries())
 
 
 def load_config(path, base: ActionModelConfig | None = None) -> ActionModelConfig:
@@ -87,17 +94,15 @@ def load_config(path, base: ActionModelConfig | None = None) -> ActionModelConfi
 
 def apply_overrides(cfg: ActionModelConfig, pairs) -> ActionModelConfig:
     """Apply ``key=value`` strings (CLI overrides) on top of a config."""
-    values = dataclasses.asdict(cfg)
-    for pair in pairs:
-        key, sep, val = pair.partition("=")
-        key = key.strip()
-        if not sep or key not in values:
-            raise ConfigError(f"bad override {pair!r}")
-        try:
-            values[key] = int(val) if key in _INT_FIELDS else float(val)
-        except ValueError as e:
-            raise ConfigError(f"bad override {pair!r}: {e}") from e
-    return ActionModelConfig(**values)
+
+    def entries():
+        for pair in pairs:
+            key, sep, val = pair.partition("=")
+            if not sep:
+                raise ConfigError(f"bad override {pair!r}")
+            yield key.strip(), val, None
+
+    return _with_values(cfg, entries())
 
 
 def config_to_text(cfg: ActionModelConfig) -> str:
@@ -183,20 +188,16 @@ class ActionModel:
 
     # forward / backward ------------------------------------------------------
 
-    def forward_batch(self, x: np.ndarray, need_cache: bool = False, pos_override=None):
-        """Logits for a (B, seq_len, input_dim) batch; optionally keep a cache."""
-        c = self.cfg
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[1:] != (c.seq_len, c.input_dim):
-            raise StructuralError(
-                f"expected (B, {c.seq_len}, {c.input_dim}) input, got {x.shape}"
-            )
-        pv = self.params.values
-        b = x.shape[0]
-        pos = pv["pos"] if pos_override is None else pos_override
+    def _trunk(self, x: np.ndarray, pos: np.ndarray):
+        """Embed, prepend CLS, add ``pos``, run the blocks and the final LN.
 
+        Returns the normalized (B, seq_len + 1, d_model) states plus what
+        ``backward_batch`` needs of the blocks and the final LN.
+        """
+        c = self.cfg
+        pv = self.params.values
         emb = nnkit.linear(x, pv["embed.w"], pv["embed.b"])
-        h = np.concatenate([np.broadcast_to(pv["cls"], (b, 1, c.d_model)), emb], axis=1) + pos
+        h = np.concatenate([np.broadcast_to(pv["cls"], (x.shape[0], 1, c.d_model)), emb], axis=1) + pos
 
         blocks_cache = []
         for i in range(c.blocks):
@@ -214,19 +215,29 @@ class ActionModel:
             f1 = nnkit.linear(a2, pv[p + "ff1.w"], pv[p + "ff1.b"])
             f1g = nnkit.gelu(f1)
             f2 = nnkit.linear(f1g, pv[p + "ff2.w"], pv[p + "ff2.b"])
-            h3 = h2 + f2
             blocks_cache.append((a1, c_ln1, c_attn, h2, a2, c_ln2, f1, f1g))
-            h = h3
+            h = h2 + f2
 
         hf, c_lnf = nnkit.layer_norm(h, pv["final_ln.g"], pv["final_ln.b"])
+        return hf, blocks_cache, c_lnf
+
+    def forward_batch(self, x: np.ndarray, need_cache: bool = False):
+        """Logits for a (B, seq_len, input_dim) batch; optionally keep a cache."""
+        c = self.cfg
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 3 or x.shape[1:] != (c.seq_len, c.input_dim):
+            raise StructuralError(
+                f"expected (B, {c.seq_len}, {c.input_dim}) input, got {x.shape}"
+            )
+        pv = self.params.values
+        hf, blocks_cache, c_lnf = self._trunk(x, pv["pos"])
         cls_vec = hf[:, 0, :]
         h1 = nnkit.linear(cls_vec, pv["head1.w"], pv["head1.b"])
         h1g = nnkit.gelu(h1)
         logits = nnkit.linear(h1g, pv["head2.w"], pv["head2.b"])
         if not need_cache:
             return logits, None
-        cache = (x, emb, blocks_cache, c_lnf, cls_vec, h1, h1g, b)
-        return logits, cache
+        return logits, (x, blocks_cache, c_lnf, cls_vec, h1, h1g)
 
     def forward(self, seq: np.ndarray) -> np.ndarray:
         """Logits (n_classes,) for a single (seq_len, input_dim) sequence."""
@@ -241,31 +252,10 @@ class ActionModel:
     def cls_output(self, x: np.ndarray, zero_pos: bool = False) -> np.ndarray:
         """Final-layer-norm CLS representation; ``zero_pos`` disables the
         positional table (structural probe for permutation invariance)."""
-        c = self.cfg
-        pos = np.zeros((c.seq_len + 1, c.d_model)) if zero_pos else None
-        pv = self.params.values
+        pos = self.params.values["pos"]
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 2
-        if squeeze:
-            x = x[None]
-        emb = nnkit.linear(x, pv["embed.w"], pv["embed.b"])
-        h = np.concatenate([np.broadcast_to(pv["cls"], (x.shape[0], 1, c.d_model)), emb], axis=1)
-        h = h + (pv["pos"] if pos is None else pos)
-        for i in range(c.blocks):
-            p = f"block{i}."
-            a1, _ = nnkit.layer_norm(h, pv[p + "ln1.g"], pv[p + "ln1.b"])
-            attn_p = {
-                "wq": pv[p + "attn.wq"], "bq": pv[p + "attn.bq"],
-                "wk": pv[p + "attn.wk"],
-                "wv": pv[p + "attn.wv"], "bv": pv[p + "attn.bv"],
-                "wo": pv[p + "attn.wo"], "bo": pv[p + "attn.bo"],
-            }
-            attn_out, _ = nnkit.multi_head_attention(a1, attn_p, c.heads)
-            h = h + attn_out
-            a2, _ = nnkit.layer_norm(h, pv[p + "ln2.g"], pv[p + "ln2.b"])
-            f1g = nnkit.gelu(nnkit.linear(a2, pv[p + "ff1.w"], pv[p + "ff1.b"]))
-            h = h + nnkit.linear(f1g, pv[p + "ff2.w"], pv[p + "ff2.b"])
-        hf, _ = nnkit.layer_norm(h, pv["final_ln.g"], pv["final_ln.b"])
+        hf, _, _ = self._trunk(x[None] if squeeze else x, np.zeros_like(pos) if zero_pos else pos)
         out = hf[:, 0, :]
         return out[0] if squeeze else out
 
@@ -274,7 +264,8 @@ class ActionModel:
         c = self.cfg
         pv = self.params.values
         acc = self.params.accumulate
-        x, emb, blocks_cache, c_lnf, cls_vec, h1, h1g, b = cache
+        x, blocks_cache, c_lnf, cls_vec, h1, h1g = cache
+        b = x.shape[0]
 
         g, gw, gb = nnkit.linear_backward(glogits, h1g, pv["head2.w"])
         acc("head2.w", gw)
@@ -333,7 +324,11 @@ class ActionModel:
         """Argmax class per sequence, batched in chunks."""
         out = []
         for lo in range(0, len(x), chunk):
-            logits, _ = self.forward_batch(x[lo : lo + chunk])
+            # diverged weights overflow on the way; the check below reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                logits, _ = self.forward_batch(x[lo : lo + chunk])
+            if not np.all(np.isfinite(logits)):
+                raise NumericFaultError("non-finite logits: the weights have diverged")
             out.append(logits.argmax(axis=1))
         return np.concatenate(out) if out else np.zeros(0, dtype=np.intp)
 
@@ -433,7 +428,8 @@ def train(
                 yb[row] = label
             model.params.zero_grads()
             try:
-                loss, logits = model.loss_and_grads(xb, yb)
+                with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+                    loss, logits = model.loss_and_grads(xb, yb)
                 if not np.isfinite(loss):
                     raise NumericFaultError("non-finite loss")
                 nnkit.adamw_step(model.params, lr, weight_decay=cfg.weight_decay)

@@ -357,6 +357,8 @@ def load_checkpoint(path) -> ParamSet:
         buf = f.read()
     if buf[:4] != _CKPT_MAGIC:
         raise FormatError(f"bad checkpoint magic {buf[:4]!r}")
+    if len(buf) < 10:
+        raise FormatError(f"truncated checkpoint header ({len(buf)} of 10 bytes)")
     (version,) = struct.unpack_from("<H", buf, 4)
     if version != _CKPT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")

@@ -269,33 +269,34 @@ def _canon(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
+def _pose_text(k: CameraIntrinsics, space: str, frames) -> str:
+    """poses.ndjson text: the header line, then one line per frame record."""
+    cols = _JOINT_COLS[space]
+    lines = [_canon({"intrinsics": {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy}, "space": space})]
+    for fr in frames:
+        rec = {
+            "frame_id": fr.frame_id,
+            "left": _pose_to_json(fr.left, cols),
+            "right": _pose_to_json(fr.right, cols),
+            "obj_box": [[float(x) for x in c] for c in fr.obj.box],
+            "obj_label": fr.obj.label,
+            "split": fr.split,
+        }
+        lines.append(_canon(rec))
+    return "\n".join(lines) + "\n"
+
+
 def save_dataset(path, dataset: Dataset) -> None:
     """Write poses.ndjson + manifest.csv under directory ``path``."""
     os.makedirs(path, exist_ok=True)
-    cols = _JOINT_COLS[dataset.space]
-    k = dataset.intrinsics
-    header = {
-        "intrinsics": {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy},
-        "space": dataset.space,
-    }
-    pose_lines = [_canon(header)]
     manifest_lines = ["sequence_id,frame_start,frame_end,action_label,split"]
     for seq in dataset.sequences:
         start = seq.frames[0].frame_id
         end = seq.frames[-1].frame_id + 1
         manifest_lines.append(f"{seq.sequence_id},{start},{end},{seq.action_label},{seq.split}")
-        for fr in seq.frames:
-            rec = {
-                "frame_id": fr.frame_id,
-                "left": _pose_to_json(fr.left, cols),
-                "right": _pose_to_json(fr.right, cols),
-                "obj_box": [[float(x) for x in c] for c in fr.obj.box],
-                "obj_label": fr.obj.label,
-                "split": fr.split,
-            }
-            pose_lines.append(_canon(rec))
+    frames = (fr for seq in dataset.sequences for fr in seq.frames)
     with open(os.path.join(path, "poses.ndjson"), "w") as f:
-        f.write("\n".join(pose_lines) + "\n")
+        f.write(_pose_text(dataset.intrinsics, dataset.space, frames))
     with open(os.path.join(path, "manifest.csv"), "w") as f:
         f.write("\n".join(manifest_lines) + "\n")
 
@@ -304,27 +305,8 @@ def save_pose_file(path, intrinsics: CameraIntrinsics, space: str, frames: list)
     """Write a standalone poses.ndjson-style file (header + frame lines)."""
     if space not in SPACES:
         raise ValueError(f"unknown space tag {space!r}")
-    cols = _JOINT_COLS[space]
-    header = {
-        "intrinsics": {"fx": intrinsics.fx, "fy": intrinsics.fy, "cx": intrinsics.cx, "cy": intrinsics.cy},
-        "space": space,
-    }
-    lines = [_canon(header)]
-    for fr in frames:
-        lines.append(
-            _canon(
-                {
-                    "frame_id": fr.frame_id,
-                    "left": _pose_to_json(fr.left, cols),
-                    "right": _pose_to_json(fr.right, cols),
-                    "obj_box": [[float(x) for x in c] for c in fr.obj.box],
-                    "obj_label": fr.obj.label,
-                    "split": fr.split,
-                }
-            )
-        )
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(_pose_text(intrinsics, space, frames))
 
 
 def _parse_header(line: str):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from egohand.cli import main
-from egohand.geometry import project_to_image
-from egohand.rangeseg import load_mask, load_ppm
+from egohand.geometry import CameraIntrinsics, HandPose25D, project_to_image
+from egohand.rangeseg import DepthMap, load_mask, load_ppm, save_depth, save_ppm
 from egohand.sequence import (
     FrameRecord,
+    ObjectObs,
     load_dataset,
     load_encoded,
     load_pose_file,
@@ -83,6 +84,44 @@ class TestExitCodes:
              "--scenes", "2", "--out", str(tmp_path / "r.csv")]
         )
         assert rc == 2  # params.json missing
+
+
+def _flat_depth(tree, tmp):
+    save_depth(tmp / "a.dmap", DepthMap(np.zeros((8, 8))))
+    save_ppm(tmp / "a.ppm", np.zeros((8, 8, 3), np.uint8))
+    return ["segment", "--depth", str(tmp / "a.dmap"), "--frames", str(tmp), "--t", "0.5",
+            "--out", str(tmp / "o")]
+
+
+def _zero_depth_pose(tree, tmp):
+    pose = HandPose25D(np.zeros((21, 3)))
+    frame = FrameRecord(0, pose, pose, ObjectObs(np.zeros((4, 2)), 0), "train")
+    save_pose_file(tmp / "p.ndjson", CameraIntrinsics(500.0, 500.0, 256.0, 256.0), "2.5d", [frame])
+    return ["lift", "--in", str(tmp / "p.ndjson"), "--out", str(tmp / "o.ndjson")]
+
+
+def _diverging_train(tree, tmp):
+    # the first step's huge learning rate makes the validation logits non-finite
+    return ["train", "--data", str(tree), "--epochs", "1", "--set", "base_lr=1e300",
+            "--out", str(tmp / "o")]
+
+
+def _short_checkpoint(tree, tmp):
+    (tmp / "c.bin").write_bytes(b"SHRP\x01")
+    return ["eval-action", "--data", str(tree), "--checkpoint", str(tmp / "c.bin")]
+
+
+@pytest.mark.parametrize(
+    "make_argv", [_flat_depth, _zero_depth_pose, _diverging_train, _short_checkpoint],
+    ids=["flat-depth", "zero-depth-pose", "diverging-train", "short-checkpoint"],
+)
+def test_library_errors_exit_3_with_one_line(make_argv, tree, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "egohand", *make_argv(tree, tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("format/config error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 class TestSegment:

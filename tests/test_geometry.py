@@ -17,7 +17,7 @@ from egohand.geometry import (
     mpjpe,
     mpjpe_report,
     project_to_image,
-    rotate_pose_2d,
+    rotate_points_2d,
 )
 
 K = CameraIntrinsics(fx=500.0, fy=480.0, cx=256.0, cy=250.0)
@@ -190,10 +190,10 @@ class TestMpjpeReport:
 class TestRotatePose2D:
     def test_angle_zero_is_identity(self):
         pts = np.random.default_rng(0).uniform(-10, 10, (JOINT_COUNT, 2))
-        assert np.allclose(rotate_pose_2d(pts, 0.0), pts)
+        assert np.allclose(rotate_points_2d(pts, 0.0), pts)
 
     def test_pi_symmetry(self):
-        out = rotate_pose_2d(np.array([[1.0, 0.0]]), np.pi, center=(0.0, 0.0))
+        out = rotate_points_2d(np.array([[1.0, 0.0]]), np.pi, center=(0.0, 0.0))
         assert np.max(np.abs(out - [[-1.0, 0.0]])) < 1e-12
 
     def test_pairwise_distances_preserved(self):
@@ -202,7 +202,7 @@ class TestRotatePose2D:
             pts = rng.uniform(-100, 100, (8, 2))
             angle = rng.uniform(-np.pi, np.pi)
             center = rng.uniform(-50, 50, 2)
-            out = rotate_pose_2d(pts, angle, center)
+            out = rotate_points_2d(pts, angle, center)
             d_in = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
             d_out = np.linalg.norm(out[:, None] - out[None, :], axis=2)
             assert np.max(np.abs(d_in - d_out)) < 1e-9
@@ -212,6 +212,6 @@ class TestRotatePose2D:
         pts = rng.uniform(-5, 5, (6, 2))
         a, b = 0.7, -1.2
         center = (3.0, -2.0)
-        once = rotate_pose_2d(rotate_pose_2d(pts, a, center), b, center)
-        both = rotate_pose_2d(pts, a + b, center)
+        once = rotate_points_2d(rotate_points_2d(pts, a, center), b, center)
+        both = rotate_points_2d(pts, a + b, center)
         assert np.max(np.abs(once - both)) < 1e-9

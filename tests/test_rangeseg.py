@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -317,13 +319,63 @@ class TestPpm:
         assert out.shape == (512, 512, 3)
 
 
+def _box_blur_loops(values, radius):
+    """Reference box blur: per-pixel window sums, clipped at the borders."""
+    h, w = values.shape
+    tmp = np.empty((h, w))
+    for i in range(h):
+        for j in range(w):
+            lo, hi = max(j - radius, 0), min(j + radius + 1, w)
+            tmp[i, j] = sum(values[i, k] for k in range(lo, hi)) / (hi - lo)
+    out = np.empty((h, w))
+    for j in range(w):
+        for i in range(h):
+            lo, hi = max(i - radius, 0), min(i + radius + 1, h)
+            out[i, j] = sum(tmp[k, j] for k in range(lo, hi)) / (hi - lo)
+    return out
+
+
+def _capsule_zfield_loops(height, width, segs):
+    """Reference capsule rasterizer: nearest-point test pixel by pixel."""
+    zbuf = np.full((height, width), np.inf)
+    for x0, y0, z0, x1, y1, z1, r in segs:
+        jlo, jhi = max(math.floor(min(x0, x1) - r), 0), min(math.ceil(max(x0, x1) + r) + 1, width)
+        ilo, ihi = max(math.floor(min(y0, y1) - r), 0), min(math.ceil(max(y0, y1) + r) + 1, height)
+        dx, dy = x1 - x0, y1 - y0
+        den = dx * dx + dy * dy
+        for i in range(ilo, ihi):
+            for j in range(jlo, jhi):
+                t = min(max(((j - x0) * dx + (i - y0) * dy) / den, 0.0), 1.0) if den > 0.0 else 0.0
+                ex, ey = j - (x0 + t * dx), i - (y0 + t * dy)
+                if ex * ex + ey * ey <= r * r:
+                    zbuf[i, j] = min(zbuf[i, j], z0 + t * (z1 - z0))
+    return zbuf
+
+
+def _gaussian_stack_loops(points, flags, height, width, sigma):
+    """Reference heatmap stack: one exp per pixel of each flagged point."""
+    out = np.zeros((len(points), height, width))
+    inv = 1.0 / (2.0 * sigma * sigma)
+    for k, (u, v) in enumerate(points):
+        if not flags[k]:
+            continue
+        for i in range(height):
+            for j in range(width):
+                out[k, i, j] = math.exp(-((j - u) ** 2 + (i - v) ** 2) * inv)
+    return out
+
+
 class TestKernelBackends:
+    """The numpy kernels against the plain-loop references above."""
+
     def test_box_blur_paths_agree(self):
         rng = np.random.default_rng(12)
-        v = rng.uniform(size=(20, 17))
-        fast = _kernels.box_blur(v, 2)
-        slow = _kernels.NUMPY_IMPLS["box_blur"](v, 2)
-        assert np.max(np.abs(fast - slow)) < 1e-12
+        # the second radius spans the whole map, so every window is clipped
+        for shape, radius in (((20, 17), 2), ((9, 6), 7)):
+            v = rng.uniform(size=shape)
+            fast = _kernels.box_blur(v, radius)
+            slow = _box_blur_loops(v, radius)
+            assert np.max(np.abs(fast - slow)) < 1e-12
 
     def test_capsule_paths_agree(self):
         segs = np.array(
@@ -333,7 +385,7 @@ class TestKernelBackends:
             ]
         )
         fast = _kernels.capsule_zfield(24, 20, segs)
-        slow = _kernels.NUMPY_IMPLS["capsule_zfield"](24, 20, segs)
+        slow = _capsule_zfield_loops(24, 20, segs)
         assert np.array_equal(np.isfinite(fast), np.isfinite(slow))
         both = np.isfinite(fast)
         assert np.max(np.abs(fast[both] - slow[both])) < 1e-9
@@ -342,7 +394,7 @@ class TestKernelBackends:
         pts = np.array([[4.5, 7.0], [0.0, 0.0]])
         flags = np.array([True, True])
         fast = _kernels.gaussian_stack(pts, flags, 16, 12, 2.0)
-        slow = _kernels.NUMPY_IMPLS["gaussian_stack"](pts, flags, 16, 12, 2.0)
+        slow = _gaussian_stack_loops(pts, flags, 16, 12, 2.0)
         assert np.max(np.abs(fast - slow)) < 1e-12
 
 
