@@ -131,17 +131,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _depth_files(path: str) -> list[str]:
+def _depth_files(path: str, metric: bool) -> list[tuple[str, str]]:
+    """(stem, path) of each map: the file, or a directory's ``<stem>.dmap``
+    files; with ``metric``, its ``<stem>.mm.dmap`` files when it holds any."""
     if os.path.isfile(path):
-        return [path]
+        return [(os.path.basename(path)[: -len(".dmap")], path)]
     if not os.path.isdir(path):
         raise FileNotFoundError(f"no such file or directory: {path}")
-    names = sorted(
-        n for n in os.listdir(path) if n.endswith(".dmap") and n.count(".") == 1
-    )
-    if not names:
-        raise FileNotFoundError(f"no .dmap files under {path}")
-    return [os.path.join(path, n) for n in names]
+    entries = os.listdir(path)
+    for suffix in (".mm.dmap", ".dmap") if metric else (".dmap",):
+        names = sorted(n for n in entries if n.endswith(suffix) and n.count(".") == suffix.count("."))
+        if names:
+            return [(n[: -len(suffix)], os.path.join(path, n)) for n in names]
+    raise FileNotFoundError(f"no .dmap files under {path}")
 
 
 def cmd_segment(args) -> int:
@@ -153,8 +155,7 @@ def cmd_segment(args) -> int:
         raise UsageError("--fill needs r,g,b")
     os.makedirs(args.out, exist_ok=True)
     stats_rows = []
-    for depth_path in _depth_files(args.depth):
-        stem = os.path.basename(depth_path)[: -len(".dmap")]
+    for stem, depth_path in _depth_files(args.depth, args.metric_mm is not None):
         frame_path = os.path.join(args.frames, stem + ".ppm")
         if not os.path.isfile(frame_path):
             raise FileNotFoundError(f"missing frame for {stem!r}: {frame_path}")
@@ -292,7 +293,7 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _raw_sets(data_dir: str, cfg: model.ActionModelConfig):
+def _raw_sets(data_dir: str):
     dataset = load_dataset(data_dir)
     if dataset.space != "3d":
         raise FormatError(f"training data must be 3d, got space {dataset.space!r}")
@@ -305,7 +306,7 @@ def _raw_sets(data_dir: str, cfg: model.ActionModelConfig):
 def cmd_train(args) -> int:
     watch = reports.Stopwatch()
     cfg = _resolve_config(args)
-    sets = _raw_sets(args.data, cfg)
+    sets = _raw_sets(args.data)
     os.makedirs(args.out, exist_ok=True)
 
     log = None
@@ -352,7 +353,7 @@ def cmd_eval_action(args) -> int:
             args.config = sibling
     cfg = _resolve_config(args)
     net = model.load_model(args.checkpoint, cfg)
-    sets = _raw_sets(args.data, cfg)
+    sets = _raw_sets(args.data)
     if not sets[args.split]:
         raise EmptyDatasetError(f"split {args.split!r} is empty")
     x, y = model.prepare_eval_set(sets[args.split], cfg)

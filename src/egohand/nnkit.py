@@ -38,8 +38,6 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     if x.shape[-1] != w.shape[0]:
         raise StructuralError(f"linear: x feature dim {x.shape[-1]} != w rows {w.shape[0]}")
-    if x.ndim == 2:
-        return x @ w + b
     # flatten leading axes so BLAS sees one large GEMM instead of a stack
     y = x.reshape(-1, x.shape[-1]) @ w + b
     return y.reshape(*x.shape[:-1], w.shape[1])

@@ -59,6 +59,10 @@ _GROUP_SLICES = {
     "label": slice(LABEL_INDEX, LABEL_INDEX + 1),
 }
 
+# x column of every rotated (x, y) pair in layout order: the hands' joint X
+# columns (every third), then the box corners' x columns (every second)
+_PAIR_X = np.r_[LEFT_SLICE.start : RIGHT_SLICE.stop : 3, BOX_SLICE.start : BOX_SLICE.stop : 2]
+
 
 @dataclass
 class ObjectObs:
@@ -150,16 +154,6 @@ def subsample_or_pad(frames, n: int = SEQ_LEN, mode: str = "uniform", rng=None):
     return frames[idx].copy(), n
 
 
-def _coord_pair_slots(group: str):
-    """Column indices of the (x, y) coordinate pairs inside a group's slots."""
-    s = _GROUP_SLICES[group]
-    if group in ("left", "right"):
-        base = s.start + 3 * np.arange(JOINT_COUNT)
-    else:
-        base = s.start + 2 * np.arange(4)
-    return base, base + 1
-
-
 def augment_sequence(frames: np.ndarray, cfg: AugmentConfig, rng, valid_count: int | None = None):
     """Training-time augmentation: one shared rotation, one optional group mask.
 
@@ -176,32 +170,25 @@ def augment_sequence(frames: np.ndarray, cfg: AugmentConfig, rng, valid_count: i
     if not (0.0 <= cfg.mask_prob <= 1.0):
         raise ValueError(f"mask probability must lie in [0, 1], got {cfg.mask_prob}")
     nv = frames.shape[0] if valid_count is None else valid_count
+    if not (0 <= nv <= frames.shape[0]):
+        raise StructuralError(f"valid_count must lie in [0, {frames.shape[0]}], got {nv}")
 
     angle = rng.uniform(-cfg.rotation_range, cfg.rotation_range)
     mask_draw = rng.uniform()
 
-    if angle != 0.0 and nv > 0:
-        participating = []  # (frame index, x slots, y slots)
-        xs_all, ys_all = [], []
-        for i in range(nv):
-            for group in ("left", "right", "box"):
-                seg = frames[i, _GROUP_SLICES[group]]
-                if not np.any(seg):
-                    continue
-                xi, yi = _coord_pair_slots(group)
-                participating.append((i, xi, yi))
-                xs_all.append(frames[i, xi])
-                ys_all.append(frames[i, yi])
-        if participating:
-            center = (
-                float(np.concatenate(xs_all).mean()),
-                float(np.concatenate(ys_all).mean()),
-            )
-            for i, xi, yi in participating:
-                pts = np.stack([frames[i, xi], frames[i, yi]], axis=1)
-                rot = rotate_points_2d(pts, angle, center)
-                frames[i, xi] = rot[:, 0]
-                frames[i, yi] = rot[:, 1]
+    if angle != 0.0:
+        live = np.zeros((nv, FRAME_DIM), dtype=bool)  # the columns of non-zero groups
+        for group in ("left", "right", "box"):
+            sl = _GROUP_SLICES[group]
+            live[:, sl] = np.any(frames[:nv, sl], axis=1, keepdims=True)
+        # frame-major, then pair order: the order the centroid sums in
+        rows, pairs = np.nonzero(live[:, _PAIR_X])
+        if rows.size:
+            xc = _PAIR_X[pairs]
+            xs, ys = frames[rows, xc], frames[rows, xc + 1]
+            rot = rotate_points_2d(np.stack([xs, ys], axis=1), angle, (float(xs.mean()), float(ys.mean())))
+            frames[rows, xc] = rot[:, 0]
+            frames[rows, xc + 1] = rot[:, 1]
 
     if mask_draw < cfg.mask_prob:
         group = cfg.mask_groups[int(rng.integers(len(cfg.mask_groups)))]
@@ -238,6 +225,9 @@ class Dataset:
 
 _POSE_TYPES = {"2d": HandPose2D, "2.5d": HandPose25D, "3d": HandPose3D}
 _JOINT_COLS = {"2d": 2, "2.5d": 3, "3d": 3}
+# what np.asarray and the record types raise on a JSON value of the wrong kind:
+# a non-number, an integer beyond float range, a non-finite or mis-shaped array
+_BAD_VALUE = (TypeError, ValueError, OverflowError, StructuralError)
 
 
 def _pose_to_json(pose, cols: int) -> dict:
@@ -258,11 +248,10 @@ def _pose_from_json(obj, space: str, line: int):
     for row in joints:
         if not isinstance(row, list) or len(row) != cols:
             raise DatasetFormatError(f"each joint needs {cols} coordinates for space {space!r}", line)
-    arr = np.asarray(joints, dtype=np.float64)
     try:
-        return _POSE_TYPES[space](arr, present=bool(obj["present"]))
-    except StructuralError as e:
-        raise DatasetFormatError(str(e), line) from e
+        return _POSE_TYPES[space](np.asarray(joints, dtype=np.float64), present=bool(obj["present"]))
+    except _BAD_VALUE as e:
+        raise DatasetFormatError(f"bad joints: {e}", line) from e
 
 
 def _canon(obj) -> str:
@@ -321,9 +310,33 @@ def _parse_header(line: str):
     ki = obj["intrinsics"]
     try:
         k = CameraIntrinsics(float(ki["fx"]), float(ki["fy"]), float(ki["cx"]), float(ki["cy"]))
-    except (KeyError, TypeError, StructuralError) as e:
+    except (KeyError, *_BAD_VALUE) as e:
         raise DatasetFormatError(f"bad intrinsics: {e}", 1) from e
     return k, obj["space"]
+
+
+def _records(lines, start: int, fields: tuple, int_fields: tuple):
+    """Yield (line number, record) for each non-blank NDJSON line, numbering
+    from ``start``. A record is a JSON object holding every key in
+    ``fields``, a known split tag and an integer under each of ``int_fields``."""
+    for ln, raw in enumerate(lines, start=start):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as e:
+            raise DatasetFormatError(f"invalid JSON: {e.msg}", ln) from e
+        if not isinstance(obj, dict):
+            raise DatasetFormatError(f"expected a JSON object, got {type(obj).__name__}", ln)
+        for key in fields:
+            if key not in obj:
+                raise DatasetFormatError(f"missing field {key!r}", ln)
+        if obj["split"] not in SPLITS:
+            raise DatasetFormatError(f"unknown split tag {obj['split']!r}", ln)
+        for key in int_fields:
+            if type(obj[key]) is not int:
+                raise DatasetFormatError(f"{key} must be an integer", ln)
+        yield ln, obj
 
 
 def load_pose_file(path):
@@ -335,37 +348,29 @@ def load_pose_file(path):
     k, space = _parse_header(lines[0])
     frames = []
     last_id = None
-    for ln, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise DatasetFormatError(f"invalid JSON: {e.msg}", ln) from e
-        for key in ("frame_id", "left", "right", "obj_box", "obj_label", "split"):
-            if key not in obj:
-                raise DatasetFormatError(f"missing field {key!r}", ln)
-        if obj["split"] not in SPLITS:
-            raise DatasetFormatError(f"unknown split tag {obj['split']!r}", ln)
+    fields = ("frame_id", "left", "right", "obj_box", "obj_label", "split")
+    for ln, obj in _records(lines[1:], 2, fields, ("frame_id", "obj_label")):
         box = obj["obj_box"]
         if not isinstance(box, list) or len(box) != 4 or any(
             not isinstance(c, list) or len(c) != 2 for c in box
         ):
             raise DatasetFormatError("obj_box must be 4 corner [x, y] pairs", ln)
-        if not isinstance(obj["obj_label"], int) or obj["obj_label"] < 0:
+        if obj["obj_label"] < 0:
             raise DatasetFormatError("obj_label must be a non-negative integer", ln)
         fid = obj["frame_id"]
-        if not isinstance(fid, int):
-            raise DatasetFormatError("frame_id must be an integer", ln)
         if last_id is not None and fid <= last_id:
             raise DatasetFormatError(f"frame_id {fid} not strictly increasing", ln)
         last_id = fid
+        try:
+            obs = ObjectObs(np.asarray(box, dtype=np.float64), obj["obj_label"])
+        except _BAD_VALUE as e:
+            raise DatasetFormatError(f"bad obj_box: {e}", ln) from e
         frames.append(
             FrameRecord(
                 frame_id=fid,
                 left=_pose_from_json(obj["left"], space, ln),
                 right=_pose_from_json(obj["right"], space, ln),
-                obj=ObjectObs(np.asarray(box, dtype=np.float64), obj["obj_label"]),
+                obj=obs,
                 split=obj["split"],
             )
         )
@@ -455,18 +460,8 @@ def load_encoded(path):
     with open(path) as f:
         lines = f.read().splitlines()
     out = []
-    for ln, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise DatasetFormatError(f"invalid JSON: {e.msg}", ln) from e
-        for key in ("sequence_id", "action_label", "split", "valid_count", "frames"):
-            if key not in obj:
-                raise DatasetFormatError(f"missing field {key!r}", ln)
-        if obj["split"] not in SPLITS:
-            raise DatasetFormatError(f"unknown split tag {obj['split']!r}", ln)
+    fields = ("sequence_id", "action_label", "split", "valid_count", "frames")
+    for ln, obj in _records(lines, 1, fields, ("sequence_id", "action_label", "valid_count")):
         frames = obj["frames"]
         if not isinstance(frames, list) or len(frames) != SEQ_LEN:
             raise DatasetFormatError(f"expected {SEQ_LEN} frames", ln)
@@ -480,7 +475,7 @@ def load_encoded(path):
             seq = ActionSequence(
                 np.asarray(frames, dtype=np.float64), obj["valid_count"], obj["action_label"]
             )
-        except StructuralError as e:
+        except _BAD_VALUE as e:
             raise DatasetFormatError(str(e), ln) from e
         out.append((obj["sequence_id"], obj["split"], seq))
     return out

@@ -111,9 +111,18 @@ def _short_checkpoint(tree, tmp):
     return ["eval-action", "--data", str(tree), "--checkpoint", str(tmp / "c.bin")]
 
 
+def _non_object_pose_line(tree, tmp):
+    header = (tree / "poses.ndjson").read_text().splitlines()[0]
+    (tmp / "d").mkdir()
+    (tmp / "d" / "poses.ndjson").write_text(header + "\n5\n")
+    (tmp / "d" / "manifest.csv").write_bytes((tree / "manifest.csv").read_bytes())
+    return ["encode", "--in", str(tmp / "d"), "--out", str(tmp / "e.ndjson")]
+
+
 @pytest.mark.parametrize(
-    "make_argv", [_flat_depth, _zero_depth_pose, _diverging_train, _short_checkpoint],
-    ids=["flat-depth", "zero-depth-pose", "diverging-train", "short-checkpoint"],
+    "make_argv",
+    [_flat_depth, _zero_depth_pose, _diverging_train, _short_checkpoint, _non_object_pose_line],
+    ids=["flat-depth", "zero-depth-pose", "diverging-train", "short-checkpoint", "non-object-pose-line"],
 )
 def test_library_errors_exit_3_with_one_line(make_argv, tree, tmp_path):
     proc = subprocess.run(
@@ -161,6 +170,21 @@ class TestSegment:
         assert rc == 0
         for mask_path in out.glob("*.mask.dmap"):
             stem = mask_path.name[: -len(".mask.dmap")]
+            want = load_mask(tree / "scenes" / f"{stem}.gtmask.dmap")
+            assert np.array_equal(load_mask(mask_path).values, want.values)
+
+    def test_metric_mm_on_tree_reads_mm_maps(self, tree, tmp_path):
+        # scenes/ holds <stem>.dmap pseudo-depth beside <stem>.mm.dmap metric maps
+        out = tmp_path / "segtree"
+        rc = main(
+            ["segment", "--depth", str(tree / "scenes"), "--frames", str(tree / "scenes"),
+             "--metric-mm", "700", "--out", str(out)]
+        )
+        assert rc == 0
+        stems = sorted(p.name[: -len(".gtmask.dmap")] for p in (tree / "scenes").glob("*.gtmask.dmap"))
+        masks = sorted(out.glob("*.mask.dmap"))
+        assert [p.name[: -len(".mask.dmap")] for p in masks] == stems
+        for stem, mask_path in zip(stems, masks):
             want = load_mask(tree / "scenes" / f"{stem}.gtmask.dmap")
             assert np.array_equal(load_mask(mask_path).values, want.values)
 

@@ -1,8 +1,19 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import egohand.sequence
 from egohand.errors import DatasetFormatError, EmptyActionError, StructuralError
-from egohand.geometry import JOINT_COUNT, CameraIntrinsics, HandPose3D, absent_pose3d
+from egohand.geometry import (
+    JOINT_COUNT,
+    CameraIntrinsics,
+    HandPose3D,
+    absent_pose3d,
+    rotate_points_2d,
+)
 from egohand.sequence import (
     BOX_SLICE,
     FRAME_DIM,
@@ -22,8 +33,10 @@ from egohand.sequence import (
     export_csv_matrices,
     load_dataset,
     load_encoded,
+    load_pose_file,
     save_dataset,
     save_encoded,
+    save_pose_file,
     subsample_or_pad,
 )
 
@@ -191,6 +204,94 @@ class TestAugment:
         assert np.all(out[:, LEFT_SLICE] == 0.0)
 
 
+_REF_SLICES = {
+    "left": LEFT_SLICE,
+    "right": RIGHT_SLICE,
+    "box": BOX_SLICE,
+    "label": slice(LABEL_INDEX, LABEL_INDEX + 1),
+}
+
+
+def _augment_reference(frames, cfg, rng, valid_count=None):
+    """augment_sequence written as a walk over (frame, group) pairs, one
+    rotate_points_2d call per non-zero group, for comparison."""
+    frames = np.asarray(frames, dtype=np.float64).copy()
+    nv = frames.shape[0] if valid_count is None else valid_count
+    angle = rng.uniform(-cfg.rotation_range, cfg.rotation_range)
+    mask_draw = rng.uniform()
+    if angle != 0.0 and nv > 0:
+        participating = []
+        xs_all, ys_all = [], []
+        for i in range(nv):
+            for group in ("left", "right", "box"):
+                sl = _REF_SLICES[group]
+                if not np.any(frames[i, sl]):
+                    continue
+                step, count = (3, JOINT_COUNT) if group != "box" else (2, 4)
+                xi = sl.start + step * np.arange(count)
+                participating.append((i, xi, xi + 1))
+                xs_all.append(frames[i, xi])
+                ys_all.append(frames[i, xi + 1])
+        if participating:
+            center = (float(np.concatenate(xs_all).mean()), float(np.concatenate(ys_all).mean()))
+            for i, xi, yi in participating:
+                pts = np.stack([frames[i, xi], frames[i, yi]], axis=1)
+                rot = rotate_points_2d(pts, angle, center)
+                frames[i, xi] = rot[:, 0]
+                frames[i, yi] = rot[:, 1]
+    if mask_draw < cfg.mask_prob:
+        group = cfg.mask_groups[int(rng.integers(len(cfg.mask_groups)))]
+        frames[:, _REF_SLICES[group]] = 0.0
+    return frames
+
+
+class TestAugmentMatchesReference:
+    CONFIGS = (AugmentConfig(), AugmentConfig(1.0, 0.5), AugmentConfig(0.0, 0.3))
+
+    def _frames(self, rng, k):
+        frames = rng.normal(0.0, 100.0, (k, FRAME_DIM))
+        for sl in (LEFT_SLICE, RIGHT_SLICE, BOX_SLICE):
+            frames[rng.uniform(size=k) < 0.3, sl] = 0.0
+        return frames
+
+    def test_byte_identical_with_zeroed_groups_and_every_valid_count(self):
+        rng = np.random.default_rng(30)
+        for trial in range(24):
+            k = int(rng.integers(1, SEQ_LEN + 1))
+            frames = self._frames(rng, k)
+            for valid in (*range(k + 1), None):
+                for cfg in self.CONFIGS:
+                    want = _augment_reference(frames, cfg, np.random.default_rng(trial), valid)
+                    got = augment_sequence(frames, cfg, np.random.default_rng(trial), valid)
+                    assert got.tobytes() == want.tobytes(), (trial, valid, cfg)
+
+    def test_byte_identical_when_every_group_is_zero(self):
+        frames = np.zeros((SEQ_LEN, FRAME_DIM))
+        frames[:, LABEL_INDEX] = 4.0
+        for cfg in self.CONFIGS:
+            want = _augment_reference(frames, cfg, np.random.default_rng(1))
+            got = augment_sequence(frames, cfg, np.random.default_rng(1))
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_rotate_call_per_rotated_sequence(self, monkeypatch):
+        calls = []
+        original = egohand.sequence.rotate_points_2d
+        monkeypatch.setattr(
+            egohand.sequence, "rotate_points_2d", lambda *a: calls.append(1) or original(*a)
+        )
+        frames = self._frames(np.random.default_rng(31), SEQ_LEN)
+        augment_sequence(frames, AugmentConfig(1.0, 0.0), np.random.default_rng(0))
+        assert len(calls) == 1
+        augment_sequence(frames, AugmentConfig(0.0, 0.0), np.random.default_rng(0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("valid", [-1, 21])
+    def test_valid_count_outside_frames_rejected(self, valid):
+        frames = np.ones((SEQ_LEN, FRAME_DIM))
+        with pytest.raises(StructuralError):
+            augment_sequence(frames, AugmentConfig(), np.random.default_rng(0), valid_count=valid)
+
+
 def _make_dataset(rng, n_seq=3, space="3d"):
     sequences = []
     fid = 0
@@ -305,3 +406,101 @@ def test_action_sequence_validation():
         ActionSequence(np.zeros((19, FRAME_DIM)), 19, 0)
     with pytest.raises(StructuralError):
         ActionSequence(np.zeros((SEQ_LEN, FRAME_DIM)), 5, 40)
+
+
+# --- malformed NDJSON: every bad value ends in DatasetFormatError ----------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+_NDJSON_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+def _replaced(record, path, value):
+    """``record`` with the item at key/index ``path`` replaced by ``value``;
+    the empty path replaces the whole record."""
+    if not path:
+        return value
+    record = json.loads(json.dumps(record))
+    *parents, last = path
+    node = record
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return record
+
+
+def _load_or_format_error(load, path, line):
+    try:
+        load(path)
+    except DatasetFormatError as e:
+        assert e.line == line, str(e)
+
+
+_POSE_PATHS = [
+    (), ("frame_id",), ("left",), ("left", "present"), ("left", "joints"), ("left", "joints", 0),
+    ("left", "joints", 0, 1), ("right",), ("obj_box",), ("obj_box", 2), ("obj_box", 2, 0),
+    ("obj_label",), ("split",),
+]
+_HEADER_PATHS = [(), ("intrinsics",), ("intrinsics", "fx"), ("space",)]
+
+
+@pytest.fixture(scope="module")
+def pose_records(tmp_path_factory):
+    """(header, frame record, scratch file) of a one-frame 3d pose file."""
+    rng = np.random.default_rng(40)
+    path = tmp_path_factory.mktemp("ndjson") / "poses.ndjson"
+    save_pose_file(path, K, "3d", [FrameRecord(7, _pose(rng), _pose(rng), _obj(rng), "val")])
+    header, frame = (json.loads(line) for line in path.read_text().splitlines())
+    return header, frame, path
+
+
+@_NDJSON_SETTINGS
+@given(field=st.sampled_from(_POSE_PATHS), value=_JSON_VALUES)
+@example(field=(), value=5)
+@example(field=(), value=None)
+@example(field=("left", "joints", 0), value={})
+@example(field=("left", "joints", 0, 1), value={})
+@example(field=("obj_box", 2, 0), value=None)
+def test_pose_file_frame_values_raise_only_format_error(pose_records, field, value):
+    header, frame, path = pose_records
+    path.write_text(json.dumps(header) + "\n" + json.dumps(_replaced(frame, field, value)) + "\n")
+    _load_or_format_error(load_pose_file, path, 2)
+
+
+@_NDJSON_SETTINGS
+@given(field=st.sampled_from(_HEADER_PATHS), value=_JSON_VALUES)
+@example(field=("intrinsics", "fx"), value="fx")
+def test_pose_file_header_values_raise_only_format_error(pose_records, field, value):
+    header, frame, path = pose_records
+    path.write_text(json.dumps(_replaced(header, field, value)) + "\n" + json.dumps(frame) + "\n")
+    _load_or_format_error(load_pose_file, path, 1)
+
+
+_ENCODED_PATHS = [
+    (), ("sequence_id",), ("action_label",), ("split",), ("valid_count",), ("frames",),
+    ("frames", 3), ("frames", 3, 100),
+]
+
+
+@pytest.fixture(scope="module")
+def encoded_record(tmp_path_factory):
+    """(record, scratch file) of a one-sequence encoded file."""
+    path = tmp_path_factory.mktemp("encoded") / "encoded.ndjson"
+    frames, valid = subsample_or_pad(np.random.default_rng(41).uniform(-1, 1, (12, FRAME_DIM)))
+    save_encoded(path, [ActionSequence(frames, valid, 5)], ids=[9], splits=["test"])
+    return json.loads(path.read_text()), path
+
+
+@_NDJSON_SETTINGS
+@given(field=st.sampled_from(_ENCODED_PATHS), value=_JSON_VALUES)
+@example(field=(), value=5)
+@example(field=("valid_count",), value=1.5)
+@example(field=("action_label",), value="3")
+@example(field=("frames", 3, 100), value={})
+def test_encoded_values_raise_only_format_error(encoded_record, field, value):
+    record, path = encoded_record
+    path.write_text(json.dumps(_replaced(record, field, value)) + "\n")
+    _load_or_format_error(load_encoded, path, 1)
