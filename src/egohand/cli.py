@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -90,7 +92,7 @@ def _load_tree_meta(data_dir: str):
     path = os.path.join(data_dir, "params.json")
     with open(path) as f:
         meta = json.loads(f.read())
-    params = synth.SynthParams.from_json(json.dumps(meta["params"]))
+    params = synth.SynthParams.from_dict(meta["params"])
     return meta, params
 
 
@@ -109,26 +111,21 @@ def _resolve_config(args) -> model.ActionModelConfig:
 
 
 # --- commands ------------------------------------------------------------------
+# Each command returns its run record, (report path, config, seed, metrics),
+# which main writes as JSON, or None when the run leaves no report.
 
 
-def cmd_synth(args) -> int:
-    watch = reports.Stopwatch()
+def cmd_synth(args) -> tuple:
     params = synth.SynthParams()
     os.makedirs(args.out, exist_ok=True)
     synth.write_fixture_tree(
         args.out, params, args.classes, args.per_class, args.seed, scene_frames=args.scene_frames
     )
-    reports.write_run_report(
-        os.path.join(args.out, "report.json"),
-        "synth",
-        {"classes": args.classes, "per_class": args.per_class, "scene_frames": args.scene_frames,
-         "params": json.loads(params.to_json())},
-        args.seed,
-        {"sequences": args.classes * args.per_class},
-        watch.seconds(),
-    )
-    print(f"wrote {args.classes * args.per_class} sequences to {args.out}")
-    return 0
+    n = args.classes * args.per_class
+    print(f"wrote {n} sequences to {args.out}")
+    config = {"classes": args.classes, "per_class": args.per_class, "scene_frames": args.scene_frames,
+              "params": params.to_dict()}
+    return os.path.join(args.out, "report.json"), config, args.seed, {"sequences": n}
 
 
 def _depth_files(path: str, metric: bool) -> list[tuple[str, str]]:
@@ -146,8 +143,7 @@ def _depth_files(path: str, metric: bool) -> list[tuple[str, str]]:
     raise FileNotFoundError(f"no .dmap files under {path}")
 
 
-def cmd_segment(args) -> int:
-    watch = reports.Stopwatch()
+def cmd_segment(args) -> tuple:
     if args.t is None and args.metric_mm is None:
         raise UsageError("one of --t or --metric-mm is required")
     fill = tuple(int(v) for v in args.fill.split(",")) if args.fill else (0, 0, 0)
@@ -178,21 +174,14 @@ def cmd_segment(args) -> int:
         f.write("frame,kept_fraction,kept_pixels\n")
         for stem, kf, kp in stats_rows:
             f.write(f"{stem},{reports.fmt(kf)},{reports.fmt(kp)}\n")
-    reports.write_run_report(
-        os.path.join(args.out, "report.json"),
-        "segment",
-        {"t": args.t, "metric_mm": args.metric_mm, "desharpen": args.desharpen, "fill": list(fill)},
-        None,
-        {"frames": len(stats_rows),
-         "mean_kept_fraction": float(np.mean([r[1] for r in stats_rows]))},
-        watch.seconds(),
-    )
     print(f"segmented {len(stats_rows)} frames -> {args.out}")
-    return 0
+    config = {"t": args.t, "metric_mm": args.metric_mm, "desharpen": args.desharpen, "fill": list(fill)}
+    metrics = {"frames": len(stats_rows),
+               "mean_kept_fraction": float(np.mean([r[1] for r in stats_rows]))}
+    return os.path.join(args.out, "report.json"), config, None, metrics
 
 
-def cmd_sweep_threshold(args) -> int:
-    watch = reports.Stopwatch()
+def cmd_sweep_threshold(args) -> tuple:
     t_list = _float_list(args.t_list)
     meta, params = _load_tree_meta(args.data)
     scenes = experiments.make_eval_scenes(params, meta["master_seed"], args.scenes)
@@ -207,21 +196,14 @@ def cmd_sweep_threshold(args) -> int:
         "MPJPE (mm)",
         f"{args.mode}-mode threshold sweep",
     )
-    reports.write_run_report(
-        args.out + ".report.json",
-        "sweep-threshold",
-        {"t_list": t_list, "mode": args.mode, "scenes": args.scenes,
-         "data": os.path.abspath(args.data), "params": json.loads(params.to_json())},
-        args.seed,
-        {"rows": [list(r) for r in rows]},
-        watch.seconds(),
-    )
     best = min(rows, key=lambda r: r[3])
     print(f"sweep ({args.mode}): best t = {best[0]:g} with MPJPE both = {best[3]:.3f} mm")
-    return 0
+    config = {"t_list": t_list, "mode": args.mode, "scenes": args.scenes,
+              "data": os.path.abspath(args.data), "params": params.to_dict()}
+    return args.out + ".report.json", config, args.seed, {"rows": [list(r) for r in rows]}
 
 
-def cmd_lift(args) -> int:
+def cmd_lift(args) -> None:
     from .geometry import absent_pose3d
 
     k, space, frames = load_pose_file(args.infile)
@@ -237,11 +219,9 @@ def cmd_lift(args) -> int:
     ]
     save_pose_file(args.out, k, "3d", lifted)
     print(f"lifted {len(lifted)} frames -> {args.out}")
-    return 0
 
 
-def cmd_eval_pose(args) -> int:
-    watch = reports.Stopwatch()
+def cmd_eval_pose(args) -> tuple | None:
     _, pspace, pred = load_pose_file(args.pred)
     _, gspace, gt = load_pose_file(args.gt)
     if pspace != "3d" or gspace != "3d":
@@ -249,14 +229,8 @@ def cmd_eval_pose(args) -> int:
     pred_ids = [fr.frame_id for fr in pred]
     gt_ids = [fr.frame_id for fr in gt]
     if pred_ids != gt_ids:
-        offender = next(
-            (a if a is not None else b)
-            for a, b in zip(
-                pred_ids + [None] * max(0, len(gt_ids) - len(pred_ids)),
-                gt_ids + [None] * max(0, len(pred_ids) - len(gt_ids)),
-            )
-            if a != b
-        )
+        pairs = itertools.zip_longest(pred_ids, gt_ids)
+        offender = next(a if a is not None else b for a, b in pairs if a != b)
         raise DataConsistencyError(f"frame-id mismatch between pred and gt, first offender: {offender}")
     left, right, both = mpjpe_report(
         [(fr.left, fr.right) for fr in pred], [(fr.left, fr.right) for fr in gt]
@@ -264,18 +238,12 @@ def cmd_eval_pose(args) -> int:
     print(f"MPJPE left = {left:.4f} mm, right = {right:.4f} mm, both = {both:.4f} mm")
     if args.out:
         reports.write_csv(args.out, ["mpjpe_left", "mpjpe_right", "mpjpe_both"], [(left, right, both)])
-        reports.write_run_report(
-            args.out + ".report.json",
-            "eval-pose",
-            {"pred": os.path.abspath(args.pred), "gt": os.path.abspath(args.gt)},
-            None,
-            {"mpjpe_left": left, "mpjpe_right": right, "mpjpe_both": both},
-            watch.seconds(),
-        )
-    return 0
+        config = {"pred": os.path.abspath(args.pred), "gt": os.path.abspath(args.gt)}
+        metrics = {"mpjpe_left": left, "mpjpe_right": right, "mpjpe_both": both}
+        return args.out + ".report.json", config, None, metrics
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> None:
     dataset = load_dataset(args.indir)
     if dataset.space != "3d":
         raise FormatError(f"encode expects a 3d dataset, got space {dataset.space!r}")
@@ -290,7 +258,6 @@ def cmd_encode(args) -> int:
     if args.csv_dir:
         export_csv_matrices(args.csv_dir, sequences, ids=ids)
     print(f"encoded {len(sequences)} sequences -> {args.out}")
-    return 0
 
 
 def _raw_sets(data_dir: str):
@@ -303,8 +270,7 @@ def _raw_sets(data_dir: str):
     return sets
 
 
-def cmd_train(args) -> int:
-    watch = reports.Stopwatch()
+def cmd_train(args) -> tuple:
     cfg = _resolve_config(args)
     sets = _raw_sets(args.data)
     os.makedirs(args.out, exist_ok=True)
@@ -326,27 +292,19 @@ def cmd_train(args) -> int:
     )
     with open(os.path.join(args.out, "config.snapshot.cfg"), "w") as f:
         f.write(model.config_to_text(cfg))
-    reports.write_run_report(
-        os.path.join(args.out, "report.json"),
-        "train",
-        dataclasses.asdict(cfg),
-        cfg.seed,
-        {
-            "best_epoch": result.history.best_epoch,
-            "best_val_acc": result.history.best_val_acc,
-            "epochs_run": len(result.history.rows),
-        },
-        watch.seconds(),
-    )
     print(
         f"trained {len(result.history.rows)} epochs; best val acc "
         f"{result.history.best_val_acc:.4f} at epoch {result.history.best_epoch}"
     )
-    return 0
+    metrics = {
+        "best_epoch": result.history.best_epoch,
+        "best_val_acc": result.history.best_val_acc,
+        "epochs_run": len(result.history.rows),
+    }
+    return os.path.join(args.out, "report.json"), dataclasses.asdict(cfg), cfg.seed, metrics
 
 
-def cmd_eval_action(args) -> int:
-    watch = reports.Stopwatch()
+def cmd_eval_action(args) -> tuple | None:
     if args.config is None:
         sibling = os.path.join(os.path.dirname(args.checkpoint), "config.snapshot.cfg")
         if os.path.isfile(sibling):
@@ -370,18 +328,11 @@ def cmd_eval_action(args) -> int:
             [f"pred_{i}" for i in range(cfg.n_classes)],
             [tuple(int(v) for v in row) for row in confusion],
         )
-        reports.write_run_report(
-            args.out + ".report.json",
-            "eval-action",
-            dataclasses.asdict(cfg),
-            cfg.seed,
-            {"split": args.split, "top1": top1, "mask_group": args.mask_group},
-            watch.seconds(),
-        )
-    return 0
+        metrics = {"split": args.split, "top1": top1, "mask_group": args.mask_group}
+        return args.out + ".report.json", dataclasses.asdict(cfg), cfg.seed, metrics
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> None:
     header, rows = reports.read_csv(args.csv)
     if not rows:
         raise FormatError(f"{args.csv}: no data rows to plot")
@@ -391,7 +342,6 @@ def cmd_plot(args) -> int:
         raise FormatError(f"{args.csv}: need at least one y column")
     reports.svg_line_chart(args.out, xs, series, header[0], "value", os.path.basename(args.csv))
     print(f"plotted {len(series)} series -> {args.out}")
-    return 0
 
 
 # --- parser / dispatch -----------------------------------------------------------
@@ -495,11 +445,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        t0 = time.perf_counter()
+        record = args.func(args)
+        if record is not None:
+            # the run report: everything but the wall time re-derives the run
+            path, config, seed, metrics = record
+            doc = {"command": args.command, "config": config, "seed": seed, "metrics": metrics,
+                   "wall_time_s": time.perf_counter() - t0}
+            with open(path, "w") as f:
+                f.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
     except tuple(_EXIT_CODES) as e:
         code = next(_EXIT_CODES[cls] for cls in type(e).__mro__ if cls in _EXIT_CODES)
         print(f"{_EXIT_LABELS[code]}: {e}", file=sys.stderr)
         return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -39,14 +39,18 @@ class EmptyActionError(EgohandError):
     """A sequence operation received zero frames."""
 
 
-class DatasetFormatError(EgohandError):
-    """An NDJSON dataset file violates the schema. Carries the line number."""
+class _LineError(EgohandError):
+    """An error at a line of a text file; carries the line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class DatasetFormatError(_LineError):
+    """An NDJSON dataset file violates the schema. Carries the line number."""
 
 
 class FormatError(EgohandError):
@@ -61,14 +65,8 @@ class NumericFaultError(EgohandError):
     """A NaN or Inf appeared where finite values are required."""
 
 
-class ConfigError(EgohandError):
+class ConfigError(_LineError):
     """A config file line cannot be parsed. Carries the line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class DataConsistencyError(EgohandError):

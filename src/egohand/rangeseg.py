@@ -217,17 +217,23 @@ def _unpack_dmap(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int, int, int
     return values, tag, flag, end
 
 
+def _read_dmap(path) -> tuple[np.ndarray, int, int]:
+    """(values, order tag, flag) of a file holding exactly one .dmap."""
+    with open(path, "rb") as f:
+        buf = f.read()
+    values, tag, flag, end = _unpack_dmap(buf)
+    if end != len(buf):
+        raise FormatError(f"{len(buf) - end} trailing bytes after .dmap payload")
+    return values, tag, flag
+
+
 def save_depth(path, dm: DepthMap) -> None:
     with open(path, "wb") as f:
         f.write(_pack_dmap(dm.values, _ORDER_TAGS[dm.order], int(dm.normalized)))
 
 
 def load_depth(path) -> DepthMap:
-    with open(path, "rb") as f:
-        buf = f.read()
-    values, tag, flag, end = _unpack_dmap(buf)
-    if end != len(buf):
-        raise FormatError(f"{len(buf) - end} trailing bytes after .dmap payload")
+    values, tag, flag = _read_dmap(path)
     if tag == _MASK_TAG:
         raise FormatError("file holds a mask, not a depth map")
     return DepthMap(values, order=_TAG_ORDERS[tag], normalized=bool(flag))
@@ -239,11 +245,7 @@ def save_mask(path, mask: SegMask) -> None:
 
 
 def load_mask(path) -> SegMask:
-    with open(path, "rb") as f:
-        buf = f.read()
-    values, tag, flag, end = _unpack_dmap(buf)
-    if end != len(buf):
-        raise FormatError(f"{len(buf) - end} trailing bytes after .dmap payload")
+    values, tag, flag = _read_dmap(path)
     if tag != _MASK_TAG:
         raise FormatError("file holds a depth map, not a mask")
     return SegMask(values, binary=bool(flag))

@@ -7,9 +7,6 @@ and formatting with no timestamps or generated ids.
 
 from __future__ import annotations
 
-import json
-import time
-
 from .errors import FormatError
 
 
@@ -140,23 +137,3 @@ def svg_line_chart(path, x_values, series: dict, x_label: str, y_label: str, tit
     with open(path, "w") as f:
         f.write("\n".join(out) + "\n")
 
-
-class Stopwatch:
-    def __init__(self):
-        self.t0 = time.perf_counter()
-
-    def seconds(self) -> float:
-        return time.perf_counter() - self.t0
-
-
-def write_run_report(path, command: str, config: dict, seed, metrics: dict, wall_time_s: float) -> None:
-    """Reproducibility record: everything except wall time re-derives the run."""
-    doc = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "metrics": metrics,
-        "wall_time_s": wall_time_s,
-    }
-    with open(path, "w") as f:
-        f.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")

@@ -18,6 +18,7 @@ with half-open global frame ranges.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -94,6 +95,8 @@ class ActionSequence:
         self.frames = np.ascontiguousarray(self.frames, dtype=np.float64)
         if self.frames.shape != (SEQ_LEN, FRAME_DIM):
             raise StructuralError(f"prepared frames must be {SEQ_LEN}x{FRAME_DIM}, got {self.frames.shape}")
+        if not np.all(np.isfinite(self.frames)):
+            raise StructuralError("prepared frames must be finite")
         if not (0 <= self.valid_count <= SEQ_LEN):
             raise StructuralError(f"valid_count must lie in [0, {SEQ_LEN}], got {self.valid_count}")
         if not (0 <= self.action_label < N_CLASSES):
@@ -230,6 +233,12 @@ _JOINT_COLS = {"2d": 2, "2.5d": 3, "3d": 3}
 _BAD_VALUE = (TypeError, ValueError, OverflowError, StructuralError)
 
 
+def _numbers(rows) -> bool:
+    """Whether every value in the list of lists ``rows`` is a JSON number:
+    not a string, boolean or null, which np.asarray and float() would coerce."""
+    return set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
+
+
 def _pose_to_json(pose, cols: int) -> dict:
     joints = [[float(x) for x in row] for row in pose.joints[:, :cols]]
     return {"present": bool(pose.present), "joints": joints}
@@ -248,8 +257,12 @@ def _pose_from_json(obj, space: str, line: int):
     for row in joints:
         if not isinstance(row, list) or len(row) != cols:
             raise DatasetFormatError(f"each joint needs {cols} coordinates for space {space!r}", line)
+    if not _numbers(joints):
+        raise DatasetFormatError("joint coordinates must be numbers", line)
+    if type(obj["present"]) is not bool:
+        raise DatasetFormatError("present must be true or false", line)
     try:
-        return _POSE_TYPES[space](np.asarray(joints, dtype=np.float64), present=bool(obj["present"]))
+        return _POSE_TYPES[space](np.asarray(joints, dtype=np.float64), present=obj["present"])
     except _BAD_VALUE as e:
         raise DatasetFormatError(f"bad joints: {e}", line) from e
 
@@ -308,9 +321,12 @@ def _parse_header(line: str):
     if obj["space"] not in SPACES:
         raise DatasetFormatError(f"unknown space tag {obj['space']!r}", 1)
     ki = obj["intrinsics"]
+    values = [ki.get(key) for key in ("fx", "fy", "cx", "cy")] if isinstance(ki, dict) else [None]
+    if not _numbers([values]):
+        raise DatasetFormatError("intrinsics must map fx, fy, cx and cy to numbers", 1)
     try:
-        k = CameraIntrinsics(float(ki["fx"]), float(ki["fy"]), float(ki["cx"]), float(ki["cy"]))
-    except (KeyError, *_BAD_VALUE) as e:
+        k = CameraIntrinsics(*(float(v) for v in values))
+    except _BAD_VALUE as e:
         raise DatasetFormatError(f"bad intrinsics: {e}", 1) from e
     return k, obj["space"]
 
@@ -355,6 +371,8 @@ def load_pose_file(path):
             not isinstance(c, list) or len(c) != 2 for c in box
         ):
             raise DatasetFormatError("obj_box must be 4 corner [x, y] pairs", ln)
+        if not _numbers(box):
+            raise DatasetFormatError("obj_box corners must be numbers", ln)
         if obj["obj_label"] < 0:
             raise DatasetFormatError("obj_label must be a non-negative integer", ln)
         fid = obj["frame_id"]
@@ -471,6 +489,8 @@ def load_encoded(path):
                     f"each frame needs exactly {FRAME_DIM} values, got {len(row) if isinstance(row, list) else '?'}",
                     ln,
                 )
+        if not _numbers(frames):
+            raise DatasetFormatError("frame values must be numbers", ln)
         try:
             seq = ActionSequence(
                 np.asarray(frames, dtype=np.float64), obj["valid_count"], obj["action_label"]

@@ -50,6 +50,8 @@ _FINGER_SPLAY = (-1.05, -0.30, 0.0, 0.28, 0.60)
 _SEG_RADII_MM = (15.0, 10.0, 8.0, 7.0)
 _FOREARM_RADIUS_MM = 26.0
 _FOREARM_LENGTH_FACTOR = 2.2
+# the SynthParams fields that hold tuples; their JSON values are lists
+_TUPLE_FIELDS = ("arm_band", "background_band", "background_mm_band", "frames_range")
 
 
 @dataclass
@@ -91,18 +93,16 @@ class SynthParams:
     def band_midpoint(self) -> float:
         return (self.background_band[1] + self.arm_band[0]) / 2.0
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The fields as JSON values: each tuple becomes a list."""
         d = asdict(self)
-        for key in ("arm_band", "background_band", "background_mm_band", "frames_range"):
+        for key in _TUPLE_FIELDS:
             d[key] = list(d[key])
-        return json.dumps(d, separators=(",", ":"), sort_keys=True)
+        return d
 
     @classmethod
-    def from_json(cls, text: str) -> "SynthParams":
-        d = json.loads(text)
-        for key in ("arm_band", "background_band", "background_mm_band", "frames_range"):
-            d[key] = tuple(d[key])
-        return cls(**d)
+    def from_dict(cls, d: dict) -> "SynthParams":
+        return cls(**{**d, **{key: tuple(d[key]) for key in _TUPLE_FIELDS}})
 
 
 # --- hand skeleton ----------------------------------------------------------
@@ -492,7 +492,7 @@ def write_fixture_tree(
         "master_seed": master_seed,
         "classes": classes,
         "per_class": per_class,
-        "params": json.loads(params.to_json()),
+        "params": params.to_dict(),
     }
     with open(os.path.join(out_dir, "params.json"), "w") as f:
         f.write(json.dumps(meta, separators=(",", ":"), sort_keys=True) + "\n")

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import json
 import subprocess
 import sys
 
@@ -6,6 +9,7 @@ import pytest
 
 from egohand.cli import main
 from egohand.geometry import CameraIntrinsics, HandPose25D, project_to_image
+from egohand.model import ActionModelConfig
 from egohand.rangeseg import DepthMap, load_mask, load_ppm, save_depth, save_ppm
 from egohand.sequence import (
     FrameRecord,
@@ -404,6 +408,97 @@ class TestPlot:
         assert main(["plot", "--csv", str(csv), "--out", str(a)]) == 0
         assert main(["plot", "--csv", str(csv), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+_MODEL_CONFIG_KEYS = {f.name for f in dataclasses.fields(ActionModelConfig)}
+
+
+def _pose_files(tree, tmp):
+    """(pred, gt) 3d pose files of the tree's first sequence, pred shifted 5 mm in x."""
+    ds = load_dataset(tree)
+    frames = list(ds.sequences[0].frames)
+    save_pose_file(tmp / "gt.ndjson", ds.intrinsics, "3d", frames)
+    shifted = copy.deepcopy(frames)
+    for fr in shifted:
+        for pose in (fr.left, fr.right):
+            if pose.present:
+                pose.joints[:, 0] += 5.0
+    save_pose_file(tmp / "pred.ndjson", ds.intrinsics, "3d", shifted)
+    return tmp / "pred.ndjson", tmp / "gt.ndjson"
+
+
+def _report_synth(tree, trained, tmp):
+    # the module's tree fixture ran synth
+    return tree / "report.json", 3, {"classes", "per_class", "scene_frames", "params"}, {"sequences"}
+
+
+def _report_segment(tree, trained, tmp):
+    assert main(["segment", "--depth", str(tree / "scenes"), "--frames", str(tree / "scenes"),
+                 "--t", "0.475", "--out", str(tmp / "seg")]) == 0
+    return (tmp / "seg" / "report.json", None, {"t", "metric_mm", "desharpen", "fill"},
+            {"frames", "mean_kept_fraction"})
+
+
+def _report_sweep(tree, trained, tmp):
+    assert main(["sweep-threshold", "--data", str(tree), "--t-list", "0.47", "--scenes", "2",
+                 "--seed", "4", "--out", str(tmp / "s.csv")]) == 0
+    return tmp / "s.csv.report.json", 4, {"t_list", "mode", "scenes", "data", "params"}, {"rows"}
+
+
+def _report_eval_pose(tree, trained, tmp):
+    pred, gt = _pose_files(tree, tmp)
+    assert main(["eval-pose", "--pred", str(pred), "--gt", str(gt), "--out", str(tmp / "m.csv")]) == 0
+    return tmp / "m.csv.report.json", None, {"pred", "gt"}, {"mpjpe_left", "mpjpe_right", "mpjpe_both"}
+
+
+def _report_train(tree, trained, tmp):
+    # the module's trained fixture ran train
+    return trained / "report.json", 5, _MODEL_CONFIG_KEYS, {"best_epoch", "best_val_acc", "epochs_run"}
+
+
+def _report_eval_action(tree, trained, tmp):
+    assert main(["eval-action", "--data", str(tree), "--checkpoint", str(trained / "checkpoint.bin"),
+                 "--out", str(tmp / "c.csv")]) == 0
+    # the sibling config snapshot carries the training seed
+    return tmp / "c.csv.report.json", 5, _MODEL_CONFIG_KEYS, {"split", "top1", "mask_group"}
+
+
+@pytest.mark.parametrize(
+    "command, run",
+    [("synth", _report_synth), ("segment", _report_segment), ("sweep-threshold", _report_sweep),
+     ("eval-pose", _report_eval_pose), ("train", _report_train), ("eval-action", _report_eval_action)],
+)
+def test_run_report_contents(command, run, tree, trained, tmp_path):
+    path, seed, config_keys, metric_keys = run(tree, trained, tmp_path)
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"command", "config", "seed", "metrics", "wall_time_s"}
+    assert doc["command"] == command
+    assert doc["seed"] == seed
+    assert set(doc["config"]) == config_keys
+    assert set(doc["metrics"]) == metric_keys
+    assert isinstance(doc["wall_time_s"], float) and doc["wall_time_s"] >= 0.0
+
+
+def test_commands_without_a_report(tree, trained, tmp_path):
+    src = tmp_path / "p25.ndjson"
+    pose = HandPose25D(np.full((21, 3), 500.0))
+    frame = FrameRecord(0, pose, pose, ObjectObs(np.zeros((4, 2)), 0), "train")
+    save_pose_file(src, CameraIntrinsics(500.0, 500.0, 256.0, 256.0), "2.5d", [frame])
+    pred, gt = _pose_files(tree, tmp_path)
+    (tmp_path / "d.csv").write_text("x,y\n0.0,1.0\n1.0,3.0\n")
+    checkpoint = str(trained / "checkpoint.bin")
+    reports_before = sorted(tree.rglob("*report.json")) + sorted(trained.rglob("*report.json"))
+    for argv in (
+        ["lift", "--in", str(src), "--out", str(tmp_path / "p3.ndjson")],
+        ["encode", "--in", str(tree), "--out", str(tmp_path / "enc.ndjson"),
+         "--csv-dir", str(tmp_path / "mats")],
+        ["plot", "--csv", str(tmp_path / "d.csv"), "--out", str(tmp_path / "d.svg")],
+        ["eval-pose", "--pred", str(pred), "--gt", str(gt)],
+        ["eval-action", "--data", str(tree), "--checkpoint", checkpoint],
+    ):
+        assert main(argv) == 0, argv[0]
+    assert sorted(tmp_path.rglob("*report.json")) == []
+    assert sorted(tree.rglob("*report.json")) + sorted(trained.rglob("*report.json")) == reports_before
 
 
 def _absent25():

@@ -504,3 +504,34 @@ def test_encoded_values_raise_only_format_error(encoded_record, field, value):
     record, path = encoded_record
     path.write_text(json.dumps(_replaced(record, field, value)) + "\n")
     _load_or_format_error(load_encoded, path, 1)
+
+
+# values the readers once coerced: a truthy non-boolean "present", numeric
+# strings and a null or NaN frame value
+@pytest.mark.parametrize(
+    "part, field, value",
+    [
+        ("frame", ("left", "present"), "no"),
+        ("frame", ("right", "present"), [0]),
+        ("frame", ("left", "joints", 0, 1), "1.5"),
+        ("frame", ("obj_box", 2, 0), "1.5"),
+        ("header", ("intrinsics", "fx"), "500"),
+        ("encoded", ("frames", 3, 100), None),
+        ("encoded", ("frames", 3, 100), float("nan")),
+    ],
+    ids=["present-string", "present-list", "joint-string", "box-string", "intrinsic-string",
+         "frame-null", "frame-nan"],
+)
+def test_coerced_value_rejected_with_line(pose_records, encoded_record, part, field, value):
+    header, frame, path = pose_records
+    if part == "encoded":
+        record, path = encoded_record
+        load, line, lines = load_encoded, 1, [_replaced(record, field, value)]
+    elif part == "header":
+        load, line, lines = load_pose_file, 1, [_replaced(header, field, value), frame]
+    else:
+        load, line, lines = load_pose_file, 2, [header, _replaced(frame, field, value)]
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    with pytest.raises(DatasetFormatError) as ei:
+        load(path)
+    assert ei.value.line == line

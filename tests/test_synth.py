@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -195,7 +197,7 @@ class TestParams:
 
     def test_json_round_trip(self):
         p = SynthParams(arm_band=(0.485, 0.99), background_band=(0.05, 0.455), noise_sigma0=4.0)
-        assert SynthParams.from_json(p.to_json()) == p
+        assert SynthParams.from_dict(json.loads(json.dumps(p.to_dict()))) == p
 
     def test_default_midpoint(self):
         assert abs(P.band_midpoint - 0.475) < 1e-12
