@@ -27,7 +27,6 @@ from .rangeseg import (
 from .heatmap import decode_heatmaps, gate_handness, render_heatmaps
 from .sequence import (
     ActionSequence,
-    AugmentConfig,
     ObjectObs,
     assemble_frame_vector,
     augment_sequence,

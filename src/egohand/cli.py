@@ -26,6 +26,7 @@ import numpy as np
 from . import experiments, model, reports, synth
 from .errors import (
     DataConsistencyError,
+    DatasetFormatError,
     EgohandError,
     EmptyActionError,
     EmptyDatasetError,
@@ -78,6 +79,13 @@ def _intrinsics_flag(text: str) -> CameraIntrinsics:
         raise UsageError(f"bad --intrinsics value: {e}") from e
 
 
+def _fill_flag(text: str) -> tuple[int, int, int]:
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 3 or not all(p.isdecimal() and int(p) <= 255 for p in parts):
+        raise UsageError(f"--fill needs r,g,b integers in 0..255, got {text!r}")
+    return tuple(int(p) for p in parts)
+
+
 def _float_list(text: str) -> list[float]:
     items = [s for s in text.split(",") if s.strip()]
     if not items:
@@ -88,12 +96,17 @@ def _float_list(text: str) -> list[float]:
         raise UsageError(f"bad float list {text!r}: {e}") from e
 
 
-def _load_tree_meta(data_dir: str):
+def _load_tree_meta(data_dir: str) -> tuple[int, synth.SynthParams]:
     path = os.path.join(data_dir, "params.json")
     with open(path) as f:
-        meta = json.loads(f.read())
-    params = synth.SynthParams.from_dict(meta["params"])
-    return meta, params
+        try:
+            meta = json.load(f)
+            if not (isinstance(meta, dict) and type(meta.get("master_seed")) is int
+                    and isinstance(meta.get("params"), dict)):
+                raise DatasetFormatError("expected an integer 'master_seed' and a 'params' object")
+            return meta["master_seed"], synth.SynthParams.from_dict(meta["params"])
+        except (ValueError, EgohandError) as e:
+            raise DatasetFormatError(f"{path}: {e}") from e
 
 
 def _resolve_config(args) -> model.ActionModelConfig:
@@ -146,9 +159,6 @@ def _depth_files(path: str, metric: bool) -> list[tuple[str, str]]:
 def cmd_segment(args) -> tuple:
     if args.t is None and args.metric_mm is None:
         raise UsageError("one of --t or --metric-mm is required")
-    fill = tuple(int(v) for v in args.fill.split(",")) if args.fill else (0, 0, 0)
-    if len(fill) != 3:
-        raise UsageError("--fill needs r,g,b")
     os.makedirs(args.out, exist_ok=True)
     stats_rows = []
     for stem, depth_path in _depth_files(args.depth, args.metric_mm is not None):
@@ -164,18 +174,15 @@ def cmd_segment(args) -> tuple:
         if args.desharpen is not None:
             mask = desharpen_mask(mask, args.desharpen)
         frame = load_ppm(frame_path)
-        seg = apply_mask(frame, mask, fill)
+        seg = apply_mask(frame, mask, args.fill)
         save_ppm(os.path.join(args.out, stem + ".seg.ppm"), seg)
         save_mask(os.path.join(args.out, stem + ".mask.dmap"), mask)
         kept_fraction, kept_pixels = mask_stats(mask)
         stats_rows.append((stem, kept_fraction, kept_pixels))
-    csv_path = os.path.join(args.out, "mask_stats.csv")
-    with open(csv_path, "w") as f:
-        f.write("frame,kept_fraction,kept_pixels\n")
-        for stem, kf, kp in stats_rows:
-            f.write(f"{stem},{reports.fmt(kf)},{reports.fmt(kp)}\n")
+    header = ["frame", "kept_fraction", "kept_pixels"]
+    reports.write_csv(os.path.join(args.out, "mask_stats.csv"), header, stats_rows)
     print(f"segmented {len(stats_rows)} frames -> {args.out}")
-    config = {"t": args.t, "metric_mm": args.metric_mm, "desharpen": args.desharpen, "fill": list(fill)}
+    config = {"t": args.t, "metric_mm": args.metric_mm, "desharpen": args.desharpen, "fill": list(args.fill)}
     metrics = {"frames": len(stats_rows),
                "mean_kept_fraction": float(np.mean([r[1] for r in stats_rows]))}
     return os.path.join(args.out, "report.json"), config, None, metrics
@@ -183,8 +190,8 @@ def cmd_segment(args) -> tuple:
 
 def cmd_sweep_threshold(args) -> tuple:
     t_list = _float_list(args.t_list)
-    meta, params = _load_tree_meta(args.data)
-    scenes = experiments.make_eval_scenes(params, meta["master_seed"], args.scenes)
+    master_seed, params = _load_tree_meta(args.data)
+    scenes = experiments.make_eval_scenes(params, master_seed, args.scenes)
     rows = experiments.sweep_threshold(params, t_list, args.mode, args.seed, scenes)
     reports.write_csv(args.out, ["t", "mpjpe_left", "mpjpe_right", "mpjpe_both"], rows)
     svg_path = args.svg or (os.path.splitext(args.out)[0] + ".svg")
@@ -250,7 +257,7 @@ def cmd_encode(args) -> None:
     sequences, ids, splits = [], [], []
     for seq in dataset.sequences:
         raw = encode_frames(seq)
-        frames, valid = subsample_or_pad(raw, mode="uniform")
+        frames, valid = subsample_or_pad(raw)
         sequences.append(ActionSequence(frames, valid, seq.action_label))
         ids.append(seq.sequence_id)
         splits.append(seq.split)
@@ -365,7 +372,7 @@ def build_parser() -> _Parser:
     s.add_argument("--t", type=float, default=None)
     s.add_argument("--metric-mm", type=float, default=None)
     s.add_argument("--desharpen", type=int, default=None)
-    s.add_argument("--fill", default=None, help="r,g,b fill for removed pixels")
+    s.add_argument("--fill", type=_fill_flag, default=(0, 0, 0), help="r,g,b fill, each 0..255")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_segment)
 

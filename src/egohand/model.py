@@ -21,7 +21,7 @@ from .errors import (
     NumericFaultError,
     StructuralError,
 )
-from .sequence import FRAME_DIM, SEQ_LEN, AugmentConfig, augment_sequence, subsample_or_pad
+from .sequence import FRAME_DIM, SEQ_LEN, augment_sequence, subsample_or_pad
 
 
 @dataclass
@@ -47,9 +47,6 @@ class ActionModelConfig:
     def __post_init__(self):
         if self.d_model % self.heads != 0:
             raise StructuralError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-
-    def augment_config(self) -> AugmentConfig:
-        return AugmentConfig(rotation_range=self.aug_rotation, mask_prob=self.aug_mask_prob)
 
 
 _INT_FIELDS = {f.name for f in dataclasses.fields(ActionModelConfig) if f.type == "int"}
@@ -239,25 +236,12 @@ class ActionModel:
             return logits, None
         return logits, (x, blocks_cache, c_lnf, cls_vec, h1, h1g)
 
-    def forward(self, seq: np.ndarray) -> np.ndarray:
-        """Logits (n_classes,) for a single (seq_len, input_dim) sequence."""
-        seq = np.asarray(seq, dtype=np.float64)
-        if seq.shape != (self.cfg.seq_len, self.cfg.input_dim):
-            raise StructuralError(
-                f"expected ({self.cfg.seq_len}, {self.cfg.input_dim}) input, got {seq.shape}"
-            )
-        logits, _ = self.forward_batch(seq[None])
-        return logits[0]
-
     def cls_output(self, x: np.ndarray, zero_pos: bool = False) -> np.ndarray:
-        """Final-layer-norm CLS representation; ``zero_pos`` disables the
-        positional table (structural probe for permutation invariance)."""
+        """(B, d_model) final-layer-norm CLS states of a (B, seq_len, input_dim)
+        batch; ``zero_pos`` zeroes the positional table (a permutation probe)."""
         pos = self.params.values["pos"]
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 2
-        hf, _, _ = self._trunk(x[None] if squeeze else x, np.zeros_like(pos) if zero_pos else pos)
-        out = hf[:, 0, :]
-        return out[0] if squeeze else out
+        hf, _, _ = self._trunk(np.asarray(x, dtype=np.float64), np.zeros_like(pos) if zero_pos else pos)
+        return hf[:, 0, :]
 
     def backward_batch(self, glogits: np.ndarray, cache) -> None:
         """Accumulate parameter gradients from upstream logits gradient."""
@@ -308,10 +292,10 @@ class ActionModel:
 
         acc("pos", gh.sum(axis=0))
         acc("cls", gh[:, 0, :].sum(axis=0, keepdims=True))
-        gemb = gh[:, 1:, :]
-        _, gw, gb = nnkit.linear_backward(gemb, x, pv["embed.w"])
-        acc("embed.w", gw)
-        acc("embed.b", gb)
+        # the input needs no gradient, so only the weight GEMM runs
+        gemb = gh[:, 1:, :].reshape(-1, c.d_model)
+        acc("embed.w", x.reshape(-1, c.input_dim).T @ gemb)
+        acc("embed.b", gemb.sum(axis=0, keepdims=True))
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
         """Forward + cross-entropy + backward; grads accumulate into params."""
@@ -341,7 +325,7 @@ def prepare_eval_set(raw_set, cfg: ActionModelConfig):
     """Uniform, augmentation-free preparation of (frames, label) pairs."""
     xs, ys = [], []
     for frames, label in raw_set:
-        prepared, _ = subsample_or_pad(frames, cfg.seq_len, mode="uniform")
+        prepared, _ = subsample_or_pad(frames, cfg.seq_len)
         xs.append(prepared)
         ys.append(label)
     return np.stack(xs), np.asarray(ys, dtype=np.intp)
@@ -404,7 +388,6 @@ def train(
             raise StructuralError(f"train label {label} outside [0, {cfg.n_classes})")
     model = model if model is not None else ActionModel(cfg)
     history = history if history is not None else TrainHistory()
-    aug = cfg.augment_config()
     end_epoch = cfg.max_epochs if epochs is None else epochs
 
     x_val, y_val = prepare_eval_set(val_set, cfg)
@@ -423,8 +406,8 @@ def train(
             yb = np.empty(len(idx), dtype=np.intp)
             for row, i in enumerate(idx):
                 frames, label = train_set[i]
-                prepared, valid = subsample_or_pad(frames, cfg.seq_len, mode="random", rng=rng)
-                xb[row] = augment_sequence(prepared, aug, rng, valid_count=valid)
+                prepared, valid = subsample_or_pad(frames, cfg.seq_len, rng=rng)
+                xb[row] = augment_sequence(prepared, cfg.aug_rotation, cfg.aug_mask_prob, rng, valid)
                 yb[row] = label
             model.params.zero_grads()
             try:

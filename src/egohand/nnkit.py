@@ -1,9 +1,8 @@
 """Dense-tensor layers with hand-written exact backward passes.
 
-Everything is float64. Layer functions accept a trailing feature axis and
-broadcast over any leading axes, so the same code serves (T, D) single
-sequences and (B, T, D) batches. Gradients are verified against central
-finite differences in the test suite; ``grad_check`` is the harness.
+Everything is float64. Layers broadcast over leading axes (attention takes
+(B, T, D) batches). Gradients are verified against central finite
+differences in the test suite; ``grad_check`` is the harness.
 
 Checkpoint format (all little-endian): magic ``SHRP``, version u16 (=1),
 parameter count u32, then per tensor: name length u16, name bytes (utf-8),
@@ -104,14 +103,11 @@ def gelu_backward(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 def multi_head_attention(x: np.ndarray, p: dict, heads: int):
     """Scaled dot-product self-attention over tokens.
 
-    ``x`` is (T, D) or (B, T, D); ``p`` maps wq,bq,wk,wv,bv,wo,bo to arrays.
+    ``x`` is (B, T, D); ``p`` maps wq,bq,wk,wv,bv,wo,bo to arrays.
     The key projection carries no bias: a uniform key shift adds a constant
     to every score row, which row softmax cancels exactly, so such a bias
     would be a dead parameter. Scale is 1/sqrt(D/heads). Returns (y, cache).
     """
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
     b, t, d = x.shape
     if d % heads != 0:
         raise StructuralError(f"model width {d} not divisible by {heads} heads")
@@ -126,15 +122,12 @@ def multi_head_attention(x: np.ndarray, p: dict, heads: int):
     ctx = attn @ v
     merged = ctx.transpose(0, 2, 1, 3).reshape(b, t, d)
     y = linear(merged, p["wo"], p["bo"])
-    cache = (x, q, k, v, attn, merged, p, heads, scale, squeeze)
-    return (y[0] if squeeze else y), cache
+    return y, (x, q, k, v, attn, merged, p, heads, scale)
 
 
 def multi_head_attention_backward(g: np.ndarray, cache):
     """Returns (dx, dparams) matching multi_head_attention's inputs."""
-    x, q, k, v, attn, merged, p, heads, scale, squeeze = cache
-    if squeeze:
-        g = g[None]
+    x, q, k, v, attn, merged, p, heads, scale = cache
     b, t, d = x.shape
     dh = d // heads
 
@@ -159,7 +152,7 @@ def multi_head_attention_backward(g: np.ndarray, cache):
     gk2 = unhead(gk).reshape(-1, d)
     gx += (gk2 @ p["wk"].T).reshape(x.shape)
     grads["wk"] = x.reshape(-1, d).T @ gk2
-    return (gx[0] if squeeze else gx), grads
+    return gx, grads
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -210,9 +203,6 @@ class ParamSet:
         self.v[name] = np.zeros_like(arr)
         return arr
 
-    def names(self):
-        return list(self.values)
-
     def zero_grads(self):
         for g in self.grads.values():
             g[...] = 0.0
@@ -250,7 +240,7 @@ def adamw_step(
         p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def lr_at(epoch: int, base: float, start: int = 500, every: int = 200, factor: float = 0.5) -> float:
+def lr_at(epoch: int, base: float, start: int, every: int, factor: float) -> float:
     """Step schedule: halve (by ``factor``) at ``start`` and every ``every`` after."""
     if epoch < 0:
         raise RangeError(f"epoch must be >= 0, got {epoch}")
@@ -319,7 +309,10 @@ def _read_entry(buf: bytes, off: int):
         raise FormatError("truncated checkpoint entry")
     (nlen,) = struct.unpack_from("<H", buf, off)
     off += 2
-    name = buf[off : off + nlen].decode("utf-8")
+    try:
+        name = buf[off : off + nlen].decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"tensor name is not UTF-8: {e}") from e
     off += nlen
     if len(buf) - off < 8:
         raise FormatError("truncated checkpoint entry header")
@@ -365,6 +358,8 @@ def load_checkpoint(path) -> ParamSet:
     params = ParamSet()
     for _ in range(n):
         name, arr, off = _read_entry(buf, off)
+        if name in params.values:
+            raise FormatError(f"duplicate tensor name {name!r}")
         params.add(name, arr)
     if len(buf) - off < 4:
         raise FormatError("missing optimizer table")

@@ -65,14 +65,6 @@ class DepthMap:
             if mx > 1.0 or (mx > 0.0 and mx != 1.0):
                 raise StructuralError("normalized map must have values in [0,1] with max exactly 1")
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass
 class SegMask:
@@ -87,14 +79,6 @@ class SegMask:
             raise StructuralError("mask values must lie in [0, 1]")
         if self.binary and not np.all((self.values == 0) | (self.values == 1)):
             raise StructuralError("binary mask contains non-{0,1} values")
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 def normalize_depth(raw: DepthMap) -> DepthMap:
@@ -170,10 +154,9 @@ def desharpen_mask(mask: SegMask, radius: int) -> SegMask:
     """
     if radius < 1:
         raise RangeError(f"blur radius must be >= 1, got {radius}")
-    if radius >= min(mask.width, mask.height):
+    if radius >= min(mask.values.shape):
         raise RangeError(
-            f"blur radius {radius} must be smaller than min(width, height) = "
-            f"{min(mask.width, mask.height)}"
+            f"blur radius {radius} must be smaller than min(width, height) = {min(mask.values.shape)}"
         )
     blurred = _kernels.box_blur(mask.values, radius)
     # guard float round-off at the [0,1] boundary
@@ -213,7 +196,8 @@ def _unpack_dmap(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int, int, int
     end = start + 4 * w * h
     if len(buf) < end:
         raise FormatError(f"payload truncated: expected {4 * w * h} value bytes")
-    values = np.frombuffer(buf[start:end], dtype="<f4").astype(np.float64).reshape(h, w)
+    with np.errstate(invalid="ignore"):  # a signalling NaN; DepthMap and SegMask reject it
+        values = np.frombuffer(buf[start:end], dtype="<f4").astype(np.float64).reshape(h, w)
     return values, tag, flag, end
 
 
@@ -288,8 +272,8 @@ def load_ppm(path) -> np.ndarray:
         w, h, maxval = (int(x) for x in fields)
     except ValueError as e:
         raise FormatError(f"bad PPM header field: {e}") from e
-    if maxval != 255:
-        raise FormatError(f"only maxval 255 PPMs supported, got {maxval}")
+    if maxval != 255 or w < 1 or h < 1:
+        raise FormatError(f"need a positive PPM size and maxval 255, got {w}x{h}, maxval {maxval}")
     need = w * h * 3
     data = buf[pos : pos + need]
     if len(data) != need:

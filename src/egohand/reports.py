@@ -13,7 +13,7 @@ from .errors import FormatError
 def fmt(value) -> str:
     if isinstance(value, bool):
         return str(int(value))
-    if isinstance(value, (int,)):
+    if isinstance(value, (int, str)):
         return str(value)
     return repr(float(value))
 

@@ -103,15 +103,6 @@ class ActionSequence:
             raise StructuralError(f"action label must lie in [0, {N_CLASSES}), got {self.action_label}")
 
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Rotation range (rad, symmetric) and per-sequence group-mask probability."""
-
-    rotation_range: float = 0.5
-    mask_prob: float = 0.3
-    mask_groups: tuple = MASK_GROUPS
-
-
 def assemble_frame_vector(
     left: HandPose3D, right: HandPose3D, obj: ObjectObs, presence: tuple[bool, bool]
 ) -> np.ndarray:
@@ -126,13 +117,13 @@ def assemble_frame_vector(
     return out
 
 
-def subsample_or_pad(frames, n: int = SEQ_LEN, mode: str = "uniform", rng=None):
+def subsample_or_pad(frames, n: int = SEQ_LEN, rng=None):
     """Fit a raw frame list to exactly ``n`` frames.
 
     Shorter inputs are zero-padded at the tail; longer inputs are
-    sub-sampled at strictly increasing source indices. Uniform mode picks
-    indices floor(i*len/n); random mode draws a sorted sample of n distinct
-    indices from ``rng``. Returns (frames [n x 135], valid_count).
+    sub-sampled at strictly increasing source indices. Without ``rng`` the
+    indices are floor(i*len/n); with it, a sorted sample of n distinct
+    indices drawn from ``rng``. Returns (frames [n x 135], valid_count).
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != FRAME_DIM:
@@ -146,18 +137,14 @@ def subsample_or_pad(frames, n: int = SEQ_LEN, mode: str = "uniform", rng=None):
         out = np.zeros((n, FRAME_DIM))
         out[:k] = frames
         return out, k
-    if mode == "uniform":
+    if rng is None:
         idx = (np.arange(n) * k) // n
-    elif mode == "random":
-        if rng is None:
-            raise ValueError("random subsampling requires a seeded generator")
-        idx = np.sort(rng.choice(k, size=n, replace=False))
     else:
-        raise ValueError(f"unknown subsample mode {mode!r}")
+        idx = np.sort(rng.choice(k, size=n, replace=False))
     return frames[idx].copy(), n
 
 
-def augment_sequence(frames: np.ndarray, cfg: AugmentConfig, rng, valid_count: int | None = None):
+def augment_sequence(frames, rotation_range: float, mask_prob: float, rng, valid_count: int | None = None):
     """Training-time augmentation: one shared rotation, one optional group mask.
 
     A single angle drawn from [-rotation_range, rotation_range] rotates every
@@ -165,18 +152,18 @@ def augment_sequence(frames: np.ndarray, cfg: AugmentConfig, rng, valid_count: i
     the centroid of those coordinates over the sequence; z values and the
     label slot are untouched. Groups that are entirely zero in a frame
     (absent hands, zeroed boxes) stay zero. With probability ``mask_prob``
-    one group from ``cfg.mask_groups`` is zeroed in every frame.
+    one group from ``MASK_GROUPS`` is zeroed in every frame.
     """
     frames = np.asarray(frames, dtype=np.float64).copy()
     if frames.ndim != 2 or frames.shape[1] != FRAME_DIM:
         raise StructuralError(f"frames must be (k, {FRAME_DIM}), got {frames.shape}")
-    if not (0.0 <= cfg.mask_prob <= 1.0):
-        raise ValueError(f"mask probability must lie in [0, 1], got {cfg.mask_prob}")
+    if not (0.0 <= mask_prob <= 1.0):
+        raise ValueError(f"mask probability must lie in [0, 1], got {mask_prob}")
     nv = frames.shape[0] if valid_count is None else valid_count
     if not (0 <= nv <= frames.shape[0]):
         raise StructuralError(f"valid_count must lie in [0, {frames.shape[0]}], got {nv}")
 
-    angle = rng.uniform(-cfg.rotation_range, cfg.rotation_range)
+    angle = rng.uniform(-rotation_range, rotation_range)
     mask_draw = rng.uniform()
 
     if angle != 0.0:
@@ -193,8 +180,8 @@ def augment_sequence(frames: np.ndarray, cfg: AugmentConfig, rng, valid_count: i
             frames[rows, xc] = rot[:, 0]
             frames[rows, xc + 1] = rot[:, 1]
 
-    if mask_draw < cfg.mask_prob:
-        group = cfg.mask_groups[int(rng.integers(len(cfg.mask_groups)))]
+    if mask_draw < mask_prob:
+        group = MASK_GROUPS[int(rng.integers(len(MASK_GROUPS)))]
         frames[:, _GROUP_SLICES[group]] = 0.0
     return frames
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import _kernels
-from .errors import RangeError, StructuralError
+from .errors import DatasetFormatError, RangeError, StructuralError
 from .geometry import (
     JOINT_COUNT,
     JOINT_PARENTS,
@@ -52,6 +52,17 @@ _FOREARM_RADIUS_MM = 26.0
 _FOREARM_LENGTH_FACTOR = 2.2
 # the SynthParams fields that hold tuples; their JSON values are lists
 _TUPLE_FIELDS = ("arm_band", "background_band", "background_mm_band", "frames_range")
+
+
+def _json_like(value, default) -> bool:
+    """Whether JSON ``value`` has the layout and number types of ``default``."""
+    if isinstance(default, (list, dict)):
+        if type(value) is not type(default) or len(value) != len(default):
+            return False
+        if isinstance(default, dict):
+            return all(k in value and _json_like(value[k], v) for k, v in default.items())
+        return all(map(_json_like, value, default))
+    return type(value) is int or (type(value) is float and type(default) is float)
 
 
 @dataclass
@@ -102,6 +113,12 @@ class SynthParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthParams":
+        """Inverse of ``to_dict``; an unknown, missing or malformed field raises DatasetFormatError."""
+        defaults = cls().to_dict()
+        for key in sorted(set(d) | set(defaults)):
+            kind = "unknown" if key not in defaults else "missing" if key not in d else None
+            if kind or not _json_like(d[key], defaults[key]):
+                raise DatasetFormatError(f"{kind or 'malformed'} params field {key!r}")
         return cls(**{**d, **{key: tuple(d[key]) for key in _TUPLE_FIELDS}})
 
 
@@ -145,7 +162,6 @@ def _place_hand(local: np.ndarray, yaw: float, center: np.ndarray) -> np.ndarray
 class MotionTemplate:
     """Deterministic per-class motion signature over normalized time."""
 
-    class_id: int
     object_label: int
     left_present: bool
     right_present: bool
@@ -183,7 +199,6 @@ def class_template(class_id: int) -> MotionTemplate:
     )
     phases = alpha * np.array([1.0, 2.0, 3.0, 1.5, 0.7])
     return MotionTemplate(
-        class_id=c,
         object_label=c % N_OBJECT_LABELS,
         left_present=c % 9 != 4,
         right_present=c % 9 != 7,

@@ -229,8 +229,8 @@ def test_gradient_integrity(capsys):
         n: rng.normal(0, 0.5, size=(4, 4)) if n.startswith("w") else rng.normal(0, 0.5, size=(1, 4))
         for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")
     }
-    x = rng.normal(size=(3, 4))
-    tgt = rng.normal(size=(3, 4))
+    x = rng.normal(size=(1, 3, 4))
+    tgt = rng.normal(size=(1, 3, 4))
 
     def at_loss():
         y, _ = nnkit.multi_head_attention(x, p, heads=2)
@@ -290,11 +290,11 @@ def test_transformer_structural_invariant(capsys, trained, raw_sets):
     # with positional embeddings zeroed, CLS output ignores frame order
     probe_model = ActionModel(ActionModelConfig(seed=9))
     rng = np.random.default_rng(3)
-    x = rng.normal(0, 40, (SEQ_LEN, FRAME_DIM))
+    x = rng.normal(0, 40, (1, SEQ_LEN, FRAME_DIM))
     base = probe_model.cls_output(x, zero_pos=True)
     worst = 0.0
     for _ in range(10):
-        out = probe_model.cls_output(x[rng.permutation(SEQ_LEN)], zero_pos=True)
+        out = probe_model.cls_output(x[:, rng.permutation(SEQ_LEN)], zero_pos=True)
         worst = max(worst, float(np.max(np.abs(out - base))))
     assert worst < 1e-9, f"permutation leakage {worst:.2e}"
 

@@ -123,18 +123,45 @@ def _non_object_pose_line(tree, tmp):
     return ["encode", "--in", str(tmp / "d"), "--out", str(tmp / "e.ndjson")]
 
 
+def _bad_params(edit):
+    """sweep-threshold on a tree whose params.json is the fixture's after ``edit``."""
+
+    def make_argv(tree, tmp):
+        (tmp / "d").mkdir()
+        meta = edit(json.loads((tree / "params.json").read_text()))
+        (tmp / "d" / "params.json").write_text(json.dumps(meta))
+        return ["sweep-threshold", "--data", str(tmp / "d"), "--t-list", "0.47", "--scenes", "2",
+                "--out", str(tmp / "r.csv")]
+
+    return make_argv
+
+
 @pytest.mark.parametrize(
-    "make_argv",
-    [_flat_depth, _zero_depth_pose, _diverging_train, _short_checkpoint, _non_object_pose_line],
-    ids=["flat-depth", "zero-depth-pose", "diverging-train", "short-checkpoint", "non-object-pose-line"],
+    "make_argv, words",
+    [
+        pytest.param(_flat_depth, (), id="flat-depth"),
+        pytest.param(_zero_depth_pose, (), id="zero-depth-pose"),
+        pytest.param(_diverging_train, (), id="diverging-train"),
+        pytest.param(_short_checkpoint, (), id="short-checkpoint"),
+        pytest.param(_non_object_pose_line, (), id="non-object-pose-line"),
+        pytest.param(_bad_params(lambda m: {**m, "params": {**m["params"], "zoom": 2}}),
+                     ("params.json", "unknown params field 'zoom'"), id="params-unknown-key"),
+        pytest.param(_bad_params(lambda m: {**m, "params": {**m["params"], "arm_band": 5}}),
+                     ("params.json", "malformed params field 'arm_band'"), id="params-arm-band-number"),
+        pytest.param(_bad_params(lambda m: [m]), ("params.json", "master_seed"), id="params-top-level-list"),
+        pytest.param(_bad_params(lambda m: {k: v for k, v in m.items() if k != "master_seed"}),
+                     ("params.json", "master_seed"), id="params-missing-master-seed"),
+    ],
 )
-def test_library_errors_exit_3_with_one_line(make_argv, tree, tmp_path):
+def test_library_errors_exit_3_with_one_line(make_argv, words, tree, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "egohand", *make_argv(tree, tmp_path)], capture_output=True, text=True
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("format/config error: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    for word in words:
+        assert word in proc.stderr
 
 
 class TestSegment:
@@ -191,6 +218,27 @@ class TestSegment:
         for stem, mask_path in zip(stems, masks):
             want = load_mask(tree / "scenes" / f"{stem}.gtmask.dmap")
             assert np.array_equal(load_mask(mask_path).values, want.values)
+
+    @pytest.mark.parametrize("fill", ["300,0,0", "-1,0,0", "a,b,c", "1.5,0,0", "1,2", "1,2,3,4"])
+    def test_fill_outside_0_255_is_usage_error(self, tree, tmp_path, fill):
+        rc = main(
+            ["segment", "--depth", str(tree / "scenes"), "--frames", str(tree / "scenes"),
+             "--t", "0.475", "--fill", fill, "--out", str(tmp_path / "o")]
+        )
+        assert rc == 4
+        assert not (tmp_path / "o").exists()
+
+    def test_fill_255_written_exactly(self, tree, tmp_path):
+        out = tmp_path / "filled"
+        rc = main(
+            ["segment", "--depth", str(tree / "scenes"), "--frames", str(tree / "scenes"),
+             "--t", "0.475", "--fill", "255, 128,0", "--out", str(out)]
+        )
+        assert rc == 0
+        stem = sorted(out.glob("*.mask.dmap"))[0].name[: -len(".mask.dmap")]
+        removed = load_mask(out / f"{stem}.mask.dmap").values == 0.0
+        assert removed.any()
+        assert np.all(load_ppm(out / f"{stem}.seg.ppm")[removed] == [255, 128, 0])
 
     def test_desharpen_emits_soft_mask(self, tree, tmp_path):
         out = tmp_path / "soft"

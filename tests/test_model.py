@@ -42,21 +42,23 @@ def _raw_set(rng, cfg, n_per_class=4, distinguish_slot=5):
 class TestForward:
     def test_logit_shape_and_finiteness(self):
         m = ActionModel(TINY)
-        x = np.random.default_rng(0).normal(0, 30, (SEQ_LEN, FRAME_DIM))
-        logits = m.forward(x)
-        assert logits.shape == (TINY.n_classes,)
+        x = np.random.default_rng(0).normal(0, 30, (1, SEQ_LEN, FRAME_DIM))
+        logits, _ = m.forward_batch(x)
+        assert logits.shape == (1, TINY.n_classes)
         assert np.all(np.isfinite(logits))
 
     def test_full_config_has_36_logits(self):
         m = ActionModel(ActionModelConfig(seed=0))
-        logits = m.forward(np.zeros((SEQ_LEN, FRAME_DIM)))
-        assert logits.shape == (36,)
+        logits, _ = m.forward_batch(np.zeros((1, SEQ_LEN, FRAME_DIM)))
+        assert logits.shape == (1, 36)
         assert np.all(np.isfinite(logits))
 
     def test_input_shape_enforced(self):
         m = ActionModel(TINY)
         with pytest.raises(StructuralError):
-            m.forward(np.zeros((SEQ_LEN, FRAME_DIM - 1)))
+            m.forward_batch(np.zeros((1, SEQ_LEN, FRAME_DIM - 1)))
+        with pytest.raises(StructuralError):
+            m.forward_batch(np.zeros((SEQ_LEN, FRAME_DIM)))
         with pytest.raises(StructuralError):
             m.forward_batch(np.zeros((2, SEQ_LEN + 1, FRAME_DIM)))
 
@@ -72,18 +74,19 @@ class TestForward:
     def test_zero_pos_cls_permutation_invariant(self):
         m = ActionModel(TINY)
         rng = np.random.default_rng(2)
-        x = rng.normal(0, 25, (SEQ_LEN, FRAME_DIM))
+        x = rng.normal(0, 25, (1, SEQ_LEN, FRAME_DIM))
         base = m.cls_output(x, zero_pos=True)
+        assert base.shape == (1, TINY.d_model)
         for _ in range(5):
             perm = rng.permutation(SEQ_LEN)
-            out = m.cls_output(x[perm], zero_pos=True)
+            out = m.cls_output(x[:, perm], zero_pos=True)
             assert np.max(np.abs(out - base)) < 1e-9
 
     def test_active_pos_breaks_permutation_invariance(self):
         m = ActionModel(TINY)
         rng = np.random.default_rng(3)
-        x = rng.normal(0, 25, (SEQ_LEN, FRAME_DIM))
-        out = m.cls_output(x[rng.permutation(SEQ_LEN)], zero_pos=False)
+        x = rng.normal(0, 25, (1, SEQ_LEN, FRAME_DIM))
+        out = m.cls_output(x[:, rng.permutation(SEQ_LEN)], zero_pos=False)
         assert np.max(np.abs(out - m.cls_output(x))) > 1e-6
 
 

@@ -145,7 +145,7 @@ class TestAttention:
         rng = np.random.default_rng(8)
         d = 4
         p = self._params(rng, d)
-        x = rng.normal(size=(1, d))
+        x = rng.normal(size=(1, 1, d))
         y, cache = nnkit.multi_head_attention(x, p, heads=2)
         attn = cache[4]
         assert attn.shape == (1, 2, 1, 1)
@@ -158,21 +158,21 @@ class TestAttention:
         rng = np.random.default_rng(9)
         d = 8
         p = self._params(rng, d)
-        x = np.tile(rng.normal(size=(1, d)), (5, 1))
+        x = np.tile(rng.normal(size=(1, 1, d)), (1, 5, 1))
         y, _ = nnkit.multi_head_attention(x, p, heads=4)
-        assert np.max(np.abs(y - y[0])) < 1e-12
+        assert np.max(np.abs(y - y[:, :1])) < 1e-12
 
     def test_head_divisibility(self):
         rng = np.random.default_rng(10)
         with pytest.raises(StructuralError):
-            nnkit.multi_head_attention(rng.normal(size=(3, 6)), self._params(rng, 6), heads=4)
+            nnkit.multi_head_attention(rng.normal(size=(1, 3, 6)), self._params(rng, 6), heads=4)
 
     def test_gradients_vs_finite_differences(self):
         rng = np.random.default_rng(11)
-        t, d, h = 3, 4, 2
+        b, t, d, h = 2, 3, 4, 2
         p = self._params(rng, d)
-        x = rng.normal(size=(t, d))
-        target = rng.normal(size=(t, d))
+        x = rng.normal(size=(b, t, d))
+        target = rng.normal(size=(b, t, d))
 
         def loss():
             y, _ = nnkit.multi_head_attention(x, p, heads=h)
@@ -266,18 +266,22 @@ class TestAdamW:
         assert abs(ps.values["p"][0, 0] - 10.0 * (1 - 0.1 * 0.5)) < 1e-15
 
 
+# the paper's schedule: halve at epoch 500 and every 200 epochs after
+PAPER_SCHEDULE = (500, 200, 0.5)
+
+
 class TestLrSchedule:
     def test_paper_table(self):
-        assert nnkit.lr_at(0, 0.001) == 0.001
-        assert nnkit.lr_at(499, 0.001) == 0.001
-        assert nnkit.lr_at(500, 0.001) == 0.0005
-        assert nnkit.lr_at(700, 0.001) == 0.00025
-        assert nnkit.lr_at(900, 0.001) == 0.000125
+        assert nnkit.lr_at(0, 0.001, *PAPER_SCHEDULE) == 0.001
+        assert nnkit.lr_at(499, 0.001, *PAPER_SCHEDULE) == 0.001
+        assert nnkit.lr_at(500, 0.001, *PAPER_SCHEDULE) == 0.0005
+        assert nnkit.lr_at(700, 0.001, *PAPER_SCHEDULE) == 0.00025
+        assert nnkit.lr_at(900, 0.001, *PAPER_SCHEDULE) == 0.000125
 
     def test_non_increasing_with_exact_breakpoints(self):
         prev = np.inf
         for e in range(1200):
-            lr = nnkit.lr_at(e, 0.001)
+            lr = nnkit.lr_at(e, 0.001, *PAPER_SCHEDULE)
             assert lr <= prev
             if e in (500, 700, 900, 1100):
                 assert lr == prev / 2
@@ -285,7 +289,7 @@ class TestLrSchedule:
 
     def test_negative_epoch(self):
         with pytest.raises(RangeError):
-            nnkit.lr_at(-1, 0.001)
+            nnkit.lr_at(-1, 0.001, *PAPER_SCHEDULE)
 
 
 class TestGradCheck:

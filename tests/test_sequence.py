@@ -19,10 +19,10 @@ from egohand.sequence import (
     FRAME_DIM,
     LABEL_INDEX,
     LEFT_SLICE,
+    MASK_GROUPS,
     RIGHT_SLICE,
     SEQ_LEN,
     ActionSequence,
-    AugmentConfig,
     Dataset,
     FrameRecord,
     ObjectObs,
@@ -101,21 +101,21 @@ class TestSubsampleOrPad:
 
     def test_uniform_indices_formula(self):
         raw = self._frames(40)
-        out, valid = subsample_or_pad(raw, 20, mode="uniform")
+        out, valid = subsample_or_pad(raw, 20)
         assert valid == 20
         assert np.array_equal(out, raw[np.arange(0, 40, 2)])
 
     def test_exact_fit_identity_both_modes(self):
         raw = self._frames(20)
-        u, _ = subsample_or_pad(raw, 20, mode="uniform")
-        r, _ = subsample_or_pad(raw, 20, mode="random", rng=np.random.default_rng(0))
+        u, _ = subsample_or_pad(raw, 20)
+        r, _ = subsample_or_pad(raw, 20, rng=np.random.default_rng(0))
         assert np.array_equal(u, raw)
         assert np.array_equal(r, raw)
 
     def test_random_sorted_distinct_and_seed_pure(self):
         raw = self._frames(37)
-        out1, _ = subsample_or_pad(raw, 20, mode="random", rng=np.random.default_rng(5))
-        out2, _ = subsample_or_pad(raw, 20, mode="random", rng=np.random.default_rng(5))
+        out1, _ = subsample_or_pad(raw, 20, rng=np.random.default_rng(5))
+        out2, _ = subsample_or_pad(raw, 20, rng=np.random.default_rng(5))
         assert np.array_equal(out1, out2)
         # selected rows must appear in strictly increasing source order
         src = [np.flatnonzero((raw == row).all(axis=1))[0] for row in out1]
@@ -127,9 +127,23 @@ class TestSubsampleOrPad:
 
     def test_uniform_pure_function_of_len_n(self):
         raw = self._frames(33)
-        a, _ = subsample_or_pad(raw, 20, mode="uniform")
-        b, _ = subsample_or_pad(raw, 20, mode="uniform")
+        a, _ = subsample_or_pad(raw, 20)
+        b, _ = subsample_or_pad(raw, 20)
         assert np.array_equal(a, b)
+
+
+class _Draws:
+    """Stands in for the generator: every uniform draw is 0, so the angle is
+    zero and a mask is applied, and the group drawn is ``group``."""
+
+    def __init__(self, group):
+        self.group = group
+
+    def uniform(self, *bounds):
+        return 0.0
+
+    def integers(self, n):
+        return MASK_GROUPS.index(self.group)
 
 
 class TestAugment:
@@ -142,14 +156,13 @@ class TestAugment:
     def test_identity_config(self):
         rng = np.random.default_rng(3)
         frames = self._seq(rng)
-        out = augment_sequence(frames, AugmentConfig(0.0, 0.0), np.random.default_rng(0))
+        out = augment_sequence(frames, 0.0, 0.0, np.random.default_rng(0))
         assert np.array_equal(out, frames)
 
     def test_forced_label_masking(self):
         rng = np.random.default_rng(4)
         frames = self._seq(rng)
-        cfg = AugmentConfig(rotation_range=0.0, mask_prob=1.0, mask_groups=("label",))
-        out = augment_sequence(frames, cfg, np.random.default_rng(0))
+        out = augment_sequence(frames, 0.0, 1.0, _Draws("label"))
         assert np.all(out[:, LABEL_INDEX] == 0.0)
         keep = np.ones(FRAME_DIM, dtype=bool)
         keep[LABEL_INDEX] = False
@@ -159,8 +172,7 @@ class TestAugment:
         rng = np.random.default_rng(5)
         frames = self._seq(rng)
         for group, sl in (("left", LEFT_SLICE), ("right", RIGHT_SLICE), ("box", BOX_SLICE)):
-            cfg = AugmentConfig(rotation_range=0.0, mask_prob=1.0, mask_groups=(group,))
-            out = augment_sequence(frames, cfg, np.random.default_rng(1))
+            out = augment_sequence(frames, 0.0, 1.0, _Draws(group))
             assert np.all(out[:, sl] == 0.0)
             outside = np.ones(FRAME_DIM, dtype=bool)
             outside[sl] = False
@@ -169,8 +181,7 @@ class TestAugment:
     def test_rotation_preserves_hand_rigidity(self):
         rng = np.random.default_rng(6)
         frames = self._seq(rng)
-        cfg = AugmentConfig(rotation_range=1.0, mask_prob=0.0)
-        out = augment_sequence(frames, cfg, np.random.default_rng(2))
+        out = augment_sequence(frames, 1.0, 0.0, np.random.default_rng(2))
         assert not np.array_equal(out, frames)
         for i in range(len(frames)):
             for sl in (LEFT_SLICE, RIGHT_SLICE):
@@ -183,7 +194,7 @@ class TestAugment:
     def test_rotation_leaves_z_and_label(self):
         rng = np.random.default_rng(7)
         frames = self._seq(rng)
-        out = augment_sequence(frames, AugmentConfig(1.0, 0.0), np.random.default_rng(3))
+        out = augment_sequence(frames, 1.0, 0.0, np.random.default_rng(3))
         z_before = frames[:, LEFT_SLICE].reshape(len(frames), 21, 3)[:, :, 2]
         z_after = out[:, LEFT_SLICE].reshape(len(frames), 21, 3)[:, :, 2]
         assert np.array_equal(z_before, z_after)
@@ -193,14 +204,14 @@ class TestAugment:
         rng = np.random.default_rng(8)
         frames = self._seq(rng)
         frames[12:] = 0.0
-        out = augment_sequence(frames, AugmentConfig(1.0, 0.0), np.random.default_rng(4), valid_count=12)
+        out = augment_sequence(frames, 1.0, 0.0, np.random.default_rng(4), valid_count=12)
         assert np.all(out[12:] == 0.0)
 
     def test_absent_hand_stays_zero_under_rotation(self):
         rng = np.random.default_rng(9)
         frames = self._seq(rng)
         frames[:, LEFT_SLICE] = 0.0
-        out = augment_sequence(frames, AugmentConfig(1.0, 0.0), np.random.default_rng(5))
+        out = augment_sequence(frames, 1.0, 0.0, np.random.default_rng(5))
         assert np.all(out[:, LEFT_SLICE] == 0.0)
 
 
@@ -212,12 +223,12 @@ _REF_SLICES = {
 }
 
 
-def _augment_reference(frames, cfg, rng, valid_count=None):
+def _augment_reference(frames, rotation_range, mask_prob, rng, valid_count=None):
     """augment_sequence written as a walk over (frame, group) pairs, one
     rotate_points_2d call per non-zero group, for comparison."""
     frames = np.asarray(frames, dtype=np.float64).copy()
     nv = frames.shape[0] if valid_count is None else valid_count
-    angle = rng.uniform(-cfg.rotation_range, cfg.rotation_range)
+    angle = rng.uniform(-rotation_range, rotation_range)
     mask_draw = rng.uniform()
     if angle != 0.0 and nv > 0:
         participating = []
@@ -239,14 +250,15 @@ def _augment_reference(frames, cfg, rng, valid_count=None):
                 rot = rotate_points_2d(pts, angle, center)
                 frames[i, xi] = rot[:, 0]
                 frames[i, yi] = rot[:, 1]
-    if mask_draw < cfg.mask_prob:
-        group = cfg.mask_groups[int(rng.integers(len(cfg.mask_groups)))]
+    if mask_draw < mask_prob:
+        group = MASK_GROUPS[int(rng.integers(len(MASK_GROUPS)))]
         frames[:, _REF_SLICES[group]] = 0.0
     return frames
 
 
 class TestAugmentMatchesReference:
-    CONFIGS = (AugmentConfig(), AugmentConfig(1.0, 0.5), AugmentConfig(0.0, 0.3))
+    # (rotation_range, mask_prob) pairs
+    CONFIGS = ((0.5, 0.3), (1.0, 0.5), (0.0, 0.3))
 
     def _frames(self, rng, k):
         frames = rng.normal(0.0, 100.0, (k, FRAME_DIM))
@@ -261,16 +273,16 @@ class TestAugmentMatchesReference:
             frames = self._frames(rng, k)
             for valid in (*range(k + 1), None):
                 for cfg in self.CONFIGS:
-                    want = _augment_reference(frames, cfg, np.random.default_rng(trial), valid)
-                    got = augment_sequence(frames, cfg, np.random.default_rng(trial), valid)
+                    want = _augment_reference(frames, *cfg, np.random.default_rng(trial), valid)
+                    got = augment_sequence(frames, *cfg, np.random.default_rng(trial), valid)
                     assert got.tobytes() == want.tobytes(), (trial, valid, cfg)
 
     def test_byte_identical_when_every_group_is_zero(self):
         frames = np.zeros((SEQ_LEN, FRAME_DIM))
         frames[:, LABEL_INDEX] = 4.0
         for cfg in self.CONFIGS:
-            want = _augment_reference(frames, cfg, np.random.default_rng(1))
-            got = augment_sequence(frames, cfg, np.random.default_rng(1))
+            want = _augment_reference(frames, *cfg, np.random.default_rng(1))
+            got = augment_sequence(frames, *cfg, np.random.default_rng(1))
             assert got.tobytes() == want.tobytes()
 
     def test_one_rotate_call_per_rotated_sequence(self, monkeypatch):
@@ -280,16 +292,16 @@ class TestAugmentMatchesReference:
             egohand.sequence, "rotate_points_2d", lambda *a: calls.append(1) or original(*a)
         )
         frames = self._frames(np.random.default_rng(31), SEQ_LEN)
-        augment_sequence(frames, AugmentConfig(1.0, 0.0), np.random.default_rng(0))
+        augment_sequence(frames, 1.0, 0.0, np.random.default_rng(0))
         assert len(calls) == 1
-        augment_sequence(frames, AugmentConfig(0.0, 0.0), np.random.default_rng(0))
+        augment_sequence(frames, 0.0, 0.0, np.random.default_rng(0))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("valid", [-1, 21])
     def test_valid_count_outside_frames_rejected(self, valid):
         frames = np.ones((SEQ_LEN, FRAME_DIM))
         with pytest.raises(StructuralError):
-            augment_sequence(frames, AugmentConfig(), np.random.default_rng(0), valid_count=valid)
+            augment_sequence(frames, 0.5, 0.3, np.random.default_rng(0), valid_count=valid)
 
 
 def _make_dataset(rng, n_seq=3, space="3d"):
