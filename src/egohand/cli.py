@@ -46,6 +46,8 @@ from .rangeseg import (
     save_ppm,
 )
 from .sequence import (
+    GROUP_SLICES,
+    MASK_GROUPS,
     ActionSequence,
     FrameRecord,
     encode_frames,
@@ -323,10 +325,8 @@ def cmd_eval_action(args) -> tuple | None:
         raise EmptyDatasetError(f"split {args.split!r} is empty")
     x, y = model.prepare_eval_set(sets[args.split], cfg)
     if args.mask_group:
-        from .sequence import _GROUP_SLICES
-
         x = x.copy()
-        x[:, :, _GROUP_SLICES[args.mask_group]] = 0.0
+        x[:, :, GROUP_SLICES[args.mask_group]] = 0.0
     top1, confusion = model.evaluate(net, x, y)
     print(f"top-1 accuracy on {args.split}: {top1:.4f} ({len(y)} sequences)")
     if args.out:
@@ -419,7 +419,7 @@ def build_parser() -> _Parser:
     s.add_argument("--checkpoint", required=True)
     s.add_argument("--config", default=None)
     s.add_argument("--split", choices=("train", "val", "test"), default="test")
-    s.add_argument("--mask-group", choices=("left", "right", "box", "label"), default=None)
+    s.add_argument("--mask-group", choices=MASK_GROUPS, default=None)
     s.add_argument("--set", action="append", default=[])
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out", default=None, help="confusion CSV path")

@@ -185,16 +185,18 @@ class ActionModel:
 
     # forward / backward ------------------------------------------------------
 
-    def _trunk(self, x: np.ndarray, pos: np.ndarray):
+    def _trunk(self, x: np.ndarray, pos: np.ndarray, need_cache: bool = False):
         """Embed, prepend CLS, add ``pos``, run the blocks and the final LN.
 
         Returns the normalized (B, seq_len + 1, d_model) states plus what
-        ``backward_batch`` needs of the blocks and the final LN.
+        ``backward_batch`` needs of the blocks (empty without ``need_cache``)
+        and the final LN.
         """
         c = self.cfg
         pv = self.params.values
         emb = nnkit.linear(x, pv["embed.w"], pv["embed.b"])
-        h = np.concatenate([np.broadcast_to(pv["cls"], (x.shape[0], 1, c.d_model)), emb], axis=1) + pos
+        h = np.concatenate([np.broadcast_to(pv["cls"], (x.shape[0], 1, c.d_model)), emb], axis=1)
+        h += pos
 
         blocks_cache = []
         for i in range(c.blocks):
@@ -206,14 +208,15 @@ class ActionModel:
                 "wv": pv[p + "attn.wv"], "bv": pv[p + "attn.bv"],
                 "wo": pv[p + "attn.wo"], "bo": pv[p + "attn.bo"],
             }
-            attn_out, c_attn = nnkit.multi_head_attention(a1, attn_p, c.heads)
-            h2 = h + attn_out
+            h2, c_attn = nnkit.multi_head_attention(a1, attn_p, c.heads)
+            h2 += h
             a2, c_ln2 = nnkit.layer_norm(h2, pv[p + "ln2.g"], pv[p + "ln2.b"])
             f1 = nnkit.linear(a2, pv[p + "ff1.w"], pv[p + "ff1.b"])
-            f1g = nnkit.gelu(f1)
-            f2 = nnkit.linear(f1g, pv[p + "ff2.w"], pv[p + "ff2.b"])
-            blocks_cache.append((a1, c_ln1, c_attn, h2, a2, c_ln2, f1, f1g))
-            h = h2 + f2
+            f1g, c_gelu = nnkit.gelu(f1, need_cache)
+            h = nnkit.linear(f1g, pv[p + "ff2.w"], pv[p + "ff2.b"])
+            h += h2
+            if need_cache:
+                blocks_cache.append((c_ln1, c_attn, a2, c_ln2, c_gelu, f1g))
 
         hf, c_lnf = nnkit.layer_norm(h, pv["final_ln.g"], pv["final_ln.b"])
         return hf, blocks_cache, c_lnf
@@ -227,14 +230,14 @@ class ActionModel:
                 f"expected (B, {c.seq_len}, {c.input_dim}) input, got {x.shape}"
             )
         pv = self.params.values
-        hf, blocks_cache, c_lnf = self._trunk(x, pv["pos"])
+        hf, blocks_cache, c_lnf = self._trunk(x, pv["pos"], need_cache)
         cls_vec = hf[:, 0, :]
         h1 = nnkit.linear(cls_vec, pv["head1.w"], pv["head1.b"])
-        h1g = nnkit.gelu(h1)
+        h1g, c_gelu = nnkit.gelu(h1, need_cache)
         logits = nnkit.linear(h1g, pv["head2.w"], pv["head2.b"])
         if not need_cache:
             return logits, None
-        return logits, (x, blocks_cache, c_lnf, cls_vec, h1, h1g)
+        return logits, (x, blocks_cache, c_lnf, cls_vec, c_gelu, h1g)
 
     def cls_output(self, x: np.ndarray, zero_pos: bool = False) -> np.ndarray:
         """(B, d_model) final-layer-norm CLS states of a (B, seq_len, input_dim)
@@ -248,13 +251,13 @@ class ActionModel:
         c = self.cfg
         pv = self.params.values
         acc = self.params.accumulate
-        x, blocks_cache, c_lnf, cls_vec, h1, h1g = cache
+        x, blocks_cache, c_lnf, cls_vec, c_gelu, h1g = cache
         b = x.shape[0]
 
         g, gw, gb = nnkit.linear_backward(glogits, h1g, pv["head2.w"])
         acc("head2.w", gw)
         acc("head2.b", gb)
-        g = nnkit.gelu_backward(g, h1)
+        g = nnkit.gelu_backward(g, c_gelu)
         g, gw, gb = nnkit.linear_backward(g, cls_vec, pv["head1.w"])
         acc("head1.w", gw)
         acc("head1.b", gb)
@@ -267,20 +270,20 @@ class ActionModel:
 
         for i in reversed(range(c.blocks)):
             p = f"block{i}."
-            a1, c_ln1, c_attn, h2, a2, c_ln2, f1, f1g = blocks_cache[i]
+            c_ln1, c_attn, a2, c_ln2, c_gelu, f1g = blocks_cache[i]
             # feed-forward residual
-            gf2 = gh
-            g, gw, gb = nnkit.linear_backward(gf2, f1g, pv[p + "ff2.w"])
+            g, gw, gb = nnkit.linear_backward(gh, f1g, pv[p + "ff2.w"])
             acc(p + "ff2.w", gw)
             acc(p + "ff2.b", gb)
-            g = nnkit.gelu_backward(g, f1)
+            g = nnkit.gelu_backward(g, c_gelu)
             g, gw, gb = nnkit.linear_backward(g, a2, pv[p + "ff1.w"])
             acc(p + "ff1.w", gw)
             acc(p + "ff1.b", gb)
             ga2, gg, gb = nnkit.layer_norm_backward(g, c_ln2)
             acc(p + "ln2.g", gg)
             acc(p + "ln2.b", gb)
-            gh2 = gh + ga2
+            gh2 = ga2
+            gh2 += gh
             # attention residual
             ga1, attn_grads = nnkit.multi_head_attention_backward(gh2, c_attn)
             for nm, arr in attn_grads.items():
@@ -288,7 +291,8 @@ class ActionModel:
             g, gg, gb = nnkit.layer_norm_backward(ga1, c_ln1)
             acc(p + "ln1.g", gg)
             acc(p + "ln1.b", gb)
-            gh = gh2 + g
+            gh = g
+            gh += gh2
 
         acc("pos", gh.sum(axis=0))
         acc("cls", gh[:, 0, :].sum(axis=0, keepdims=True))

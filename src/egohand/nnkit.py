@@ -4,6 +4,11 @@ Everything is float64. Layers broadcast over leading axes (attention takes
 (B, T, D) batches). Gradients are verified against central finite
 differences in the test suite; ``grad_check`` is the harness.
 
+Layers reuse their own temporaries (``out=`` and in-place operators) but
+never write into their arguments or into a cache they returned, so a caller
+may pass one array to several layers. Each rewrite keeps the operation order
+of the plain expression, so results are bit-identical to it.
+
 Checkpoint format (all little-endian): magic ``SHRP``, version u16 (=1),
 parameter count u32, then per tensor: name length u16, name bytes (utf-8),
 rows u32, cols u32, rows*cols float64 values; then the optimizer-state
@@ -38,7 +43,8 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     if x.shape[-1] != w.shape[0]:
         raise StructuralError(f"linear: x feature dim {x.shape[-1]} != w rows {w.shape[0]}")
     # flatten leading axes so BLAS sees one large GEMM instead of a stack
-    y = x.reshape(-1, x.shape[-1]) @ w + b
+    y = x.reshape(-1, x.shape[-1]) @ w
+    y += b
     return y.reshape(*x.shape[:-1], w.shape[1])
 
 
@@ -59,45 +65,75 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
     Returns (y, cache) where cache feeds layer_norm_backward.
     """
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return gamma * xhat + beta, (xhat, inv, gamma)
+    xhat = x - mu
+    y = xhat * xhat
+    inv = y.mean(axis=-1, keepdims=True)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gamma, out=y)
+    y += beta
+    return y, (xhat, inv, gamma)
 
 
 def layer_norm_backward(g: np.ndarray, cache):
     xhat, inv, gamma = cache
-    gxhat = g * gamma
-    gx = inv * (
-        gxhat
-        - gxhat.mean(axis=-1, keepdims=True)
-        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    gx = g * gamma
+    t = gx * xhat
+    m2 = t.mean(axis=-1, keepdims=True)
+    gx -= gx.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, m2, out=t)
+    gx -= t
+    gx *= inv
     lead = tuple(range(g.ndim - 1))
-    ggamma = (g * xhat).sum(axis=lead).reshape(1, -1)
+    np.multiply(g, xhat, out=t)
+    ggamma = t.sum(axis=lead).reshape(1, -1)
     gbeta = g.sum(axis=lead).reshape(1, -1)
     return gx, ggamma, gbeta
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row softmax along the last axis, computed with max subtraction."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+    t = g * p
+    np.subtract(g, t.sum(axis=-1, keepdims=True), out=t)
+    t *= p
+    return t
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact Gaussian-error linear unit x * Phi(x)."""
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+def gelu(x: np.ndarray, need_cache: bool = False):
+    """Exact Gaussian-error linear unit x * Phi(x).
+
+    Returns (y, cache). With ``need_cache`` the cache is the derivative
+    Phi(x) + x * phi(x), built from the forward's ``1 + erf(x / sqrt 2)``,
+    which is all ``gelu_backward`` needs; otherwise it is None.
+    """
+    s = x / _SQRT2
+    erf(s, out=s)
+    s += 1.0
+    y = x * 0.5
+    y *= s
+    if not need_cache:
+        return y, None
+    phi = x * -0.5
+    phi *= x
+    np.exp(phi, out=phi)
+    phi *= _INV_SQRT_2PI
+    phi *= x
+    s *= 0.5
+    s += phi
+    return y, s
 
 
-def gelu_backward(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    phi = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return g * (0.5 * (1.0 + erf(x / _SQRT2)) + x * phi)
+def gelu_backward(g: np.ndarray, cache: np.ndarray) -> np.ndarray:
+    return g * cache
 
 
 def multi_head_attention(x: np.ndarray, p: dict, heads: int):
@@ -117,7 +153,8 @@ def multi_head_attention(x: np.ndarray, p: dict, heads: int):
     q = linear(x, p["wq"], p["bq"]).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
     k = (x @ p["wk"]).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
     v = linear(x, p["wv"], p["bv"]).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= scale
     attn = softmax_rows(scores)
     ctx = attn @ v
     merged = ctx.transpose(0, 2, 1, 3).reshape(b, t, d)
@@ -135,7 +172,8 @@ def multi_head_attention_backward(g: np.ndarray, cache):
     gctx = gmerged.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
     gattn = gctx @ v.transpose(0, 1, 3, 2)
     gv = attn.transpose(0, 1, 3, 2) @ gctx
-    gscores = softmax_backward(gattn, attn) * scale
+    gscores = softmax_backward(gattn, attn)
+    gscores *= scale
     gq = gscores @ k
     gk = gscores.transpose(0, 1, 3, 2) @ q
 
@@ -175,7 +213,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
 def cross_entropy_backward(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     g = probs.copy()
     g[np.arange(len(labels)), labels] -= 1.0
-    return g / len(labels)
+    g /= len(labels)
+    return g
 
 
 # --- parameters and optimizer ------------------------------------------------
@@ -227,17 +266,32 @@ def adamw_step(
     t = params.step
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
+    # two scratch buffers serve every tensor, which stays in cache while updated
+    size = max((p.size for p in params.values.values()), default=0)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in params.values.items():
         g = params.grads[name]
         if weight_decay != 0.0:
             p *= 1.0 - lr * weight_decay
         m = params.m[name]
         v = params.v[name]
+        a = scratch_a[: p.size].reshape(p.shape)
+        b = scratch_b[: p.size].reshape(p.shape)
         m *= beta1
-        m += (1.0 - beta1) * g
+        np.multiply(g, 1.0 - beta1, out=a)
+        m += a
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        np.multiply(g, g, out=b)
+        b *= 1.0 - beta2
+        v += b
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        p -= a
 
 
 def lr_at(epoch: int, base: float, start: int, every: int, factor: float) -> float:

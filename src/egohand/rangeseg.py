@@ -278,6 +278,8 @@ def load_ppm(path) -> np.ndarray:
     data = buf[pos : pos + need]
     if len(data) != need:
         raise FormatError(f"PPM payload truncated: expected {need} bytes, got {len(data)}")
+    if len(buf) - pos != need:
+        raise FormatError(f"{len(buf) - pos - need} trailing bytes after PPM payload")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).copy()
 
 

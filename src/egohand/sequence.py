@@ -53,7 +53,7 @@ SPLITS = ("train", "val", "test")
 SPACES = ("2d", "2.5d", "3d")
 
 MASK_GROUPS = ("left", "right", "box", "label")
-_GROUP_SLICES = {
+GROUP_SLICES = {
     "left": LEFT_SLICE,
     "right": RIGHT_SLICE,
     "box": BOX_SLICE,
@@ -169,7 +169,7 @@ def augment_sequence(frames, rotation_range: float, mask_prob: float, rng, valid
     if angle != 0.0:
         live = np.zeros((nv, FRAME_DIM), dtype=bool)  # the columns of non-zero groups
         for group in ("left", "right", "box"):
-            sl = _GROUP_SLICES[group]
+            sl = GROUP_SLICES[group]
             live[:, sl] = np.any(frames[:nv, sl], axis=1, keepdims=True)
         # frame-major, then pair order: the order the centroid sums in
         rows, pairs = np.nonzero(live[:, _PAIR_X])
@@ -182,7 +182,7 @@ def augment_sequence(frames, rotation_range: float, mask_prob: float, rng, valid
 
     if mask_draw < mask_prob:
         group = MASK_GROUPS[int(rng.integers(len(MASK_GROUPS)))]
-        frames[:, _GROUP_SLICES[group]] = 0.0
+        frames[:, GROUP_SLICES[group]] = 0.0
     return frames
 
 

@@ -95,6 +95,16 @@ class SynthParams:
         for finger, lengths in self.bones.items():
             if any(l <= 0 for l in lengths):
                 raise StructuralError(f"non-positive bone length in {finger}")
+        if self.image_size <= 0:
+            raise RangeError(f"image_size must be positive, got {self.image_size}")
+        for key in ("fx", "fy"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value > 0):
+                raise RangeError(f"{key} must be finite and positive, got {value}")
+        for key in ("noise_sigma0", "noise_clutter_gain", "noise_loss_gain"):
+            value = getattr(self, key)
+            if not value >= 0:  # NaN fails too
+                raise RangeError(f"{key} must be non-negative, got {value}")
 
     @property
     def intrinsics(self) -> CameraIntrinsics:

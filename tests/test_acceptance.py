@@ -36,7 +36,7 @@ from egohand.model import (
     train,
 )
 from egohand.rangeseg import normalize_depth, range_mask, range_mask_metric
-from egohand.sequence import _GROUP_SLICES, FRAME_DIM, SEQ_LEN, encode_frames
+from egohand.sequence import FRAME_DIM, GROUP_SLICES, SEQ_LEN, encode_frames
 from egohand.synth import SynthParams, gen_scene_depth_metric, generate_dataset
 
 pytestmark = pytest.mark.acceptance
@@ -323,7 +323,7 @@ def test_end_to_end_learning(capsys, trained, raw_sets):
     top1, _ = evaluate(best_model, x_test, y_test)
     assert top1 >= 0.95, f"test top-1 {top1:.4f}"
     x_masked = x_test.copy()
-    x_masked[:, :, _GROUP_SLICES["label"]] = 0.0
+    x_masked[:, :, GROUP_SLICES["label"]] = 0.0
     top1_masked, _ = evaluate(best_model, x_masked, y_test)
     assert top1_masked >= 0.80, f"label-masked top-1 {top1_masked:.4f}"
     _pass(

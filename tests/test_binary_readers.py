@@ -6,6 +6,9 @@ stretch of it, and check which exception escapes the reader.
 """
 
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +100,19 @@ def test_ppm_raises_only_format_error(valid_files, at, drop, junk):
     _raises_only(load_ppm, path, FormatError)
 
 
+_READERS = {"c.bin": nnkit.load_checkpoint, "d.dmap": load_depth, "m.dmap": load_mask, "f.ppm": load_ppm}
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+@_SPLICE_SETTINGS
+@given(junk=st.binary(min_size=1, max_size=64))
+def test_trailing_bytes_are_format_error(valid_files, name, junk):
+    files, path = valid_files
+    path.write_bytes(files[name] + junk)
+    with pytest.raises(FormatError, match="trailing bytes"):
+        _READERS[name](path)
+
+
 def _checkpoint(*entries: bytes) -> bytes:
     """A checkpoint holding the packed parameter ``entries``, no optimizer state."""
     return (b"SHRP" + struct.pack("<HI", 1, len(entries)) + b"".join(entries)
@@ -133,3 +149,25 @@ def test_dmap_signalling_nan_is_value_error(tmp_path):
     path.write_bytes(path.read_bytes()[:-4] + struct.pack("<I", 0x7FA00000))
     with pytest.raises(StructuralError):
         load_mask(path)
+
+
+def test_failing_property_test_does_not_end_the_run(tmp_path):
+    """Under the project's warning filters a failing Hypothesis test is reported
+    as a failure and the tests after it still run."""
+    (tmp_path / "test_prop.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "@settings(derandomize=True, database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n"
+        "def test_after():\n"
+        "    pass\n"
+    )
+    ini = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ini),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_prop.py")],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

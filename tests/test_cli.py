@@ -149,6 +149,9 @@ def _bad_params(edit):
         pytest.param(_bad_params(lambda m: {**m, "params": {**m["params"], "arm_band": 5}}),
                      ("params.json", "malformed params field 'arm_band'"), id="params-arm-band-number"),
         pytest.param(_bad_params(lambda m: [m]), ("params.json", "master_seed"), id="params-top-level-list"),
+        *(pytest.param(_bad_params(lambda m, k=key, v=value: {**m, "params": {**m["params"], k: v}}),
+                       ("params.json", key), id=f"params-{key}-{value}")
+          for key, value in (("image_size", -5), ("fx", float("inf")), ("noise_sigma0", -1.0))),
         pytest.param(_bad_params(lambda m: {k: v for k, v in m.items() if k != "master_seed"}),
                      ("params.json", "master_seed"), id="params-missing-master-seed"),
     ],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from egohand import nnkit
 from egohand.errors import (
@@ -264,6 +265,159 @@ class TestAdamW:
         ps = self._ps(10.0)
         nnkit.adamw_step(ps, lr=0.1, weight_decay=0.5)  # zero grad: only decay acts
         assert abs(ps.values["p"][0, 0] - 10.0 * (1 - 0.1 * 0.5)) < 1e-15
+
+
+# Reference formulas: each layer written as one expression, in the operation
+# order the in-place layers must reproduce bit for bit.
+
+
+def _ref_gelu(x):
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def _ref_gelu_backward(g, x):
+    phi = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    return g * (0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * phi)
+
+
+def _ref_layer_norm(x, gamma, beta, eps=1e-5):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    return gamma * xhat + beta, (xhat, inv, gamma)
+
+
+def _ref_layer_norm_backward(g, cache):
+    xhat, inv, gamma = cache
+    gxhat = g * gamma
+    gx = inv * (
+        gxhat - gxhat.mean(axis=-1, keepdims=True) - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    lead = tuple(range(g.ndim - 1))
+    return gx, (g * xhat).sum(axis=lead).reshape(1, -1), g.sum(axis=lead).reshape(1, -1)
+
+
+def _ref_softmax_rows(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _ref_softmax_backward(g, p):
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
+def _ref_adamw_step(values, grads, m, v, step, lr, beta1, beta2, eps, weight_decay):
+    c1 = 1.0 - beta1**step
+    c2 = 1.0 - beta2**step
+    for name, p in values.items():
+        g = grads[name]
+        p *= 1.0 - lr * weight_decay
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
+        p -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+
+
+# batch x tokens x width of the feed-forward and model layers, and a short last batch
+SHAPES = [(64, 22, 256), (64, 22, 128), (16, 22, 256)]
+
+
+def _call_unchanged(fn, *args):
+    """fn(*args), asserting no array inside args changed."""
+    before = [np.copy(a) for a in _arrays(args)]
+    out = fn(*args)
+    for a, b in zip(_arrays(args), before):
+        assert np.array_equal(a, b), f"{fn.__name__} wrote into an argument"
+    return out
+
+
+def _arrays(obj):
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in _arrays(item)]
+    return []
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=["x".join(map(str, s)) for s in SHAPES])
+class TestBitIdentity:
+    def _data(self, shape, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.normal(0.0, 2.0, shape), rng.normal(size=shape)
+
+    def test_gelu(self, shape):
+        x, g = self._data(shape)
+        y, cache = _call_unchanged(nnkit.gelu, x, True)
+        assert np.array_equal(y, _ref_gelu(x))
+        assert np.array_equal(_call_unchanged(nnkit.gelu, x)[0], y)
+        assert nnkit.gelu(x)[1] is None
+        gx = _call_unchanged(nnkit.gelu_backward, g, cache)
+        assert np.array_equal(gx, _ref_gelu_backward(g, x))
+
+    def test_layer_norm(self, shape):
+        x, g = self._data(shape)
+        rng = np.random.default_rng(1)
+        gamma, beta = rng.normal(size=(1, shape[-1])), rng.normal(size=(1, shape[-1]))
+        y, cache = _call_unchanged(nnkit.layer_norm, x, gamma, beta)
+        y_ref, cache_ref = _ref_layer_norm(x, gamma, beta)
+        assert np.array_equal(y, y_ref)
+        for a, b in zip(cache, cache_ref):
+            assert np.array_equal(a, b)
+        grads = _call_unchanged(nnkit.layer_norm_backward, g, cache)
+        for a, b in zip(grads, _ref_layer_norm_backward(g, cache_ref)):
+            assert np.array_equal(a, b)
+
+    def test_softmax(self, shape):
+        x, g = self._data(shape)
+        p = _call_unchanged(nnkit.softmax_rows, x)
+        assert np.array_equal(p, _ref_softmax_rows(x))
+        assert np.array_equal(_call_unchanged(nnkit.softmax_backward, g, p), _ref_softmax_backward(g, p))
+
+    def test_adamw_step(self, shape):
+        rng = np.random.default_rng(2)
+        d = shape[-1]
+        shapes = {"w": (d, d // 2), "b": (1, d), "pos": shape[1:]}
+        values = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ps = nnkit.ParamSet()
+        for k, a in values.items():
+            ps.add(k, a.copy())
+        m = {k: np.zeros_like(a) for k, a in values.items()}
+        v = {k: np.zeros_like(a) for k, a in values.items()}
+        for step in range(1, 4):
+            grads = {k: rng.normal(size=a.shape) for k, a in values.items()}
+            ps.zero_grads()
+            for k, a in grads.items():
+                ps.accumulate(k, a)
+            nnkit.adamw_step(ps, 1e-3, weight_decay=0.01)
+            _ref_adamw_step(values, grads, m, v, step, 1e-3, 0.9, 0.999, 1e-8, 0.01)
+            for k in values:
+                assert np.array_equal(ps.values[k], values[k])
+                assert np.array_equal(ps.m[k], m[k]) and np.array_equal(ps.v[k], v[k])
+
+
+class TestNoAliasing:
+    """Layers leave their arguments and the caches they returned untouched."""
+
+    def test_linear(self):
+        rng = np.random.default_rng(3)
+        x, w, b = rng.normal(size=(4, 5, 6)), rng.normal(size=(6, 3)), rng.normal(size=(1, 3))
+        g = rng.normal(size=(4, 5, 3))
+        _call_unchanged(nnkit.linear, x, w, b)
+        _call_unchanged(nnkit.linear_backward, g, x, w)
+
+    def test_attention(self):
+        rng = np.random.default_rng(4)
+        p = TestAttention()._params(rng, 8)
+        x, g = rng.normal(size=(3, 5, 8)), rng.normal(size=(3, 5, 8))
+        _, cache = _call_unchanged(nnkit.multi_head_attention, x, p, 2)
+        _call_unchanged(nnkit.multi_head_attention_backward, g, cache)
+
+    def test_cross_entropy(self):
+        rng = np.random.default_rng(5)
+        logits, labels = rng.normal(size=(6, 4)), rng.integers(0, 4, 6)
+        _, probs = _call_unchanged(nnkit.cross_entropy, logits, labels)
+        _call_unchanged(nnkit.cross_entropy_backward, probs, labels)
 
 
 # the paper's schedule: halve at epoch 500 and every 200 epochs after

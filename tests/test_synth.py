@@ -195,6 +195,17 @@ class TestParams:
         with pytest.raises(StructuralError):
             SynthParams(arm_band=(0.3, 0.9), background_band=(0.05, 0.35))
 
+    @pytest.mark.parametrize("field, value", [
+        ("image_size", 0), ("image_size", -5), ("fx", 0.0), ("fy", -1.0), ("fx", np.inf), ("fy", np.nan),
+        ("noise_sigma0", -1.0), ("noise_clutter_gain", -1e-9), ("noise_loss_gain", -120.0),
+    ])
+    def test_impossible_values_rejected(self, field, value):
+        with pytest.raises(RangeError, match=field):
+            SynthParams(**{field: value})
+
+    def test_zero_noise_allowed(self):
+        SynthParams(noise_sigma0=0.0, noise_clutter_gain=0.0, noise_loss_gain=0.0)
+
     def test_json_round_trip(self):
         p = SynthParams(arm_band=(0.485, 0.99), background_band=(0.05, 0.455), noise_sigma0=4.0)
         assert SynthParams.from_dict(json.loads(json.dumps(p.to_dict()))) == p
