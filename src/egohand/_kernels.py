@@ -9,18 +9,26 @@ import numpy as np
 
 
 def box_blur(values: np.ndarray, radius: int) -> np.ndarray:
-    """Border-renormalized separable box average (cumulative-sum path)."""
-    out = values.astype(np.float64, copy=True)
+    """Border-renormalized separable box average (cumulative-sum path).
+
+    Along each axis the window of j is [max(j - r, 0), min(j + r, n - 1)]; its
+    sum is c[min(j + r, n - 1)] minus c[j - r - 1] where j > r, with c the
+    cumulative sum, formed from shifted slices of c.
+    """
+    out = values
     for axis in (1, 0):
         v = out if axis == 1 else out.T
         n = v.shape[1]
-        c = np.cumsum(v, axis=1)
-        hi = np.minimum(np.arange(n) + radius, n - 1)
-        lo = np.arange(n) - radius - 1
-        sums = c[:, hi] - np.where(lo >= 0, c[:, np.maximum(lo, 0)], 0.0)
-        counts = hi - np.maximum(lo + 1, 0) + 1
-        v = sums / counts
-        out = v if axis == 1 else v.T
+        c = np.cumsum(v, axis=1, dtype=np.float64)
+        k = max(n - radius, 0)  # windows of j < k end inside the map
+        sums = np.empty_like(c)
+        sums[:, :k] = c[:, radius:radius + k]
+        sums[:, k:] = c[:, n - 1:]
+        if radius + 1 < n:
+            sums[:, radius + 1:] -= c[:, :n - radius - 1]
+        j = np.arange(n)
+        sums /= np.minimum(j + radius, n - 1) - np.maximum(j - radius, 0) + 1
+        out = sums if axis == 1 else sums.T
     return out
 
 

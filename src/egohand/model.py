@@ -45,6 +45,8 @@ class ActionModelConfig:
     max_epochs: int = 800
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise StructuralError(f"heads must be >= 1, got {self.heads}")
         if self.d_model % self.heads != 0:
             raise StructuralError(f"d_model {self.d_model} not divisible by heads {self.heads}")
 

@@ -5,6 +5,9 @@ disparity-style maps (closer pixels have *larger* values) while metric
 sensors emit millimetres (closer is *smaller*). Both conventions share one
 mask semantics: keep the near side of the threshold.
 
+A binary ``SegMask`` holds its values as a bool map; a soft (de-sharpened)
+one holds float64 weights in [0, 1].
+
 File formats owned by this module:
 
 ``.dmap``: 16-byte header -- magic ``DMAP``, version u16 LE (=1), order tag
@@ -39,8 +42,8 @@ _DMAP_HEADER = struct.Struct("<4sHBBII")
 POSE_INPUT_SIZE = 512
 
 
-def _as_map(values) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.float64)
+def _as_map(values, dtype=np.float64) -> np.ndarray:
+    arr = np.ascontiguousarray(values, dtype=dtype)
     if arr.ndim != 2 or arr.size == 0:
         raise StructuralError(f"expected a non-empty 2D map, got shape {arr.shape}")
     return arr
@@ -68,17 +71,27 @@ class DepthMap:
 
 @dataclass
 class SegMask:
-    """Segmentation weights in [0, 1]; binary masks take only {0, 1}."""
+    """Segmentation weights in [0, 1]; binary masks take only {0, 1}.
+
+    A binary mask stores its values as a bool map, a soft one as float64.
+    """
 
     values: np.ndarray
     binary: bool = True
 
     def __post_init__(self):
-        self.values = _as_map(self.values)
-        if np.any(self.values < 0) or np.any(self.values > 1) or not np.all(np.isfinite(self.values)):
+        if self.binary and np.asarray(self.values).dtype == bool:
+            # a bool map holds nothing but 0 and 1
+            self.values = _as_map(self.values, dtype=bool)
+            return
+        values = _as_map(self.values)
+        if np.any(values < 0) or np.any(values > 1) or not np.all(np.isfinite(values)):
             raise StructuralError("mask values must lie in [0, 1]")
-        if self.binary and not np.all((self.values == 0) | (self.values == 1)):
-            raise StructuralError("binary mask contains non-{0,1} values")
+        if self.binary:
+            if not np.all((values == 0) | (values == 1)):
+                raise StructuralError("binary mask contains non-{0,1} values")
+            values = values == 1.0
+        self.values = values
 
 
 def normalize_depth(raw: DepthMap) -> DepthMap:
@@ -105,7 +118,7 @@ def range_mask(norm: DepthMap, t: float) -> SegMask:
         keep = norm.values >= t
     else:
         keep = norm.values <= t
-    return SegMask(keep.astype(np.float64), binary=True)
+    return SegMask(keep, binary=True)
 
 
 def range_mask_metric(raw: DepthMap, t_mm: float) -> SegMask:
@@ -120,7 +133,7 @@ def range_mask_metric(raw: DepthMap, t_mm: float) -> SegMask:
     if t_mm <= 0:
         raise RangeError(f"metric threshold must be positive, got {t_mm}")
     keep = (raw.values <= t_mm) & (raw.values > 0)
-    return SegMask(keep.astype(np.float64), binary=True)
+    return SegMask(keep, binary=True)
 
 
 def apply_mask(frame: np.ndarray, mask: SegMask, fill=(0, 0, 0)) -> np.ndarray:
@@ -138,8 +151,7 @@ def apply_mask(frame: np.ndarray, mask: SegMask, fill=(0, 0, 0)) -> np.ndarray:
         )
     fill_arr = np.asarray(fill, dtype=np.float64).reshape(1, 1, 3)
     if mask.binary:
-        keep = mask.values[:, :, None] == 1.0
-        return np.where(keep, frame, fill_arr.astype(np.uint8))
+        return np.where(mask.values[:, :, None], frame, fill_arr.astype(np.uint8))
     m = mask.values[:, :, None]
     blended = frame.astype(np.float64) * m + fill_arr * (1.0 - m)
     return np.clip(np.rint(blended), 0, 255).astype(np.uint8)

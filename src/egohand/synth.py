@@ -383,7 +383,7 @@ def gen_scene_depth(left: HandPose3D, right: HandPose3D, p: SynthParams):
             values[arm] = a_lo + (a_hi - a_lo) * (zmax - z) / (zmax - zmin)
     return (
         DepthMap(values, order=CLOSER_IS_LARGER, normalized=False),
-        SegMask(arm.astype(np.float64), binary=True),
+        SegMask(arm, binary=True),
     )
 
 
@@ -396,7 +396,7 @@ def gen_scene_depth_metric(left: HandPose3D, right: HandPose3D, p: SynthParams):
     values[arm] = zbuf[arm]
     return (
         DepthMap(values, order=CLOSER_IS_SMALLER, normalized=False),
-        SegMask(arm.astype(np.float64), binary=True),
+        SegMask(arm, binary=True),
     )
 
 
@@ -405,7 +405,7 @@ def render_schematic_frame(gt_mask: SegMask) -> np.ndarray:
     h, w = gt_mask.values.shape
     frame = np.empty((h, w, 3), dtype=np.uint8)
     frame[...] = (38, 44, 54)
-    frame[gt_mask.values == 1.0] = (201, 178, 153)
+    frame[gt_mask.values] = (201, 178, 153)
     return frame
 
 
@@ -445,15 +445,18 @@ def noisy_pose_oracle(
 def mask_quality(mask: SegMask, gt: SegMask) -> tuple[float, float]:
     """(unmasked background fraction, masked-away arm fraction).
 
-    Soft masks contribute their weights: a background pixel kept at 0.3
-    counts 0.3 toward clutter; an arm pixel kept at 0.3 loses 0.7.
+    ``gt`` must be binary. Soft masks contribute their weights: a background
+    pixel kept at 0.3 counts 0.3 toward clutter; an arm pixel kept at 0.3
+    loses 0.7.
     """
+    if not gt.binary:
+        raise StructuralError("ground-truth mask must be binary")
     if mask.values.shape != gt.values.shape:
         raise StructuralError("mask and ground truth dimensions differ")
-    bg = gt.values == 0.0
-    arm = ~bg
-    n_bg = int(bg.sum())
-    n_arm = int(arm.sum())
+    arm = gt.values
+    bg = ~arm
+    n_arm = np.count_nonzero(arm)
+    n_bg = arm.size - n_arm
     bg_kept = float(mask.values[bg].sum() / n_bg) if n_bg else 0.0
     arm_lost = float((1.0 - mask.values[arm]).sum() / n_arm) if n_arm else 0.0
     return bg_kept, arm_lost

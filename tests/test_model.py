@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from egohand import nnkit
 from egohand.errors import (
@@ -14,6 +16,7 @@ from egohand.model import (
     apply_overrides,
     config_to_text,
     evaluate,
+    load_config,
     load_model,
     parse_config_text,
     prepare_eval_set,
@@ -145,6 +148,36 @@ class TestConfig:
     def test_head_divisibility_checked(self):
         with pytest.raises(ConfigError):
             parse_config_text("d_model = 30\nheads = 4\n")
+
+    @pytest.mark.parametrize("heads", [0, -1, -4])
+    def test_non_positive_heads_is_config_error(self, heads):
+        with pytest.raises(ConfigError):
+            parse_config_text(f"heads = {heads}\n")
+
+
+_CONFIG_TEXT = config_to_text(ActionModelConfig())
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "model.cfg"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(
+    at=st.floats(0.0, 1.0),
+    drop=st.integers(0, 8) | st.integers(0, 200),
+    junk=st.text(max_size=12) | st.text(alphabet="0123456789.+-_e= #\nabdhlmrs", max_size=12),
+)
+@example(at=_CONFIG_TEXT.index("heads = 4") / len(_CONFIG_TEXT), drop=9, junk="heads = 0")
+def test_config_splices_raise_only_config_error(config_path, at, drop, junk):
+    """Random text spliced into a valid config file: only ConfigError escapes."""
+    i = int(at * len(_CONFIG_TEXT))
+    config_path.write_text(_CONFIG_TEXT[:i] + junk + _CONFIG_TEXT[i + drop:])
+    try:
+        load_config(config_path)
+    except ConfigError:
+        pass
 
 
 class TestTraining:

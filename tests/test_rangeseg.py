@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from egohand.rangeseg import (
     save_mask,
     save_ppm,
 )
+from egohand.synth import SynthParams, gen_frame, gen_scene_depth, gen_scene_depth_metric
 
 
 def _dm(values, order=CLOSER_IS_LARGER, normalized=False):
@@ -335,6 +337,22 @@ def _box_blur_loops(values, radius):
     return out
 
 
+def _box_blur_gathers(values, radius):
+    """Box blur through column gathers of the cumulative sum; the byte-identity reference."""
+    out = values.astype(np.float64, copy=True)
+    for axis in (1, 0):
+        v = out if axis == 1 else out.T
+        n = v.shape[1]
+        c = np.cumsum(v, axis=1)
+        hi = np.minimum(np.arange(n) + radius, n - 1)
+        lo = np.arange(n) - radius - 1
+        sums = c[:, hi] - np.where(lo >= 0, c[:, np.maximum(lo, 0)], 0.0)
+        counts = hi - np.maximum(lo + 1, 0) + 1
+        v = sums / counts
+        out = v if axis == 1 else v.T
+    return out
+
+
 def _capsule_zfield_loops(height, width, segs):
     """Reference capsule rasterizer: nearest-point test pixel by pixel."""
     zbuf = np.full((height, width), np.inf)
@@ -370,12 +388,24 @@ class TestKernelBackends:
 
     def test_box_blur_paths_agree(self):
         rng = np.random.default_rng(12)
-        # the second radius spans the whole map, so every window is clipped
-        for shape, radius in (((20, 17), 2), ((9, 6), 7)):
+        # (9, 6) radius 7 spans the whole map, so every window is clipped;
+        # the small maps take every radius below min(shape), down to n <= 2r + 1
+        cases = [((20, 17), 2), ((9, 6), 7)]
+        cases += [(shape, r) for shape in ((6, 9), (2, 3)) for r in range(min(shape))]
+        for shape, radius in cases:
             v = rng.uniform(size=shape)
             fast = _kernels.box_blur(v, radius)
             slow = _box_blur_loops(v, radius)
             assert np.max(np.abs(fast - slow)) < 1e-12
+
+    def test_box_blur_bytes_match_gather_formula(self):
+        """The slice-based kernel gives the column-gather formula's bytes."""
+        rng = np.random.default_rng(14)
+        for shape in ((6, 9), (2, 3), (9, 6), (20, 17), (1, 1), (1, 4), (5, 1)):
+            for radius in range(max(shape) + 2):
+                for v in (rng.uniform(size=shape), rng.uniform(size=shape) < 0.5,
+                          rng.normal(0.0, 1e3, size=shape)):
+                    assert _kernels.box_blur(v, radius).tobytes() == _box_blur_gathers(v, radius).tobytes()
 
     def test_capsule_paths_agree(self):
         segs = np.array(
@@ -409,3 +439,55 @@ def test_composition_determinism():
         return apply_mask(frame, mask).tobytes(), mask.values.tobytes()
 
     assert run() == run()
+
+
+class TestMaskRepresentation:
+    """Binary masks hold bool maps, soft masks float64."""
+
+    def test_every_construction_path_is_bool(self, tmp_path):
+        norm = normalize_depth(_dm(np.random.default_rng(15).uniform(0, 3, (7, 5))))
+        p = SynthParams(image_size=64)
+        left, right, _ = gen_frame(0, np.random.default_rng(16), p)
+        metric, metric_gt = gen_scene_depth_metric(left, right, p)
+        masks = [
+            range_mask(norm, 0.4),
+            range_mask_metric(metric, 700.0),
+            gen_scene_depth(left, right, p)[1],
+            metric_gt,
+            SegMask(np.array([[1.0, 0.0], [0.0, 1.0]])),
+            SegMask([[1, 0], [1, 1]]),
+        ]
+        save_mask(tmp_path / "m.dmap", masks[0])
+        masks.append(load_mask(tmp_path / "m.dmap"))
+        for m in masks:
+            assert m.binary and m.values.dtype == bool and m.values.flags.c_contiguous
+        assert desharpen_mask(masks[0], 1).values.dtype == np.float64
+        assert SegMask(np.array([[True, False]]), binary=False).values.dtype == np.float64
+
+    @pytest.mark.parametrize("value, message", [
+        (2.0, "mask values must lie in [0, 1]"),
+        (0.5, "binary mask contains non-{0,1} values"),
+        (-1.0, "mask values must lie in [0, 1]"),
+        (np.nan, "mask values must lie in [0, 1]"),
+    ])
+    def test_bad_binary_values_rejected(self, value, message):
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            SegMask(np.array([[1.0, 0.0], [0.0, value]]))
+
+    def test_bool_map_shape_checked(self):
+        for bad in (np.zeros((0, 3), bool), np.ones(4, bool)):
+            with pytest.raises(StructuralError, match="non-empty 2D map"):
+                SegMask(bad)
+
+    def test_saved_bytes_pinned(self, tmp_path):
+        # a 3x2 binary mask as float32 1.0/0.0 after the 16-byte header, the
+        # same bytes a float64 mask of these values wrote before masks were bool
+        pinned = bytes.fromhex(
+            "444d41500100ff0103000000020000000000803f000000000000803f"
+            "00000000000000000000803f"
+        )
+        keep = np.array([[True, False, True], [False, False, True]])
+        save_mask(tmp_path / "b.dmap", SegMask(keep))
+        save_mask(tmp_path / "f.dmap", SegMask(keep.astype(np.float64)))
+        assert (tmp_path / "b.dmap").read_bytes() == pinned
+        assert (tmp_path / "f.dmap").read_bytes() == pinned

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import egohand.sequence
-from egohand.errors import DatasetFormatError, EmptyActionError, StructuralError
+from egohand.errors import DataConsistencyError, DatasetFormatError, EmptyActionError, StructuralError
 from egohand.geometry import (
     JOINT_COUNT,
     CameraIntrinsics,
@@ -547,3 +547,35 @@ def test_coerced_value_rejected_with_line(pose_records, encoded_record, part, fi
     with pytest.raises(DatasetFormatError) as ei:
         load(path)
     assert ei.value.line == line
+
+
+# --- malformed manifest: only the documented errors escape -----------------
+
+# random text, or text drawn from the characters a manifest is made of
+_TEXT_SPLICES = {
+    "at": st.floats(0.0, 1.0),
+    "drop": st.integers(0, 8) | st.integers(0, 200),
+    "junk": st.text(max_size=12) | st.text(alphabet="0123456789+-_, \n\rtrainvlesd", max_size=12),
+}
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory):
+    """(directory, manifest text) of a valid three-sequence dataset."""
+    d = tmp_path_factory.mktemp("manifest") / "ds"
+    save_dataset(d, _make_dataset(np.random.default_rng(42)))
+    return d, (d / "manifest.csv").read_text()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(**_TEXT_SPLICES)
+def test_manifest_splices_raise_only_format_or_consistency_error(dataset_dir, at, drop, junk):
+    """A malformed manifest is a format error; a well-formed one naming frames
+    the pose file lacks, or under another split, is a consistency error."""
+    d, valid = dataset_dir
+    i = int(at * len(valid))
+    (d / "manifest.csv").write_text(valid[:i] + junk + valid[i + drop:])
+    try:
+        load_dataset(d)
+    except (DatasetFormatError, DataConsistencyError):
+        pass

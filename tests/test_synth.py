@@ -5,7 +5,7 @@ import pytest
 
 from egohand.errors import RangeError, StructuralError
 from egohand.geometry import JOINT_COUNT, JOINT_PARENTS, project_to_image
-from egohand.rangeseg import SegMask, normalize_depth, range_mask, range_mask_metric
+from egohand.rangeseg import SegMask, desharpen_mask, normalize_depth, range_mask, range_mask_metric
 from egohand.sequence import load_dataset
 from egohand.synth import (
     SynthParams,
@@ -188,6 +188,34 @@ class TestMaskQuality:
         bg_kept, arm_lost = mask_quality(soft, gt)
         assert abs(bg_kept - 0.25) < 1e-12
         assert abs(arm_lost - 0.25) < 1e-12
+
+    def test_soft_ground_truth_rejected(self):
+        gt = SegMask(np.array([[1.0, 0.0]]), binary=False)
+        with pytest.raises(StructuralError, match="must be binary"):
+            mask_quality(SegMask(np.array([[1.0, 1.0]])), gt)
+
+    def test_equals_float64_formula(self):
+        rng = np.random.default_rng(18)
+        shape = (40, 56)
+        gts = [rng.uniform(size=shape) < 0.2, np.ones(shape, bool), np.zeros(shape, bool)]
+        for gt_map in gts:
+            gt = SegMask(gt_map)
+            for _ in range(4):
+                mask = SegMask(rng.uniform(size=shape) < rng.uniform())
+                for m in (mask, desharpen_mask(mask, 3)):
+                    assert mask_quality(m, gt) == _mask_quality_float64(m.values, gt_map)
+
+
+def _mask_quality_float64(weights, gt_map):
+    """mask_quality over float64 maps, as it was computed before masks were bool."""
+    weights, gt_values = np.asarray(weights, np.float64), gt_map.astype(np.float64)
+    bg = gt_values == 0.0
+    arm = ~bg
+    n_bg = int(bg.sum())
+    n_arm = int(arm.sum())
+    bg_kept = float(weights[bg].sum() / n_bg) if n_bg else 0.0
+    arm_lost = float((1.0 - weights[arm]).sum() / n_arm) if n_arm else 0.0
+    return bg_kept, arm_lost
 
 
 class TestParams:
