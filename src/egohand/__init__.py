@@ -5,10 +5,8 @@ action classifier with synthetic-scene experiment harnesses."""
 from . import errors
 from .geometry import (
     CameraIntrinsics,
-    HandPose2D,
     HandPose25D,
     HandPose3D,
-    HandnessPair,
     lift_to_camera,
     mpjpe,
     mpjpe_report,
@@ -24,7 +22,6 @@ from .rangeseg import (
     range_mask,
     range_mask_metric,
 )
-from .heatmap import decode_heatmaps, gate_handness, render_heatmaps
 from .sequence import (
     ActionSequence,
     ObjectObs,

@@ -58,19 +58,3 @@ def capsule_zfield(height: int, width: int, segs: np.ndarray) -> np.ndarray:
         np.minimum(win, np.where(inside, z, np.inf), out=win)
     return zbuf
 
-
-def gaussian_stack(points: np.ndarray, flags: np.ndarray,
-                   height: int, width: int, sigma: float) -> np.ndarray:
-    """Per-point peak-1 Gaussian maps; flagged-off points render all-zero."""
-    out = np.zeros((points.shape[0], height, width), np.float64)
-    inv = 1.0 / (2.0 * sigma * sigma)
-    xs = np.arange(width, dtype=np.float64)
-    ys = np.arange(height, dtype=np.float64)
-    for k in range(points.shape[0]):
-        if not flags[k]:
-            continue
-        # exp(-(dx^2+dy^2)/(2s^2)) factors into a row and a column vector
-        cx = np.exp(-((xs - points[k, 0]) ** 2) * inv)
-        cy = np.exp(-((ys - points[k, 1]) ** 2) * inv)
-        out[k] = cy[:, None] * cx[None, :]
-    return out

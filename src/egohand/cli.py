@@ -159,8 +159,6 @@ def _depth_files(path: str, metric: bool) -> list[tuple[str, str]]:
 
 
 def cmd_segment(args) -> tuple:
-    if args.t is None and args.metric_mm is None:
-        raise UsageError("one of --t or --metric-mm is required")
     os.makedirs(args.out, exist_ok=True)
     stats_rows = []
     for stem, depth_path in _depth_files(args.depth, args.metric_mm is not None):
@@ -369,8 +367,9 @@ def build_parser() -> _Parser:
     s = sub.add_parser("segment", help="range-segment frames by depth threshold")
     s.add_argument("--depth", required=True, help=".dmap file or directory")
     s.add_argument("--frames", required=True, help="directory of .ppm frames")
-    s.add_argument("--t", type=float, default=None)
-    s.add_argument("--metric-mm", type=float, default=None)
+    threshold = s.add_mutually_exclusive_group(required=True)
+    threshold.add_argument("--t", type=float, default=None)
+    threshold.add_argument("--metric-mm", type=float, default=None)
     s.add_argument("--desharpen", type=int, default=None)
     s.add_argument("--fill", type=_fill_flag, default=(0, 0, 0), help="r,g,b fill, each 0..255")
     s.add_argument("--out", required=True)

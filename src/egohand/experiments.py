@@ -118,10 +118,3 @@ def ablation_desharpen(params: SynthParams, radius: int, seeds, scenes: list[Eva
         for seed in seeds
     ]
 
-
-def paired_significance(diffs) -> float:
-    """Mean / standard-error ratio of paired differences (one-sample z)."""
-    d = np.asarray(diffs, dtype=np.float64)
-    if len(d) < 2:
-        raise ValueError("need at least two paired differences")
-    return float(d.mean() / (d.std(ddof=1) / np.sqrt(len(d))))

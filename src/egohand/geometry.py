@@ -25,12 +25,10 @@ JOINT_COUNT = 21
 JOINT_PARENTS = (-1, 0, 1, 2, 3, 0, 5, 6, 7, 0, 9, 10, 11, 0, 13, 14, 15, 0, 17, 18, 19)
 
 
-def _as_joints(values, cols: int) -> np.ndarray:
+def _as_joints(values) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.shape != (JOINT_COUNT, cols):
-        raise StructuralError(
-            f"expected {JOINT_COUNT}x{cols} joint array, got shape {arr.shape}"
-        )
+    if arr.shape != (JOINT_COUNT, 3):
+        raise StructuralError(f"expected {JOINT_COUNT}x3 joint array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise StructuralError("joint coordinates must be finite")
     return arr
@@ -53,25 +51,6 @@ class CameraIntrinsics:
 
 
 @dataclass
-class HandPose2D:
-    """21 image-space joints (u, v) px with per-joint confidence in [0, 1]."""
-
-    joints: np.ndarray
-    confidence: np.ndarray = None
-    present: bool = True
-
-    def __post_init__(self):
-        self.joints = _as_joints(self.joints, 2)
-        if self.confidence is None:
-            self.confidence = np.ones(JOINT_COUNT)
-        self.confidence = np.ascontiguousarray(self.confidence, dtype=np.float64)
-        if self.confidence.shape != (JOINT_COUNT,):
-            raise StructuralError(f"confidence must have shape ({JOINT_COUNT},)")
-        if np.any(self.confidence < 0) or np.any(self.confidence > 1):
-            raise StructuralError("confidences must lie in [0, 1]")
-
-
-@dataclass
 class HandPose25D:
     """21 joints as (u px, v px, z mm) prior to camera-space lifting."""
 
@@ -79,7 +58,7 @@ class HandPose25D:
     present: bool = True
 
     def __post_init__(self):
-        self.joints = _as_joints(self.joints, 3)
+        self.joints = _as_joints(self.joints)
 
 
 @dataclass
@@ -90,20 +69,7 @@ class HandPose3D:
     present: bool = True
 
     def __post_init__(self):
-        self.joints = _as_joints(self.joints, 3)
-
-
-@dataclass(frozen=True)
-class HandnessPair:
-    """Per-hand presence probabilities."""
-
-    left_prob: float
-    right_prob: float
-
-    def __post_init__(self):
-        for name, p in (("left_prob", self.left_prob), ("right_prob", self.right_prob)):
-            if not (0.0 <= p <= 1.0):
-                raise StructuralError(f"{name} must lie in [0, 1], got {p}")
+        self.joints = _as_joints(self.joints)
 
 
 def absent_pose3d() -> HandPose3D:

@@ -45,8 +45,9 @@ class ActionModelConfig:
     max_epochs: int = 800
 
     def __post_init__(self):
-        if self.heads < 1:
-            raise StructuralError(f"heads must be >= 1, got {self.heads}")
+        for name in ("d_model", "heads", "ff_width", "blocks", "n_classes", "seq_len", "batch_size"):
+            if getattr(self, name) < 1:
+                raise StructuralError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.heads != 0:
             raise StructuralError(f"d_model {self.d_model} not divisible by heads {self.heads}")
 
@@ -360,11 +361,11 @@ class TrainResult:
 
 
 def _snapshot(params: nnkit.ParamSet) -> nnkit.ParamSet:
+    """Copy of the values, AdamW moments and step. It has no gradient tables:
+    a snapshot is only saved or used for prediction."""
     snap = nnkit.ParamSet()
-    for name, arr in params.values.items():
-        snap.add(name, arr.copy())
-        snap.m[name] = params.m[name].copy()
-        snap.v[name] = params.v[name].copy()
+    for dst, src in ((snap.values, params.values), (snap.m, params.m), (snap.v, params.v)):
+        dst.update((name, arr.copy()) for name, arr in src.items())
     snap.step = params.step
     return snap
 

@@ -39,8 +39,6 @@ _DMAP_MAGIC = b"DMAP"
 _DMAP_VERSION = 1
 _DMAP_HEADER = struct.Struct("<4sHBBII")
 
-POSE_INPUT_SIZE = 512
-
 
 def _as_map(values, dtype=np.float64) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=dtype)
@@ -189,11 +187,13 @@ def _pack_dmap(values: np.ndarray, tag: int, flag: int) -> bytes:
     return header + values.astype("<f4").tobytes()
 
 
-def _unpack_dmap(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int, int, int]:
-    """Returns (values float64, order tag, flag, next offset)."""
-    if len(buf) - offset < _DMAP_HEADER.size:
+def _read_dmap(path) -> tuple[np.ndarray, int, int]:
+    """(values float64, order tag, flag) of a file holding exactly one .dmap."""
+    with open(path, "rb") as f:
+        buf = f.read()
+    if len(buf) < _DMAP_HEADER.size:
         raise FormatError("truncated .dmap header")
-    magic, version, tag, flag, w, h = _DMAP_HEADER.unpack_from(buf, offset)
+    magic, version, tag, flag, w, h = _DMAP_HEADER.unpack_from(buf)
     if magic != _DMAP_MAGIC:
         raise FormatError(f"bad .dmap magic {magic!r}")
     if version != _DMAP_VERSION:
@@ -204,22 +204,13 @@ def _unpack_dmap(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int, int, int
         raise FormatError(f"flag byte must be 0 or 1, got {flag}")
     if w == 0 or h == 0:
         raise FormatError("zero-sized .dmap")
-    start = offset + _DMAP_HEADER.size
-    end = start + 4 * w * h
+    end = _DMAP_HEADER.size + 4 * w * h
     if len(buf) < end:
         raise FormatError(f"payload truncated: expected {4 * w * h} value bytes")
-    with np.errstate(invalid="ignore"):  # a signalling NaN; DepthMap and SegMask reject it
-        values = np.frombuffer(buf[start:end], dtype="<f4").astype(np.float64).reshape(h, w)
-    return values, tag, flag, end
-
-
-def _read_dmap(path) -> tuple[np.ndarray, int, int]:
-    """(values, order tag, flag) of a file holding exactly one .dmap."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    values, tag, flag, end = _unpack_dmap(buf)
     if end != len(buf):
         raise FormatError(f"{len(buf) - end} trailing bytes after .dmap payload")
+    with np.errstate(invalid="ignore"):  # a signalling NaN; DepthMap and SegMask reject it
+        values = np.frombuffer(buf, dtype="<f4", offset=_DMAP_HEADER.size).astype(np.float64).reshape(h, w)
     return values, tag, flag
 
 
@@ -294,12 +285,3 @@ def load_ppm(path) -> np.ndarray:
         raise FormatError(f"{len(buf) - pos - need} trailing bytes after PPM payload")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).copy()
 
-
-def resample_to_pose_input(frame: np.ndarray, size: int = POSE_INPUT_SIZE) -> np.ndarray:
-    """Nearest-neighbour resample to the square pose-pipeline input size."""
-    h, w = frame.shape[:2]
-    if h == size and w == size:
-        return frame
-    rows = (np.arange(size) * h // size).astype(np.intp)
-    cols = (np.arange(size) * w // size).astype(np.intp)
-    return frame[rows][:, cols]

@@ -6,7 +6,7 @@ contribute zeros. A prepared action sequence is exactly 20 such frames.
 
 Dataset directory layout:
 
-``poses.ndjson``: header line ``{"intrinsics": {...}, "space": "2d"|"2.5d"|"3d"}``
+``poses.ndjson``: header line ``{"intrinsics": {...}, "space": "2.5d"|"3d"}``
 followed by one frame per line::
 
     {"frame_id": n, "left": {"present": bool, "joints": [[...]x21]},
@@ -34,7 +34,6 @@ from .errors import (
 from .geometry import (
     JOINT_COUNT,
     CameraIntrinsics,
-    HandPose2D,
     HandPose25D,
     HandPose3D,
     rotate_points_2d,
@@ -50,7 +49,7 @@ BOX_SLICE = slice(126, 134)
 LABEL_INDEX = 134
 
 SPLITS = ("train", "val", "test")
-SPACES = ("2d", "2.5d", "3d")
+SPACES = ("2.5d", "3d")
 
 MASK_GROUPS = ("left", "right", "box", "label")
 GROUP_SLICES = {
@@ -192,7 +191,7 @@ def augment_sequence(frames, rotation_range: float, mask_prob: float, rng, valid
 @dataclass
 class FrameRecord:
     frame_id: int
-    left: object  # HandPose2D | HandPose25D | HandPose3D, per the file's space tag
+    left: object  # HandPose25D | HandPose3D, per the file's space tag
     right: object
     obj: ObjectObs
     split: str
@@ -213,8 +212,7 @@ class Dataset:
     sequences: list = field(default_factory=list)
 
 
-_POSE_TYPES = {"2d": HandPose2D, "2.5d": HandPose25D, "3d": HandPose3D}
-_JOINT_COLS = {"2d": 2, "2.5d": 3, "3d": 3}
+_POSE_TYPES = {"2.5d": HandPose25D, "3d": HandPose3D}
 # what np.asarray and the record types raise on a JSON value of the wrong kind:
 # a non-number, an integer beyond float range, a non-finite or mis-shaped array
 _BAD_VALUE = (TypeError, ValueError, OverflowError, StructuralError)
@@ -226,8 +224,8 @@ def _numbers(rows) -> bool:
     return set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
 
 
-def _pose_to_json(pose, cols: int) -> dict:
-    joints = [[float(x) for x in row] for row in pose.joints[:, :cols]]
+def _pose_to_json(pose) -> dict:
+    joints = [[float(x) for x in row] for row in pose.joints]
     return {"present": bool(pose.present), "joints": joints}
 
 
@@ -235,15 +233,14 @@ def _pose_from_json(obj, space: str, line: int):
     if not isinstance(obj, dict) or "present" not in obj or "joints" not in obj:
         raise DatasetFormatError("hand must be an object with 'present' and 'joints'", line)
     joints = obj["joints"]
-    cols = _JOINT_COLS[space]
     if not isinstance(joints, list) or len(joints) != JOINT_COUNT:
         raise DatasetFormatError(
             f"expected {JOINT_COUNT} joints, got {len(joints) if isinstance(joints, list) else type(joints).__name__}",
             line,
         )
     for row in joints:
-        if not isinstance(row, list) or len(row) != cols:
-            raise DatasetFormatError(f"each joint needs {cols} coordinates for space {space!r}", line)
+        if not isinstance(row, list) or len(row) != 3:
+            raise DatasetFormatError(f"each joint needs 3 coordinates for space {space!r}", line)
     if not _numbers(joints):
         raise DatasetFormatError("joint coordinates must be numbers", line)
     if type(obj["present"]) is not bool:
@@ -260,13 +257,12 @@ def _canon(obj) -> str:
 
 def _pose_text(k: CameraIntrinsics, space: str, frames) -> str:
     """poses.ndjson text: the header line, then one line per frame record."""
-    cols = _JOINT_COLS[space]
     lines = [_canon({"intrinsics": {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy}, "space": space})]
     for fr in frames:
         rec = {
             "frame_id": fr.frame_id,
-            "left": _pose_to_json(fr.left, cols),
-            "right": _pose_to_json(fr.right, cols),
+            "left": _pose_to_json(fr.left),
+            "right": _pose_to_json(fr.right),
             "obj_box": [[float(x) for x in c] for c in fr.obj.box],
             "obj_label": fr.obj.label,
             "split": fr.split,

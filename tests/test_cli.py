@@ -71,6 +71,18 @@ class TestExitCodes:
         )
         assert rc == 4
 
+    @pytest.mark.parametrize("flags", [["--t", "0.5", "--metric-mm", "700"], []], ids=["both", "neither"])
+    def test_t_and_metric_mm_take_exactly_one(self, tree, tmp_path, flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "egohand", "segment", "--depth", str(tree / "scenes"),
+             "--frames", str(tree / "scenes"), *flags, "--out", str(tmp_path / "o")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
+        assert "--t" in proc.stderr and "--metric-mm" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_empty_t_list_is_4(self, tree, tmp_path):
         rc = main(
             ["sweep-threshold", "--data", str(tree), "--t-list", ",",
@@ -110,6 +122,17 @@ def _diverging_train(tree, tmp):
             "--out", str(tmp / "o")]
 
 
+def _blockless_train(tree, tmp):
+    return ["train", "--data", str(tree), "--epochs", "1", "--set", "blocks=0", "--out", str(tmp / "o")]
+
+
+def _two_d_pose_file(tree, tmp):
+    # a pose space with 2 columns per joint; lift takes only 2.5d
+    header, *frames = (tree / "poses.ndjson").read_text().splitlines()
+    (tmp / "p.ndjson").write_text(json.dumps({**json.loads(header), "space": "2d"}) + "\n" + frames[0] + "\n")
+    return ["lift", "--in", str(tmp / "p.ndjson"), "--out", str(tmp / "o.ndjson")]
+
+
 def _short_checkpoint(tree, tmp):
     (tmp / "c.bin").write_bytes(b"SHRP\x01")
     return ["eval-action", "--data", str(tree), "--checkpoint", str(tmp / "c.bin")]
@@ -142,6 +165,8 @@ def _bad_params(edit):
         pytest.param(_flat_depth, (), id="flat-depth"),
         pytest.param(_zero_depth_pose, (), id="zero-depth-pose"),
         pytest.param(_diverging_train, (), id="diverging-train"),
+        pytest.param(_blockless_train, ("blocks must be >= 1",), id="blockless-train"),
+        pytest.param(_two_d_pose_file, ("line 1", "unknown space tag '2d'"), id="two-d-pose-file"),
         pytest.param(_short_checkpoint, (), id="short-checkpoint"),
         pytest.param(_non_object_pose_line, (), id="non-object-pose-line"),
         pytest.param(_bad_params(lambda m: {**m, "params": {**m["params"], "zoom": 2}}),

@@ -6,7 +6,6 @@ from egohand.experiments import (
     ablation_desharpen,
     ablation_masking,
     make_eval_scenes,
-    paired_significance,
     sweep_threshold,
 )
 from egohand.synth import SynthParams
@@ -70,8 +69,3 @@ def test_desharpen_ablation_direction(scenes):
     for sharp, blurred in res:
         assert blurred > sharp
 
-
-def test_paired_significance():
-    assert paired_significance([1.0, 1.1, 0.9, 1.05]) > 3.0
-    with pytest.raises(ValueError):
-        paired_significance([1.0])

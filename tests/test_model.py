@@ -13,6 +13,7 @@ from egohand.errors import (
 from egohand.model import (
     ActionModel,
     ActionModelConfig,
+    _snapshot,
     apply_overrides,
     config_to_text,
     evaluate,
@@ -154,6 +155,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text(f"heads = {heads}\n")
 
+    @pytest.mark.parametrize("value", [0, -2])
+    @pytest.mark.parametrize(
+        "key", ["d_model", "heads", "ff_width", "blocks", "n_classes", "seq_len", "batch_size"]
+    )
+    def test_non_positive_size_is_config_error_naming_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 1, got {value}$"):
+            parse_config_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 1"):
+            apply_overrides(ActionModelConfig(), [f"{key}={value}"])
+
 
 _CONFIG_TEXT = config_to_text(ActionModelConfig())
 
@@ -239,6 +250,20 @@ class TestTraining:
                 resumed.model.params.values[name], full.model.params.values[name]
             )
         assert resumed.history.rows == full.history.rows
+
+    def test_snapshot_copies_tables_without_aliasing(self, tmp_path):
+        data = _raw_set(np.random.default_rng(12), TINY)
+        src = train(data, data, TINY, epochs=1).model.params
+        snap = _snapshot(src)
+        assert snap.step == src.step > 0
+        for table in ("values", "m", "v"):
+            a, b = getattr(src, table), getattr(snap, table)
+            assert list(a) == list(b)
+            for name in a:
+                assert np.array_equal(a[name], b[name]) and not np.shares_memory(a[name], b[name])
+        save_model(tmp_path / "src.bin", src)
+        save_model(tmp_path / "snap.bin", snap)
+        assert (tmp_path / "src.bin").read_bytes() == (tmp_path / "snap.bin").read_bytes()
 
     def test_empty_sets_rejected(self):
         with pytest.raises(EmptyDatasetError):

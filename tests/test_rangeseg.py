@@ -20,7 +20,6 @@ from egohand.rangeseg import (
     normalize_depth,
     range_mask,
     range_mask_metric,
-    resample_to_pose_input,
     save_depth,
     save_mask,
     save_ppm,
@@ -315,11 +314,6 @@ class TestPpm:
         with pytest.raises(FormatError):
             load_ppm(p)
 
-    def test_resample_to_512(self):
-        f = np.random.default_rng(11).integers(0, 256, (64, 32, 3), dtype=np.uint8)
-        out = resample_to_pose_input(f)
-        assert out.shape == (512, 512, 3)
-
 
 def _box_blur_loops(values, radius):
     """Reference box blur: per-pixel window sums, clipped at the borders."""
@@ -370,19 +364,6 @@ def _capsule_zfield_loops(height, width, segs):
     return zbuf
 
 
-def _gaussian_stack_loops(points, flags, height, width, sigma):
-    """Reference heatmap stack: one exp per pixel of each flagged point."""
-    out = np.zeros((len(points), height, width))
-    inv = 1.0 / (2.0 * sigma * sigma)
-    for k, (u, v) in enumerate(points):
-        if not flags[k]:
-            continue
-        for i in range(height):
-            for j in range(width):
-                out[k, i, j] = math.exp(-((j - u) ** 2 + (i - v) ** 2) * inv)
-    return out
-
-
 class TestKernelBackends:
     """The numpy kernels against the plain-loop references above."""
 
@@ -419,13 +400,6 @@ class TestKernelBackends:
         assert np.array_equal(np.isfinite(fast), np.isfinite(slow))
         both = np.isfinite(fast)
         assert np.max(np.abs(fast[both] - slow[both])) < 1e-9
-
-    def test_gaussian_paths_agree(self):
-        pts = np.array([[4.5, 7.0], [0.0, 0.0]])
-        flags = np.array([True, True])
-        fast = _kernels.gaussian_stack(pts, flags, 16, 12, 2.0)
-        slow = _gaussian_stack_loops(pts, flags, 16, 12, 2.0)
-        assert np.max(np.abs(fast - slow)) < 1e-12
 
 
 def test_composition_determinism():

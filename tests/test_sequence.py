@@ -518,8 +518,8 @@ def test_encoded_values_raise_only_format_error(encoded_record, field, value):
     _load_or_format_error(load_encoded, path, 1)
 
 
-# values the readers once coerced: a truthy non-boolean "present", numeric
-# strings and a null or NaN frame value
+# values the readers once coerced or accepted: a truthy non-boolean "present",
+# numeric strings, a null or NaN frame value and the "2d" pose space
 @pytest.mark.parametrize(
     "part, field, value",
     [
@@ -528,11 +528,12 @@ def test_encoded_values_raise_only_format_error(encoded_record, field, value):
         ("frame", ("left", "joints", 0, 1), "1.5"),
         ("frame", ("obj_box", 2, 0), "1.5"),
         ("header", ("intrinsics", "fx"), "500"),
+        ("header", ("space",), "2d"),
         ("encoded", ("frames", 3, 100), None),
         ("encoded", ("frames", 3, 100), float("nan")),
     ],
     ids=["present-string", "present-list", "joint-string", "box-string", "intrinsic-string",
-         "frame-null", "frame-nan"],
+         "space-2d", "frame-null", "frame-nan"],
 )
 def test_coerced_value_rejected_with_line(pose_records, encoded_record, part, field, value):
     header, frame, path = pose_records
