@@ -23,7 +23,6 @@ from .rangeseg import (
     range_mask_metric,
 )
 from .sequence import (
-    ActionSequence,
     ObjectObs,
     assemble_frame_vector,
     augment_sequence,

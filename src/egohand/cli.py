@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from . import experiments, model, reports, synth
+from . import experiments, model, nnkit, reports, synth
 from .errors import (
     DataConsistencyError,
     DatasetFormatError,
@@ -48,7 +48,6 @@ from .rangeseg import (
 from .sequence import (
     GROUP_SLICES,
     MASK_GROUPS,
-    ActionSequence,
     FrameRecord,
     encode_frames,
     export_csv_matrices,
@@ -254,17 +253,14 @@ def cmd_encode(args) -> None:
     dataset = load_dataset(args.indir)
     if dataset.space != "3d":
         raise FormatError(f"encode expects a 3d dataset, got space {dataset.space!r}")
-    sequences, ids, splits = [], [], []
+    records = []
     for seq in dataset.sequences:
-        raw = encode_frames(seq)
-        frames, valid = subsample_or_pad(raw)
-        sequences.append(ActionSequence(frames, valid, seq.action_label))
-        ids.append(seq.sequence_id)
-        splits.append(seq.split)
-    save_encoded(args.out, sequences, ids=ids, splits=splits)
+        frames, valid = subsample_or_pad(encode_frames(seq))
+        records.append((seq.sequence_id, seq.split, seq.action_label, valid, frames))
+    save_encoded(args.out, records)
     if args.csv_dir:
-        export_csv_matrices(args.csv_dir, sequences, ids=ids)
-    print(f"encoded {len(sequences)} sequences -> {args.out}")
+        export_csv_matrices(args.csv_dir, records)
+    print(f"encoded {len(records)} sequences -> {args.out}")
 
 
 def _raw_sets(data_dir: str):
@@ -290,8 +286,8 @@ def cmd_train(args) -> tuple:
             flush=True,
         )
     result = model.train(sets["train"], sets["val"], cfg, log=log)
-    model.save_model(os.path.join(args.out, "checkpoint.bin"), result.best)
-    model.save_model(os.path.join(args.out, "last.bin"), result.model.params)
+    nnkit.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), result.best)
+    nnkit.save_checkpoint(os.path.join(args.out, "last.bin"), result.model.params)
     reports.write_csv(
         os.path.join(args.out, "history.csv"),
         ["epoch", "train_loss", "train_acc", "val_acc", "lr"],

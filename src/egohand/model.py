@@ -71,7 +71,7 @@ def _with_values(cfg: ActionModelConfig, entries) -> ActionModelConfig:
         raise ConfigError(str(e)) from e
 
 
-def parse_config_text(text: str, base: ActionModelConfig | None = None) -> ActionModelConfig:
+def parse_config_text(text: str) -> ActionModelConfig:
     """Parse ``key = value`` lines (# comments allowed) over the defaults."""
 
     def entries():
@@ -84,12 +84,12 @@ def parse_config_text(text: str, base: ActionModelConfig | None = None) -> Actio
             key, _, val = (s.strip() for s in line.partition("="))
             yield key, val, ln
 
-    return _with_values(base if base is not None else ActionModelConfig(), entries())
+    return _with_values(ActionModelConfig(), entries())
 
 
-def load_config(path, base: ActionModelConfig | None = None) -> ActionModelConfig:
+def load_config(path) -> ActionModelConfig:
     with open(path) as f:
-        return parse_config_text(f.read(), base)
+        return parse_config_text(f.read())
 
 
 def apply_overrides(cfg: ActionModelConfig, pairs) -> ActionModelConfig:
@@ -191,9 +191,9 @@ class ActionModel:
     def _trunk(self, x: np.ndarray, pos: np.ndarray, need_cache: bool = False):
         """Embed, prepend CLS, add ``pos``, run the blocks and the final LN.
 
-        Returns the normalized (B, seq_len + 1, d_model) states plus what
+        Returns the normalized (B, d_model) CLS states plus what
         ``backward_batch`` needs of the blocks (empty without ``need_cache``)
-        and the final LN.
+        and the final LN, which only the CLS row goes through.
         """
         c = self.cfg
         pv = self.params.values
@@ -221,8 +221,8 @@ class ActionModel:
             if need_cache:
                 blocks_cache.append((c_ln1, c_attn, a2, c_ln2, c_gelu, f1g))
 
-        hf, c_lnf = nnkit.layer_norm(h, pv["final_ln.g"], pv["final_ln.b"])
-        return hf, blocks_cache, c_lnf
+        cls_vec, c_lnf = nnkit.layer_norm(h[:, 0, :], pv["final_ln.g"], pv["final_ln.b"])
+        return cls_vec, blocks_cache, c_lnf
 
     def forward_batch(self, x: np.ndarray, need_cache: bool = False):
         """Logits for a (B, seq_len, input_dim) batch; optionally keep a cache."""
@@ -233,8 +233,7 @@ class ActionModel:
                 f"expected (B, {c.seq_len}, {c.input_dim}) input, got {x.shape}"
             )
         pv = self.params.values
-        hf, blocks_cache, c_lnf = self._trunk(x, pv["pos"], need_cache)
-        cls_vec = hf[:, 0, :]
+        cls_vec, blocks_cache, c_lnf = self._trunk(x, pv["pos"], need_cache)
         h1 = nnkit.linear(cls_vec, pv["head1.w"], pv["head1.b"])
         h1g, c_gelu = nnkit.gelu(h1, need_cache)
         logits = nnkit.linear(h1g, pv["head2.w"], pv["head2.b"])
@@ -246,8 +245,8 @@ class ActionModel:
         """(B, d_model) final-layer-norm CLS states of a (B, seq_len, input_dim)
         batch; ``zero_pos`` zeroes the positional table (a permutation probe)."""
         pos = self.params.values["pos"]
-        hf, _, _ = self._trunk(np.asarray(x, dtype=np.float64), np.zeros_like(pos) if zero_pos else pos)
-        return hf[:, 0, :]
+        cls_vec, _, _ = self._trunk(np.asarray(x, dtype=np.float64), np.zeros_like(pos) if zero_pos else pos)
+        return cls_vec
 
     def backward_batch(self, glogits: np.ndarray, cache) -> None:
         """Accumulate parameter gradients from upstream logits gradient."""
@@ -265,11 +264,11 @@ class ActionModel:
         acc("head1.w", gw)
         acc("head1.b", gb)
 
-        ghf = np.zeros((b, c.seq_len + 1, c.d_model))
-        ghf[:, 0, :] = g
-        gh, gg, gb = nnkit.layer_norm_backward(ghf, c_lnf)
+        g, gg, gb = nnkit.layer_norm_backward(g, c_lnf)
         acc("final_ln.g", gg)
         acc("final_ln.b", gb)
+        gh = np.zeros((b, c.seq_len + 1, c.d_model))
+        gh[:, 0, :] = g
 
         for i in reversed(range(c.blocks)):
             p = f"block{i}."
@@ -439,10 +438,6 @@ def train(
         if log is not None:
             log(row)
     return TrainResult(model=model, best=best, history=history)
-
-
-def save_model(path, params: nnkit.ParamSet) -> None:
-    nnkit.save_checkpoint(path, params)
 
 
 def load_model(path, cfg: ActionModelConfig) -> ActionModel:

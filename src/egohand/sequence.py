@@ -82,34 +82,12 @@ class ObjectObs:
             raise StructuralError(f"object label must be >= 0, got {self.label}")
 
 
-@dataclass
-class ActionSequence:
-    """Exactly 20 prepared frame vectors plus the action class label."""
-
-    frames: np.ndarray
-    valid_count: int
-    action_label: int
-
-    def __post_init__(self):
-        self.frames = np.ascontiguousarray(self.frames, dtype=np.float64)
-        if self.frames.shape != (SEQ_LEN, FRAME_DIM):
-            raise StructuralError(f"prepared frames must be {SEQ_LEN}x{FRAME_DIM}, got {self.frames.shape}")
-        if not np.all(np.isfinite(self.frames)):
-            raise StructuralError("prepared frames must be finite")
-        if not (0 <= self.valid_count <= SEQ_LEN):
-            raise StructuralError(f"valid_count must lie in [0, {SEQ_LEN}], got {self.valid_count}")
-        if not (0 <= self.action_label < N_CLASSES):
-            raise StructuralError(f"action label must lie in [0, {N_CLASSES}), got {self.action_label}")
-
-
-def assemble_frame_vector(
-    left: HandPose3D, right: HandPose3D, obj: ObjectObs, presence: tuple[bool, bool]
-) -> np.ndarray:
+def assemble_frame_vector(left: HandPose3D, right: HandPose3D, obj: ObjectObs) -> np.ndarray:
     """Pack one frame into the 135-vector; absent hands write zeros."""
     out = np.zeros(FRAME_DIM)
-    if presence[0]:
+    if left.present:
         out[LEFT_SLICE] = left.joints.reshape(-1)
-    if presence[1]:
+    if right.present:
         out[RIGHT_SLICE] = right.joints.reshape(-1)
     out[BOX_SLICE] = obj.box.reshape(-1)
     out[LABEL_INDEX] = float(obj.label)
@@ -225,8 +203,7 @@ def _numbers(rows) -> bool:
 
 
 def _pose_to_json(pose) -> dict:
-    joints = [[float(x) for x in row] for row in pose.joints]
-    return {"present": bool(pose.present), "joints": joints}
+    return {"present": bool(pose.present), "joints": pose.joints.tolist()}
 
 
 def _pose_from_json(obj, space: str, line: int):
@@ -263,7 +240,7 @@ def _pose_text(k: CameraIntrinsics, space: str, frames) -> str:
             "frame_id": fr.frame_id,
             "left": _pose_to_json(fr.left),
             "right": _pose_to_json(fr.right),
-            "obj_box": [[float(x) for x in c] for c in fr.obj.box],
+            "obj_box": fr.obj.box.tolist(),
             "obj_label": fr.obj.label,
             "split": fr.split,
         }
@@ -314,30 +291,6 @@ def _parse_header(line: str):
     return k, obj["space"]
 
 
-def _records(lines, start: int, fields: tuple, int_fields: tuple):
-    """Yield (line number, record) for each non-blank NDJSON line, numbering
-    from ``start``. A record is a JSON object holding every key in
-    ``fields``, a known split tag and an integer under each of ``int_fields``."""
-    for ln, raw in enumerate(lines, start=start):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise DatasetFormatError(f"invalid JSON: {e.msg}", ln) from e
-        if not isinstance(obj, dict):
-            raise DatasetFormatError(f"expected a JSON object, got {type(obj).__name__}", ln)
-        for key in fields:
-            if key not in obj:
-                raise DatasetFormatError(f"missing field {key!r}", ln)
-        if obj["split"] not in SPLITS:
-            raise DatasetFormatError(f"unknown split tag {obj['split']!r}", ln)
-        for key in int_fields:
-            if type(obj[key]) is not int:
-                raise DatasetFormatError(f"{key} must be an integer", ln)
-        yield ln, obj
-
-
 def load_pose_file(path):
     """Parse a poses.ndjson file -> (intrinsics, space, [FrameRecord])."""
     with open(path) as f:
@@ -347,8 +300,23 @@ def load_pose_file(path):
     k, space = _parse_header(lines[0])
     frames = []
     last_id = None
-    fields = ("frame_id", "left", "right", "obj_box", "obj_label", "split")
-    for ln, obj in _records(lines[1:], 2, fields, ("frame_id", "obj_label")):
+    for ln, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as e:
+            raise DatasetFormatError(f"invalid JSON: {e.msg}", ln) from e
+        if not isinstance(obj, dict):
+            raise DatasetFormatError(f"expected a JSON object, got {type(obj).__name__}", ln)
+        for key in ("frame_id", "left", "right", "obj_box", "obj_label", "split"):
+            if key not in obj:
+                raise DatasetFormatError(f"missing field {key!r}", ln)
+        if obj["split"] not in SPLITS:
+            raise DatasetFormatError(f"unknown split tag {obj['split']!r}", ln)
+        for key in ("frame_id", "obj_label"):
+            if type(obj[key]) is not int:
+                raise DatasetFormatError(f"{key} must be an integer", ln)
         box = obj["obj_box"]
         if not isinstance(box, list) or len(box) != 4 or any(
             not isinstance(c, list) or len(c) != 2 for c in box
@@ -429,66 +397,33 @@ def load_dataset(path) -> Dataset:
 
 def encode_frames(seq: SequenceRecord) -> np.ndarray:
     """Assemble a sequence record's raw frames into a (k, 135) matrix."""
-    rows = [
-        assemble_frame_vector(fr.left, fr.right, fr.obj, (fr.left.present, fr.right.present))
-        for fr in seq.frames
-    ]
-    return np.stack(rows)
+    return np.stack([assemble_frame_vector(fr.left, fr.right, fr.obj) for fr in seq.frames])
 
 
 # --- encoded-sequence NDJSON (prepared 20x135 matrices) --------------------
 
 
-def save_encoded(path, sequences: list[ActionSequence], ids=None, splits=None) -> None:
-    ids = ids if ids is not None else range(len(sequences))
-    splits = splits if splits is not None else ["train"] * len(sequences)
+def save_encoded(path, records) -> None:
+    """Write prepared sequences, one NDJSON line per ``(sequence_id, split,
+    action_label, valid_count, frames)`` record."""
     lines = []
-    for sid, split, seq in zip(ids, splits, sequences):
+    for sid, split, label, valid, frames in records:
         rec = {
-            "sequence_id": int(sid),
-            "action_label": int(seq.action_label),
+            "sequence_id": sid,
+            "action_label": label,
             "split": split,
-            "valid_count": int(seq.valid_count),
-            "frames": [[float(x) for x in row] for row in seq.frames],
+            "valid_count": valid,
+            "frames": frames.tolist(),
         }
         lines.append(_canon(rec))
     with open(path, "w") as f:
         f.write("\n".join(lines) + ("\n" if lines else ""))
 
 
-def load_encoded(path):
-    """Read encoded sequences -> list of (sequence_id, split, ActionSequence)."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    out = []
-    fields = ("sequence_id", "action_label", "split", "valid_count", "frames")
-    for ln, obj in _records(lines, 1, fields, ("sequence_id", "action_label", "valid_count")):
-        frames = obj["frames"]
-        if not isinstance(frames, list) or len(frames) != SEQ_LEN:
-            raise DatasetFormatError(f"expected {SEQ_LEN} frames", ln)
-        for row in frames:
-            if not isinstance(row, list) or len(row) != FRAME_DIM:
-                raise DatasetFormatError(
-                    f"each frame needs exactly {FRAME_DIM} values, got {len(row) if isinstance(row, list) else '?'}",
-                    ln,
-                )
-        if not _numbers(frames):
-            raise DatasetFormatError("frame values must be numbers", ln)
-        try:
-            seq = ActionSequence(
-                np.asarray(frames, dtype=np.float64), obj["valid_count"], obj["action_label"]
-            )
-        except _BAD_VALUE as e:
-            raise DatasetFormatError(str(e), ln) from e
-        out.append((obj["sequence_id"], obj["split"], seq))
-    return out
-
-
-def export_csv_matrices(dirpath, sequences: list[ActionSequence], ids=None) -> None:
-    """One CSV per prepared sequence, 20 rows x 135 columns, for inspection."""
+def export_csv_matrices(dirpath, records) -> None:
+    """One CSV per ``save_encoded`` record, 20 rows x 135 columns, for inspection."""
     os.makedirs(dirpath, exist_ok=True)
-    ids = ids if ids is not None else range(len(sequences))
-    for sid, seq in zip(ids, sequences):
-        lines = [",".join(repr(float(x)) for x in row) for row in seq.frames]
-        with open(os.path.join(dirpath, f"seq{int(sid):05d}.csv"), "w") as f:
+    for sid, _, _, _, frames in records:
+        lines = [",".join(map(repr, row)) for row in frames.tolist()]
+        with open(os.path.join(dirpath, f"seq{sid:05d}.csv"), "w") as f:
             f.write("\n".join(lines) + "\n")

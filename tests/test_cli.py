@@ -14,10 +14,11 @@ from egohand.rangeseg import DepthMap, load_mask, load_ppm, save_depth, save_ppm
 from egohand.sequence import (
     FrameRecord,
     ObjectObs,
+    encode_frames,
     load_dataset,
-    load_encoded,
     load_pose_file,
     save_pose_file,
+    subsample_or_pad,
 )
 
 
@@ -383,19 +384,32 @@ class TestLiftEvalPose:
 
 
 class TestEncode:
-    def test_encoded_shapes_and_manifest_count(self, tree, tmp_path):
+    """The encoded files against the dataset's sequences prepared directly."""
+
+    @pytest.fixture(scope="class")
+    def prepared(self, tree):
+        return [(seq, *subsample_or_pad(encode_frames(seq))) for seq in load_dataset(tree).sequences]
+
+    def test_encoded_shapes_and_manifest_count(self, tree, tmp_path, prepared):
         out = tmp_path / "enc.ndjson"
         assert main(["encode", "--in", str(tree), "--out", str(out)]) == 0
-        rows = load_encoded(out)
-        assert len(rows) == 30  # 6 classes x 5 sequences
-        for _, _, seq in rows:
-            assert seq.frames.shape == (20, 135)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == len(prepared) == 30  # 6 classes x 5 sequences
+        for rec, (seq, frames, valid) in zip(records, prepared):
+            assert (rec["sequence_id"], rec["split"], rec["action_label"], rec["valid_count"]) == (
+                seq.sequence_id, seq.split, seq.action_label, valid
+            )
+            assert np.array(rec["frames"]).shape == (20, 135)
+            assert np.array_equal(np.array(rec["frames"]), frames)
 
-    def test_csv_dir_export(self, tree, tmp_path):
+    def test_csv_dir_export(self, tree, tmp_path, prepared):
         out = tmp_path / "enc.ndjson"
         csv_dir = tmp_path / "mats"
         assert main(["encode", "--in", str(tree), "--out", str(out), "--csv-dir", str(csv_dir)]) == 0
-        assert len(list(csv_dir.glob("*.csv"))) == 30
+        assert len(list(csv_dir.glob("*.csv"))) == len(prepared) == 30
+        for seq, frames, _ in prepared:
+            text = (csv_dir / f"seq{seq.sequence_id:05d}.csv").read_text()
+            assert np.array_equal(np.array([row.split(",") for row in text.splitlines()], dtype=float), frames)
 
 
 @pytest.fixture(scope="module")

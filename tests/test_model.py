@@ -21,7 +21,6 @@ from egohand.model import (
     load_model,
     parse_config_text,
     prepare_eval_set,
-    save_model,
     train,
 )
 from egohand.sequence import FRAME_DIM, SEQ_LEN
@@ -210,8 +209,8 @@ class TestTraining:
         r2 = train(data, val, TINY, epochs=4)
         assert r1.history.rows == r2.history.rows
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_model(p1, r1.model.params)
-        save_model(p2, r2.model.params)
+        nnkit.save_checkpoint(p1, r1.model.params)
+        nnkit.save_checkpoint(p2, r2.model.params)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_lr_column_follows_schedule(self):
@@ -239,7 +238,7 @@ class TestTraining:
 
         part = train(data, val, TINY, epochs=3)
         ck = tmp_path / "resume.bin"
-        save_model(ck, part.model.params)
+        nnkit.save_checkpoint(ck, part.model.params)
         loaded = load_model(ck, TINY)
         resumed = train(
             data, val, TINY, model=loaded, start_epoch=3, epochs=6, history=part.history
@@ -261,8 +260,8 @@ class TestTraining:
             assert list(a) == list(b)
             for name in a:
                 assert np.array_equal(a[name], b[name]) and not np.shares_memory(a[name], b[name])
-        save_model(tmp_path / "src.bin", src)
-        save_model(tmp_path / "snap.bin", snap)
+        nnkit.save_checkpoint(tmp_path / "src.bin", src)
+        nnkit.save_checkpoint(tmp_path / "snap.bin", snap)
         assert (tmp_path / "src.bin").read_bytes() == (tmp_path / "snap.bin").read_bytes()
 
     def test_empty_sets_rejected(self):
@@ -332,7 +331,7 @@ class TestCheckpointCompat:
     def test_save_load_round_trip(self, tmp_path):
         m = ActionModel(TINY)
         p = tmp_path / "m.bin"
-        save_model(p, m.params)
+        nnkit.save_checkpoint(p, m.params)
         loaded = load_model(p, TINY)
         for name in m.params.values:
             assert np.array_equal(loaded.params.values[name], m.params.values[name])
@@ -340,7 +339,7 @@ class TestCheckpointCompat:
     def test_wrong_d_model_rejected(self, tmp_path):
         m = ActionModel(TINY)
         p = tmp_path / "m.bin"
-        save_model(p, m.params)
+        nnkit.save_checkpoint(p, m.params)
         import dataclasses
 
         other = dataclasses.replace(TINY, d_model=32)

@@ -22,7 +22,6 @@ from egohand.sequence import (
     MASK_GROUPS,
     RIGHT_SLICE,
     SEQ_LEN,
-    ActionSequence,
     Dataset,
     FrameRecord,
     ObjectObs,
@@ -32,10 +31,8 @@ from egohand.sequence import (
     encode_frames,
     export_csv_matrices,
     load_dataset,
-    load_encoded,
     load_pose_file,
     save_dataset,
-    save_encoded,
     save_pose_file,
     subsample_or_pad,
 )
@@ -58,9 +55,7 @@ def _obj(rng, label=3):
 
 class TestAssemble:
     def test_all_zero(self):
-        v = assemble_frame_vector(
-            absent_pose3d(), absent_pose3d(), ObjectObs(np.zeros((4, 2)), 0), (False, False)
-        )
+        v = assemble_frame_vector(absent_pose3d(), absent_pose3d(), ObjectObs(np.zeros((4, 2)), 0))
         assert v.shape == (FRAME_DIM,)
         assert np.all(v == 0.0)
 
@@ -70,7 +65,7 @@ class TestAssemble:
         left.joints[0] = [1.0, 2.0, 3.0]
         right.joints[0] = [4.0, 5.0, 6.0]
         obj = _obj(rng, label=17)
-        v = assemble_frame_vector(left, right, obj, (True, True))
+        v = assemble_frame_vector(left, right, obj)
         assert np.array_equal(v[0:3], [1.0, 2.0, 3.0])
         assert np.array_equal(v[63:66], [4.0, 5.0, 6.0])
         assert np.array_equal(v[BOX_SLICE], obj.box.reshape(-1))
@@ -82,7 +77,8 @@ class TestAssemble:
     def test_absent_hand_zeroed(self):
         rng = np.random.default_rng(1)
         left, right = _pose(rng), _pose(rng)
-        v = assemble_frame_vector(left, right, _obj(rng), (False, True))
+        left.present = False  # flagged absent, its joints non-zero
+        v = assemble_frame_vector(left, right, _obj(rng))
         assert np.all(v[LEFT_SLICE] == 0.0)
         assert np.array_equal(v[RIGHT_SLICE].reshape(21, 3), right.joints)
 
@@ -150,7 +146,7 @@ class TestAugment:
     def _seq(self, rng, k=20):
         frames = np.zeros((k, FRAME_DIM))
         for i in range(k):
-            frames[i] = assemble_frame_vector(_pose(rng), _pose(rng), _obj(rng), (True, True))
+            frames[i] = assemble_frame_vector(_pose(rng), _pose(rng), _obj(rng))
         return frames
 
     def test_identity_config(self):
@@ -367,57 +363,20 @@ class TestDatasetIO:
 
 
 class TestEncodedIO:
-    def _encoded(self, rng, n=4):
-        seqs = []
-        for i in range(n):
-            frames, valid = subsample_or_pad(rng.uniform(-1, 1, (int(rng.integers(3, 30)), FRAME_DIM)))
-            seqs.append(ActionSequence(frames, valid, i % 36))
-        return seqs
-
-    def test_round_trip_bit_identical(self, tmp_path):
-        seqs = self._encoded(np.random.default_rng(14))
-        p1, p2 = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
-        save_encoded(p1, seqs)
-        loaded = load_encoded(p1)
-        assert len(loaded) == len(seqs)
-        save_encoded(p2, [s for _, _, s in loaded])
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_frame_length_check(self, tmp_path):
-        seqs = self._encoded(np.random.default_rng(15), n=1)
-        p = tmp_path / "bad.ndjson"
-        save_encoded(p, seqs)
-        import json
-
-        rec = json.loads(p.read_text().splitlines()[0])
-        rec["frames"][0] = rec["frames"][0][:-1]  # 134 values
-        p.write_text(json.dumps(rec, separators=(",", ":")) + "\n")
-        with pytest.raises(DatasetFormatError) as ei:
-            load_encoded(p)
-        assert ei.value.line == 1
-        assert "134" in str(ei.value)
-
     def test_every_prepared_sequence_is_20x135(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
             k = int(rng.integers(1, 60))
             frames, valid = subsample_or_pad(rng.uniform(size=(k, FRAME_DIM)))
-            seq = ActionSequence(frames, valid, 0)
-            assert seq.frames.shape == (SEQ_LEN, FRAME_DIM)
+            assert frames.shape == (SEQ_LEN, FRAME_DIM)
+            assert valid == min(k, SEQ_LEN)
 
     def test_csv_export(self, tmp_path):
-        seqs = self._encoded(np.random.default_rng(17), n=2)
-        export_csv_matrices(tmp_path / "csv", seqs)
-        txt = (tmp_path / "csv" / "seq00000.csv").read_text().splitlines()
+        frames, valid = subsample_or_pad(np.random.default_rng(17).uniform(-1, 1, (12, FRAME_DIM)))
+        export_csv_matrices(tmp_path / "csv", [(3, "train", 0, valid, frames)])
+        txt = (tmp_path / "csv" / "seq00003.csv").read_text().splitlines()
         assert len(txt) == SEQ_LEN
         assert len(txt[0].split(",")) == FRAME_DIM
-
-
-def test_action_sequence_validation():
-    with pytest.raises(StructuralError):
-        ActionSequence(np.zeros((19, FRAME_DIM)), 19, 0)
-    with pytest.raises(StructuralError):
-        ActionSequence(np.zeros((SEQ_LEN, FRAME_DIM)), 5, 40)
 
 
 # --- malformed NDJSON: every bad value ends in DatasetFormatError ----------
@@ -444,9 +403,9 @@ def _replaced(record, path, value):
     return record
 
 
-def _load_or_format_error(load, path, line):
+def _load_or_format_error(path, line):
     try:
-        load(path)
+        load_pose_file(path)
     except DatasetFormatError as e:
         assert e.line == line, str(e)
 
@@ -479,7 +438,7 @@ def pose_records(tmp_path_factory):
 def test_pose_file_frame_values_raise_only_format_error(pose_records, field, value):
     header, frame, path = pose_records
     path.write_text(json.dumps(header) + "\n" + json.dumps(_replaced(frame, field, value)) + "\n")
-    _load_or_format_error(load_pose_file, path, 2)
+    _load_or_format_error(path, 2)
 
 
 @_NDJSON_SETTINGS
@@ -488,38 +447,11 @@ def test_pose_file_frame_values_raise_only_format_error(pose_records, field, val
 def test_pose_file_header_values_raise_only_format_error(pose_records, field, value):
     header, frame, path = pose_records
     path.write_text(json.dumps(_replaced(header, field, value)) + "\n" + json.dumps(frame) + "\n")
-    _load_or_format_error(load_pose_file, path, 1)
+    _load_or_format_error(path, 1)
 
 
-_ENCODED_PATHS = [
-    (), ("sequence_id",), ("action_label",), ("split",), ("valid_count",), ("frames",),
-    ("frames", 3), ("frames", 3, 100),
-]
-
-
-@pytest.fixture(scope="module")
-def encoded_record(tmp_path_factory):
-    """(record, scratch file) of a one-sequence encoded file."""
-    path = tmp_path_factory.mktemp("encoded") / "encoded.ndjson"
-    frames, valid = subsample_or_pad(np.random.default_rng(41).uniform(-1, 1, (12, FRAME_DIM)))
-    save_encoded(path, [ActionSequence(frames, valid, 5)], ids=[9], splits=["test"])
-    return json.loads(path.read_text()), path
-
-
-@_NDJSON_SETTINGS
-@given(field=st.sampled_from(_ENCODED_PATHS), value=_JSON_VALUES)
-@example(field=(), value=5)
-@example(field=("valid_count",), value=1.5)
-@example(field=("action_label",), value="3")
-@example(field=("frames", 3, 100), value={})
-def test_encoded_values_raise_only_format_error(encoded_record, field, value):
-    record, path = encoded_record
-    path.write_text(json.dumps(_replaced(record, field, value)) + "\n")
-    _load_or_format_error(load_encoded, path, 1)
-
-
-# values the readers once coerced or accepted: a truthy non-boolean "present",
-# numeric strings, a null or NaN frame value and the "2d" pose space
+# values the pose reader once coerced or accepted: a truthy non-boolean
+# "present", numeric strings and the "2d" pose space
 @pytest.mark.parametrize(
     "part, field, value",
     [
@@ -529,24 +461,18 @@ def test_encoded_values_raise_only_format_error(encoded_record, field, value):
         ("frame", ("obj_box", 2, 0), "1.5"),
         ("header", ("intrinsics", "fx"), "500"),
         ("header", ("space",), "2d"),
-        ("encoded", ("frames", 3, 100), None),
-        ("encoded", ("frames", 3, 100), float("nan")),
     ],
-    ids=["present-string", "present-list", "joint-string", "box-string", "intrinsic-string",
-         "space-2d", "frame-null", "frame-nan"],
+    ids=["present-string", "present-list", "joint-string", "box-string", "intrinsic-string", "space-2d"],
 )
-def test_coerced_value_rejected_with_line(pose_records, encoded_record, part, field, value):
+def test_coerced_value_rejected_with_line(pose_records, part, field, value):
     header, frame, path = pose_records
-    if part == "encoded":
-        record, path = encoded_record
-        load, line, lines = load_encoded, 1, [_replaced(record, field, value)]
-    elif part == "header":
-        load, line, lines = load_pose_file, 1, [_replaced(header, field, value), frame]
+    if part == "header":
+        line, lines = 1, [_replaced(header, field, value), frame]
     else:
-        load, line, lines = load_pose_file, 2, [header, _replaced(frame, field, value)]
+        line, lines = 2, [header, _replaced(frame, field, value)]
     path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
     with pytest.raises(DatasetFormatError) as ei:
-        load(path)
+        load_pose_file(path)
     assert ei.value.line == line
 
 
