@@ -5,8 +5,7 @@ action classifier with synthetic-scene experiment harnesses."""
 from . import errors
 from .geometry import (
     CameraIntrinsics,
-    HandPose25D,
-    HandPose3D,
+    HandPose,
     lift_to_camera,
     mpjpe,
     mpjpe_report,

@@ -32,7 +32,7 @@ from .errors import (
     EmptyDatasetError,
     FormatError,
 )
-from .geometry import CameraIntrinsics, lift_to_camera, mpjpe_report
+from .geometry import CameraIntrinsics, absent_pose, lift_to_camera, mpjpe_report
 from .rangeseg import (
     apply_mask,
     desharpen_mask,
@@ -144,16 +144,18 @@ def cmd_synth(args) -> tuple:
 
 def _depth_files(path: str, metric: bool) -> list[tuple[str, str]]:
     """(stem, path) of each map: the file, or a directory's ``<stem>.dmap``
-    files; with ``metric``, its ``<stem>.mm.dmap`` files when it holds any."""
+    files; with ``metric``, its ``<stem>.mm.dmap`` files when it holds any.
+    A stem is the file name up to its first dot."""
+    stem = lambda name: name.split(".", 1)[0]
     if os.path.isfile(path):
-        return [(os.path.basename(path)[: -len(".dmap")], path)]
+        return [(stem(os.path.basename(path)), path)]
     if not os.path.isdir(path):
         raise FileNotFoundError(f"no such file or directory: {path}")
     entries = os.listdir(path)
     for suffix in (".mm.dmap", ".dmap") if metric else (".dmap",):
-        names = sorted(n for n in entries if n.endswith(suffix) and n.count(".") == suffix.count("."))
+        names = sorted(n for n in entries if stem(n) + suffix == n)
         if names:
-            return [(n[: -len(suffix)], os.path.join(path, n)) for n in names]
+            return [(stem(n), os.path.join(path, n)) for n in names]
     raise FileNotFoundError(f"no .dmap files under {path}")
 
 
@@ -210,15 +212,13 @@ def cmd_sweep_threshold(args) -> tuple:
 
 
 def cmd_lift(args) -> None:
-    from .geometry import absent_pose3d
-
     k, space, frames = load_pose_file(args.infile)
     if space != "2.5d":
         raise FormatError(f"lift expects a 2.5d pose file, got space {space!r}")
     if args.intrinsics is not None:
         k = args.intrinsics
     # absent hands carry placeholder coordinates; they stay absent zeros
-    lift = lambda pose: lift_to_camera(pose, k) if pose.present else absent_pose3d()
+    lift = lambda pose: lift_to_camera(pose, k) if pose.present else absent_pose()
     lifted = [
         FrameRecord(fr.frame_id, lift(fr.left), lift(fr.right), fr.obj, fr.split)
         for fr in frames
@@ -249,12 +249,16 @@ def cmd_eval_pose(args) -> tuple | None:
         return args.out + ".report.json", config, None, metrics
 
 
-def cmd_encode(args) -> None:
-    dataset = load_dataset(args.indir)
+def _load_3d_dataset(data_dir: str):
+    dataset = load_dataset(data_dir)
     if dataset.space != "3d":
-        raise FormatError(f"encode expects a 3d dataset, got space {dataset.space!r}")
+        raise FormatError(f"{data_dir}: expected a 3d dataset, got space {dataset.space!r}")
+    return dataset
+
+
+def cmd_encode(args) -> None:
     records = []
-    for seq in dataset.sequences:
+    for seq in _load_3d_dataset(args.indir).sequences:
         frames, valid = subsample_or_pad(encode_frames(seq))
         records.append((seq.sequence_id, seq.split, seq.action_label, valid, frames))
     save_encoded(args.out, records)
@@ -264,11 +268,8 @@ def cmd_encode(args) -> None:
 
 
 def _raw_sets(data_dir: str):
-    dataset = load_dataset(data_dir)
-    if dataset.space != "3d":
-        raise FormatError(f"training data must be 3d, got space {dataset.space!r}")
     sets = {"train": [], "val": [], "test": []}
-    for seq in dataset.sequences:
+    for seq in _load_3d_dataset(data_dir).sequences:
         sets[seq.split].append((encode_frames(seq), seq.action_label))
     return sets
 
@@ -313,7 +314,7 @@ def cmd_eval_action(args) -> tuple | None:
         if os.path.isfile(sibling):
             args.config = sibling
     cfg = _resolve_config(args)
-    net = model.load_model(args.checkpoint, cfg)
+    net = model.ActionModel(cfg, params=nnkit.load_checkpoint(args.checkpoint))
     sets = _raw_sets(args.data)
     if not sets[args.split]:
         raise EmptyDatasetError(f"split {args.split!r} is empty")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-from .geometry import HandPose3D, mpjpe_report
+from .geometry import HandPose, mpjpe_report
 from .rangeseg import DepthMap, SegMask, desharpen_mask, normalize_depth, range_mask
 from .synth import SynthParams, gen_frame, gen_scene_depth, mask_quality, noisy_pose_oracle
 from .sequence import N_CLASSES
@@ -23,8 +23,8 @@ from .sequence import N_CLASSES
 
 @dataclass
 class EvalScene:
-    left: HandPose3D
-    right: HandPose3D
+    left: HandPose
+    right: HandPose
     norm: DepthMap
     gt: SegMask
 

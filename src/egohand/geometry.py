@@ -51,8 +51,8 @@ class CameraIntrinsics:
 
 
 @dataclass
-class HandPose25D:
-    """21 joints as (u px, v px, z mm) prior to camera-space lifting."""
+class HandPose:
+    """21 joints: (u px, v px, z mm) before lifting, camera-space (X, Y, Z) mm after."""
 
     joints: np.ndarray
     present: bool = True
@@ -61,22 +61,11 @@ class HandPose25D:
         self.joints = _as_joints(self.joints)
 
 
-@dataclass
-class HandPose3D:
-    """21 camera-space joints (X, Y, Z) in millimetres."""
-
-    joints: np.ndarray
-    present: bool = True
-
-    def __post_init__(self):
-        self.joints = _as_joints(self.joints)
+def absent_pose() -> HandPose:
+    return HandPose(np.zeros((JOINT_COUNT, 3)), present=False)
 
 
-def absent_pose3d() -> HandPose3D:
-    return HandPose3D(np.zeros((JOINT_COUNT, 3)), present=False)
-
-
-def lift_to_camera(pose: HandPose25D, k: CameraIntrinsics) -> HandPose3D:
+def lift_to_camera(pose: HandPose, k: CameraIntrinsics) -> HandPose:
     """Lift (u, v, z) to camera space: X=(u-cx)z/fx, Y=(v-cy)z/fy, Z=z."""
     z = pose.joints[:, 2]
     bad = np.nonzero(z <= 0)[0]
@@ -86,10 +75,10 @@ def lift_to_camera(pose: HandPose25D, k: CameraIntrinsics) -> HandPose3D:
     out[:, 0] = (pose.joints[:, 0] - k.cx) * z / k.fx
     out[:, 1] = (pose.joints[:, 1] - k.cy) * z / k.fy
     out[:, 2] = z
-    return HandPose3D(out, present=pose.present)
+    return HandPose(out, present=pose.present)
 
 
-def project_to_image(pose: HandPose3D, k: CameraIntrinsics) -> HandPose25D:
+def project_to_image(pose: HandPose, k: CameraIntrinsics) -> HandPose:
     """Inverse of lift_to_camera: u = fx*X/Z + cx, v = fy*Y/Z + cy, z = Z."""
     z = pose.joints[:, 2]
     bad = np.nonzero(z <= 0)[0]
@@ -99,10 +88,10 @@ def project_to_image(pose: HandPose3D, k: CameraIntrinsics) -> HandPose25D:
     out[:, 0] = k.fx * pose.joints[:, 0] / z + k.cx
     out[:, 1] = k.fy * pose.joints[:, 1] / z + k.cy
     out[:, 2] = z
-    return HandPose25D(out, present=pose.present)
+    return HandPose(out, present=pose.present)
 
 
-def mpjpe(pred: HandPose3D, gt: HandPose3D) -> float:
+def mpjpe(pred: HandPose, gt: HandPose) -> float:
     """Mean Euclidean distance over the 21 joints, in millimetres."""
     if pred.joints.shape != gt.joints.shape:
         raise StructuralError("pose joint counts differ")
@@ -112,7 +101,7 @@ def mpjpe(pred: HandPose3D, gt: HandPose3D) -> float:
 def mpjpe_report(preds, gts) -> tuple[float, float, float]:
     """Per-hand MPJPE means over present hands plus their hand-weighted mean.
 
-    ``preds`` and ``gts`` are equal-length lists of (left, right) HandPose3D
+    ``preds`` and ``gts`` are equal-length lists of (left, right) HandPose
     pairs; presence flags must agree pairwise. Returns (left mm, right mm,
     both mm) with both = (left + right) / 2.
     """

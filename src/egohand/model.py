@@ -45,7 +45,8 @@ class ActionModelConfig:
     max_epochs: int = 800
 
     def __post_init__(self):
-        for name in ("d_model", "heads", "ff_width", "blocks", "n_classes", "seq_len", "batch_size"):
+        for name in ("d_model", "heads", "ff_width", "blocks", "n_classes", "seq_len", "batch_size",
+                     "schedule_every"):
             if getattr(self, name) < 1:
                 raise StructuralError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.heads != 0:
@@ -438,9 +439,3 @@ def train(
         if log is not None:
             log(row)
     return TrainResult(model=model, best=best, history=history)
-
-
-def load_model(path, cfg: ActionModelConfig) -> ActionModel:
-    """Load a checkpoint and validate its tensor shapes against ``cfg``."""
-    params = nnkit.load_checkpoint(path)
-    return ActionModel(cfg, params=params)

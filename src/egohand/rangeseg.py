@@ -69,27 +69,25 @@ class DepthMap:
 
 @dataclass
 class SegMask:
-    """Segmentation weights in [0, 1]; binary masks take only {0, 1}.
+    """Segmentation weights in [0, 1]; the dtype is the kind.
 
     A binary mask stores its values as a bool map, a soft one as float64.
     """
 
     values: np.ndarray
-    binary: bool = True
 
     def __post_init__(self):
-        if self.binary and np.asarray(self.values).dtype == bool:
-            # a bool map holds nothing but 0 and 1
+        if np.asarray(self.values).dtype == bool:
             self.values = _as_map(self.values, dtype=bool)
             return
         values = _as_map(self.values)
         if np.any(values < 0) or np.any(values > 1) or not np.all(np.isfinite(values)):
             raise StructuralError("mask values must lie in [0, 1]")
-        if self.binary:
-            if not np.all((values == 0) | (values == 1)):
-                raise StructuralError("binary mask contains non-{0,1} values")
-            values = values == 1.0
         self.values = values
+
+    @property
+    def binary(self) -> bool:
+        return self.values.dtype == bool
 
 
 def normalize_depth(raw: DepthMap) -> DepthMap:
@@ -116,7 +114,7 @@ def range_mask(norm: DepthMap, t: float) -> SegMask:
         keep = norm.values >= t
     else:
         keep = norm.values <= t
-    return SegMask(keep, binary=True)
+    return SegMask(keep)
 
 
 def range_mask_metric(raw: DepthMap, t_mm: float) -> SegMask:
@@ -128,10 +126,10 @@ def range_mask_metric(raw: DepthMap, t_mm: float) -> SegMask:
         raise ValueError("range_mask_metric expects a raw (unnormalized) map")
     if raw.order != CLOSER_IS_SMALLER:
         raise ValueError("metric maps are closer-is-smaller")
-    if t_mm <= 0:
-        raise RangeError(f"metric threshold must be positive, got {t_mm}")
+    if not (np.isfinite(t_mm) and t_mm > 0):
+        raise RangeError(f"metric threshold must be a positive finite number, got {t_mm}")
     keep = (raw.values <= t_mm) & (raw.values > 0)
-    return SegMask(keep, binary=True)
+    return SegMask(keep)
 
 
 def apply_mask(frame: np.ndarray, mask: SegMask, fill=(0, 0, 0)) -> np.ndarray:
@@ -170,7 +168,7 @@ def desharpen_mask(mask: SegMask, radius: int) -> SegMask:
         )
     blurred = _kernels.box_blur(mask.values, radius)
     # guard float round-off at the [0,1] boundary
-    return SegMask(np.clip(blurred, 0.0, 1.0), binary=False)
+    return SegMask(np.clip(blurred, 0.0, 1.0))
 
 
 def mask_stats(mask: SegMask) -> tuple[float, float]:
@@ -235,7 +233,11 @@ def load_mask(path) -> SegMask:
     values, tag, flag = _read_dmap(path)
     if tag != _MASK_TAG:
         raise FormatError("file holds a depth map, not a mask")
-    return SegMask(values, binary=bool(flag))
+    if flag:
+        if not np.all((values == 0) | (values == 1)):
+            raise FormatError("binary mask contains non-{0,1} values")
+        values = values == 1.0
+    return SegMask(values)
 
 
 # --- PPM frames -----------------------------------------------------------

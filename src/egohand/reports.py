@@ -7,6 +7,8 @@ and formatting with no timestamps or generated ids.
 
 from __future__ import annotations
 
+import math
+
 from .errors import FormatError
 
 
@@ -27,7 +29,7 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_csv(path):
-    """(header, rows of float values). Raises FormatError on ragged/bad data."""
+    """(header, rows of finite float values). Raises FormatError on ragged/bad data."""
     with open(path) as f:
         lines = [ln for ln in f.read().splitlines() if ln.strip()]
     if not lines:
@@ -39,9 +41,12 @@ def read_csv(path):
         if len(parts) != len(header):
             raise FormatError(f"{path}: line {i} has {len(parts)} fields, header has {len(header)}")
         try:
-            rows.append([float(x) for x in parts])
+            row = [float(x) for x in parts]
         except ValueError as e:
             raise FormatError(f"{path}: line {i}: {e}") from e
+        if not all(map(math.isfinite, row)):
+            raise FormatError(f"{path}: line {i}: values must be finite")
+        rows.append(row)
     return header, rows
 
 

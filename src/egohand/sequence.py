@@ -34,8 +34,7 @@ from .errors import (
 from .geometry import (
     JOINT_COUNT,
     CameraIntrinsics,
-    HandPose25D,
-    HandPose3D,
+    HandPose,
     rotate_points_2d,
 )
 
@@ -82,7 +81,7 @@ class ObjectObs:
             raise StructuralError(f"object label must be >= 0, got {self.label}")
 
 
-def assemble_frame_vector(left: HandPose3D, right: HandPose3D, obj: ObjectObs) -> np.ndarray:
+def assemble_frame_vector(left: HandPose, right: HandPose, obj: ObjectObs) -> np.ndarray:
     """Pack one frame into the 135-vector; absent hands write zeros."""
     out = np.zeros(FRAME_DIM)
     if left.present:
@@ -169,8 +168,8 @@ def augment_sequence(frames, rotation_range: float, mask_prob: float, rng, valid
 @dataclass
 class FrameRecord:
     frame_id: int
-    left: object  # HandPose25D | HandPose3D, per the file's space tag
-    right: object
+    left: HandPose
+    right: HandPose
     obj: ObjectObs
     split: str
 
@@ -190,7 +189,6 @@ class Dataset:
     sequences: list = field(default_factory=list)
 
 
-_POSE_TYPES = {"2.5d": HandPose25D, "3d": HandPose3D}
 # what np.asarray and the record types raise on a JSON value of the wrong kind:
 # a non-number, an integer beyond float range, a non-finite or mis-shaped array
 _BAD_VALUE = (TypeError, ValueError, OverflowError, StructuralError)
@@ -223,7 +221,7 @@ def _pose_from_json(obj, space: str, line: int):
     if type(obj["present"]) is not bool:
         raise DatasetFormatError("present must be true or false", line)
     try:
-        return _POSE_TYPES[space](np.asarray(joints, dtype=np.float64), present=obj["present"])
+        return HandPose(np.asarray(joints, dtype=np.float64), present=obj["present"])
     except _BAD_VALUE as e:
         raise DatasetFormatError(f"bad joints: {e}", line) from e
 
@@ -351,7 +349,7 @@ def _parse_manifest(path):
         lines = f.read().splitlines()
     if not lines or lines[0] != "sequence_id,frame_start,frame_end,action_label,split":
         raise DatasetFormatError("manifest header missing or malformed", 1)
-    rows = []
+    rows, seen = [], set()
     for ln, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -362,6 +360,9 @@ def _parse_manifest(path):
             sid, start, end, label = (int(x) for x in parts[:4])
         except ValueError as e:
             raise DatasetFormatError(f"non-integer manifest field: {e}", ln) from e
+        if sid in seen:
+            raise DatasetFormatError(f"repeated sequence_id {sid}", ln)
+        seen.add(sid)
         split = parts[4]
         if split not in SPLITS:
             raise DatasetFormatError(f"unknown split tag {split!r}", ln)

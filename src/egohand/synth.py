@@ -15,6 +15,7 @@ pixels starve it). Everything is a pure function of (params, seed).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -25,12 +26,12 @@ from .geometry import (
     JOINT_COUNT,
     JOINT_PARENTS,
     CameraIntrinsics,
-    HandPose3D,
-    absent_pose3d,
+    HandPose,
+    absent_pose,
     project_to_image,
 )
-from .rangeseg import CLOSER_IS_LARGER, CLOSER_IS_SMALLER, DepthMap, SegMask
-from .sequence import N_CLASSES, ObjectObs
+from .rangeseg import CLOSER_IS_LARGER, CLOSER_IS_SMALLER, DepthMap, SegMask, save_depth, save_mask, save_ppm
+from .sequence import N_CLASSES, Dataset, FrameRecord, ObjectObs, SequenceRecord, save_dataset
 
 N_OBJECT_LABELS = 8
 
@@ -258,19 +259,15 @@ def _frame_at(tpl: MotionTemplate, jit: _SequenceJitter, tau: float, p: SynthPar
         (tpl.right_present, tpl.base_right, False, -1.0),
     ):
         if not present:
-            hands.append(absent_pose3d())
+            hands.append(absent_pose())
             continue
         center = base + jit.center_offset + offset * np.array([sgn, 1.0, sgn])
         local = _hand_local(p.bones, p.bone_scale, curl, mirror)
-        hands.append(HandPose3D(_place_hand(local, sgn * yaw, center)))
+        hands.append(HandPose(_place_hand(local, sgn * yaw, center)))
     left, right = hands
 
     k = p.intrinsics
-    wrists_uv = []
-    for pose in (left, right):
-        if pose.present:
-            w = pose.joints[0]
-            wrists_uv.append((k.fx * w[0] / w[2] + k.cx, k.fy * w[1] / w[2] + k.cy))
+    wrists_uv = [project_to_image(pose, k).joints[0, :2] for pose in (left, right) if pose.present]
     if wrists_uv:
         bc = np.mean(np.asarray(wrists_uv), axis=0)
     else:
@@ -294,8 +291,8 @@ def _frame_at(tpl: MotionTemplate, jit: _SequenceJitter, tau: float, p: SynthPar
 def gen_hand_sequence(class_id: int, rng, p: SynthParams):
     """Sampled ground-truth frames for one action instance.
 
-    Returns (frames, length) where frames is a list of (left HandPose3D,
-    right HandPose3D, ObjectObs). Bone lengths are constant across the
+    Returns (frames, length) where frames is a list of (left HandPose,
+    right HandPose, ObjectObs). Bone lengths are constant across the
     sequence and all joints project inside the image.
     """
     tpl = class_template(class_id)
@@ -318,7 +315,7 @@ def gen_frame(class_id: int, rng, p: SynthParams):
 # --- scene depth rendering ----------------------------------------------------
 
 
-def _hand_capsules(pose: HandPose3D, k: CameraIntrinsics) -> np.ndarray:
+def _hand_capsules(pose: HandPose, k: CameraIntrinsics) -> np.ndarray:
     """Projected capsules (x0, y0, z0, x1, y1, z1, r_px) for one hand + forearm."""
     uvz = project_to_image(pose, k).joints
     segs = []
@@ -349,7 +346,7 @@ def _background_pattern(h: int, w: int) -> np.ndarray:
     return 0.5 + 0.5 * np.sin(2 * np.pi * 1.7 * x / w + 0.9) * np.cos(2 * np.pi * 1.3 * y / h + 0.4)
 
 
-def arm_depth_buffer(left: HandPose3D, right: HandPose3D, p: SynthParams) -> np.ndarray:
+def arm_depth_buffer(left: HandPose, right: HandPose, p: SynthParams) -> np.ndarray:
     """Per-pixel arm depth in mm (+inf where no arm covers the pixel)."""
     k = p.intrinsics
     segs = [
@@ -361,7 +358,7 @@ def arm_depth_buffer(left: HandPose3D, right: HandPose3D, p: SynthParams) -> np.
     return _kernels.capsule_zfield(p.image_size, p.image_size, all_segs)
 
 
-def gen_scene_depth(left: HandPose3D, right: HandPose3D, p: SynthParams):
+def gen_scene_depth(left: HandPose, right: HandPose, p: SynthParams):
     """Pseudo-depth map (closer-is-larger, raw) + exact ground-truth mask.
 
     Arm pixels are mapped affinely from their depth into the arm band with
@@ -383,11 +380,11 @@ def gen_scene_depth(left: HandPose3D, right: HandPose3D, p: SynthParams):
             values[arm] = a_lo + (a_hi - a_lo) * (zmax - z) / (zmax - zmin)
     return (
         DepthMap(values, order=CLOSER_IS_LARGER, normalized=False),
-        SegMask(arm, binary=True),
+        SegMask(arm),
     )
 
 
-def gen_scene_depth_metric(left: HandPose3D, right: HandPose3D, p: SynthParams):
+def gen_scene_depth_metric(left: HandPose, right: HandPose, p: SynthParams):
     """Ground-truth-style metric map in mm (closer-is-smaller) + exact mask."""
     zbuf = arm_depth_buffer(left, right, p)
     arm = np.isfinite(zbuf)
@@ -396,7 +393,7 @@ def gen_scene_depth_metric(left: HandPose3D, right: HandPose3D, p: SynthParams):
     values[arm] = zbuf[arm]
     return (
         DepthMap(values, order=CLOSER_IS_SMALLER, normalized=False),
-        SegMask(arm, binary=True),
+        SegMask(arm),
     )
 
 
@@ -413,12 +410,12 @@ def render_schematic_frame(gt_mask: SegMask) -> np.ndarray:
 
 
 def noisy_pose_oracle(
-    gt: HandPose3D,
+    gt: HandPose,
     unmasked_background_fraction: float,
     p: SynthParams,
     rng,
     arm_loss_fraction: float = 0.0,
-) -> HandPose3D:
+) -> HandPose:
     """Simulated estimator output: isotropic Gaussian jitter per joint.
 
     sigma = sigma0 + clutter_gain * unmasked_background_fraction
@@ -432,14 +429,14 @@ def noisy_pose_oracle(
         if not (0.0 <= f <= 1.0):
             raise RangeError(f"{name} must lie in [0, 1], got {f}")
     if not gt.present:
-        return absent_pose3d()
+        return absent_pose()
     sigma = (
         p.noise_sigma0
         + p.noise_clutter_gain * unmasked_background_fraction
         + p.noise_loss_gain * arm_loss_fraction
     )
     noise = rng.standard_normal((JOINT_COUNT, 3))
-    return HandPose3D(gt.joints + sigma * noise, present=True)
+    return HandPose(gt.joints + sigma * noise, present=True)
 
 
 def mask_quality(mask: SegMask, gt: SegMask) -> tuple[float, float]:
@@ -472,8 +469,6 @@ def sequence_seed(master_seed: int, sequence_index: int) -> int:
 
 def generate_dataset(params: SynthParams, classes: int, per_class: int, master_seed: int):
     """Labelled 3D-pose dataset with per-class 70/15/15 splits."""
-    from .sequence import Dataset, FrameRecord, SequenceRecord
-
     if not (1 <= classes <= N_CLASSES):
         raise RangeError(f"classes must lie in [1, {N_CLASSES}], got {classes}")
     n_train = max(1, int(round(0.70 * per_class)))
@@ -509,11 +504,6 @@ def write_fixture_tree(
     """Emit the full fixture tree: poses.ndjson + manifest.csv + params.json
     plus, for the first ``scene_frames`` frames, pseudo-depth / metric /
     ground-truth-mask .dmap files and schematic PPM frames under scenes/."""
-    import os
-
-    from .rangeseg import save_depth, save_mask, save_ppm
-    from .sequence import save_dataset
-
     dataset = generate_dataset(params, classes, per_class, master_seed)
     save_dataset(out_dir, dataset)
     meta = {

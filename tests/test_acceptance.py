@@ -21,8 +21,7 @@ from egohand.experiments import (
 from egohand.geometry import (
     JOINT_COUNT,
     CameraIntrinsics,
-    HandPose3D,
-    HandPose25D,
+    HandPose,
     lift_to_camera,
     mpjpe,
     project_to_image,
@@ -85,7 +84,7 @@ def test_geometry_round_trip(capsys):
                 rng.uniform(50, 3000, JOINT_COUNT),
             ]
         )
-        p = HandPose25D(joints)
+        p = HandPose(joints)
         back = project_to_image(lift_to_camera(p, k), k)
         worst = max(worst, float(np.max(np.abs(back.joints - joints))))
     elapsed = time.perf_counter() - t0
@@ -98,16 +97,16 @@ def test_mpjpe_oracle(capsys):
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(1000):
-        a = HandPose3D(rng.uniform(-400, 400, (JOINT_COUNT, 3)) + [0, 0, 800])
-        b = HandPose3D(rng.uniform(-400, 400, (JOINT_COUNT, 3)) + [0, 0, 800])
+        a = HandPose(rng.uniform(-400, 400, (JOINT_COUNT, 3)) + [0, 0, 800])
+        b = HandPose(rng.uniform(-400, 400, (JOINT_COUNT, 3)) + [0, 0, 800])
         loop = 0.0
         for j in range(JOINT_COUNT):
             d = a.joints[j] - b.joints[j]
             loop += (d[0] ** 2 + d[1] ** 2 + d[2] ** 2) ** 0.5
         worst = max(worst, abs(mpjpe(a, b) - loop / JOINT_COUNT))
     assert worst < 1e-12, f"disagreement {worst}"
-    base = HandPose3D(rng.uniform(-200, 200, (JOINT_COUNT, 3)) + [0, 0, 600])
-    shifted = HandPose3D(base.joints + np.array([3.0, 0.0, 4.0]))
+    base = HandPose(rng.uniform(-200, 200, (JOINT_COUNT, 3)) + [0, 0, 600])
+    shifted = HandPose(base.joints + np.array([3.0, 0.0, 4.0]))
     assert mpjpe(base, shifted) == 5.0
     _pass(capsys, "MPJPE oracle", f"worst vs loop {worst:.1e} mm over 1000 pairs")
 

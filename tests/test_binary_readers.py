@@ -62,7 +62,7 @@ def valid_files(tmp_path_factory):
     nnkit.adamw_step(ps, 0.01)
     nnkit.save_checkpoint(d / "c.bin", ps)
     save_depth(d / "d.dmap", DepthMap(rng.uniform(0.0, 3.0, (5, 4))))
-    save_mask(d / "m.dmap", SegMask((rng.uniform(size=(5, 4)) < 0.5).astype(np.float64)))
+    save_mask(d / "m.dmap", SegMask(rng.uniform(size=(5, 4)) < 0.5))
     save_ppm(d / "f.ppm", rng.integers(0, 256, (2, 3, 3), dtype=np.uint8))
     files = {name: (d / name).read_bytes() for name in ("c.bin", "d.dmap", "m.dmap", "f.ppm")}
     return files, d / "scratch"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from egohand.cli import main
-from egohand.geometry import CameraIntrinsics, HandPose25D, project_to_image
+from egohand.geometry import CameraIntrinsics, HandPose, project_to_image
 from egohand.model import ActionModelConfig
 from egohand.rangeseg import DepthMap, load_mask, load_ppm, save_depth, save_ppm
 from egohand.sequence import (
@@ -111,20 +111,21 @@ def _flat_depth(tree, tmp):
 
 
 def _zero_depth_pose(tree, tmp):
-    pose = HandPose25D(np.zeros((21, 3)))
+    pose = HandPose(np.zeros((21, 3)))
     frame = FrameRecord(0, pose, pose, ObjectObs(np.zeros((4, 2)), 0), "train")
     save_pose_file(tmp / "p.ndjson", CameraIntrinsics(500.0, 500.0, 256.0, 256.0), "2.5d", [frame])
     return ["lift", "--in", str(tmp / "p.ndjson"), "--out", str(tmp / "o.ndjson")]
 
 
-def _diverging_train(tree, tmp):
-    # the first step's huge learning rate makes the validation logits non-finite
-    return ["train", "--data", str(tree), "--epochs", "1", "--set", "base_lr=1e300",
-            "--out", str(tmp / "o")]
+def _nan_metric_mm(tree, tmp):
+    return ["segment", "--depth", str(tree / "scenes"), "--frames", str(tree / "scenes"),
+            "--metric-mm", "nan", "--out", str(tmp / "o")]
 
 
-def _blockless_train(tree, tmp):
-    return ["train", "--data", str(tree), "--epochs", "1", "--set", "blocks=0", "--out", str(tmp / "o")]
+def _train_with(*overrides):
+    """One-epoch train on the tree with each ``key=value`` config override."""
+    sets = [arg for pair in overrides for arg in ("--set", pair)]
+    return lambda tree, tmp: ["train", "--data", str(tree), "--epochs", "1", *sets, "--out", str(tmp / "o")]
 
 
 def _two_d_pose_file(tree, tmp):
@@ -147,6 +148,16 @@ def _non_object_pose_line(tree, tmp):
     return ["encode", "--in", str(tmp / "d"), "--out", str(tmp / "e.ndjson")]
 
 
+def _repeated_sequence_id(tree, tmp):
+    # the second manifest row takes the first row's sequence_id
+    header, first, second, *rest = (tree / "manifest.csv").read_text().splitlines()
+    second = ",".join([first.split(",")[0], *second.split(",")[1:]])
+    (tmp / "d").mkdir()
+    (tmp / "d" / "poses.ndjson").write_bytes((tree / "poses.ndjson").read_bytes())
+    (tmp / "d" / "manifest.csv").write_text("\n".join([header, first, second, *rest]) + "\n")
+    return ["encode", "--in", str(tmp / "d"), "--out", str(tmp / "e.ndjson"), "--csv-dir", str(tmp / "m")]
+
+
 def _bad_params(edit):
     """sweep-threshold on a tree whose params.json is the fixture's after ``edit``."""
 
@@ -165,8 +176,13 @@ def _bad_params(edit):
     [
         pytest.param(_flat_depth, (), id="flat-depth"),
         pytest.param(_zero_depth_pose, (), id="zero-depth-pose"),
-        pytest.param(_diverging_train, (), id="diverging-train"),
-        pytest.param(_blockless_train, ("blocks must be >= 1",), id="blockless-train"),
+        pytest.param(_nan_metric_mm, ("metric threshold", "nan"), id="nan"),
+        # the first step's huge learning rate makes the validation logits non-finite
+        pytest.param(_train_with("base_lr=1e300"), (), id="diverging-train"),
+        pytest.param(_train_with("blocks=0"), ("blocks must be >= 1",), id="blockless-train"),
+        pytest.param(_train_with("schedule_start=0", "schedule_every=0"), ("schedule_every must be >= 1",),
+                     id="schedule-every-0"),
+        pytest.param(_repeated_sequence_id, ("line 3", "repeated sequence_id 0"), id="repeated-sequence-id"),
         pytest.param(_two_d_pose_file, ("line 1", "unknown space tag '2d'"), id="two-d-pose-file"),
         pytest.param(_short_checkpoint, (), id="short-checkpoint"),
         pytest.param(_non_object_pose_line, (), id="non-object-pose-line"),
@@ -268,6 +284,17 @@ class TestSegment:
         removed = load_mask(out / f"{stem}.mask.dmap").values == 0.0
         assert removed.any()
         assert np.all(load_ppm(out / f"{stem}.seg.ppm")[removed] == [255, 128, 0])
+
+    def test_single_mm_dmap_file_matches_directory_run(self, tree, tmp_path):
+        scenes = tree / "scenes"
+        stem = sorted(p.name[: -len(".mm.dmap")] for p in scenes.glob("*.mm.dmap"))[0]
+        one, every = tmp_path / "one", tmp_path / "every"
+        for depth, out in ((scenes / f"{stem}.mm.dmap", one), (scenes, every)):
+            assert main(["segment", "--depth", str(depth), "--frames", str(scenes),
+                         "--metric-mm", "700", "--out", str(out)]) == 0
+        assert [p.name for p in one.glob("*.mask.dmap")] == [f"{stem}.mask.dmap"]
+        for name in (f"{stem}.mask.dmap", f"{stem}.seg.ppm"):
+            assert (one / name).read_bytes() == (every / name).read_bytes()
 
     def test_desharpen_emits_soft_mask(self, tree, tmp_path):
         out = tmp_path / "soft"
@@ -491,6 +518,15 @@ class TestPlot:
         csv.write_text("x,y\n1.0\n")
         assert main(["plot", "--csv", str(csv), "--out", str(tmp_path / "m.svg")]) == 3
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_is_3(self, tmp_path, capsys, cell):
+        csv = tmp_path / "n.csv"
+        csv.write_text(f"x,y\n0.0,1.0\n1.0,{cell}\n2.0,3.0\n")
+        assert main(["plot", "--csv", str(csv), "--out", str(tmp_path / "n.svg")]) == 3
+        err = capsys.readouterr().err
+        assert f"{csv}: line 3" in err and err.count("\n") == 1
+        assert not (tmp_path / "n.svg").exists()
+
     def test_byte_determinism(self, tmp_path):
         csv = tmp_path / "d.csv"
         csv.write_text("t,v\n0.1,2.0\n0.2,2.5\n0.3,1.0\n")
@@ -571,7 +607,7 @@ def test_run_report_contents(command, run, tree, trained, tmp_path):
 
 def test_commands_without_a_report(tree, trained, tmp_path):
     src = tmp_path / "p25.ndjson"
-    pose = HandPose25D(np.full((21, 3), 500.0))
+    pose = HandPose(np.full((21, 3), 500.0))
     frame = FrameRecord(0, pose, pose, ObjectObs(np.zeros((4, 2)), 0), "train")
     save_pose_file(src, CameraIntrinsics(500.0, 500.0, 256.0, 256.0), "2.5d", [frame])
     pred, gt = _pose_files(tree, tmp_path)
@@ -592,11 +628,11 @@ def test_commands_without_a_report(tree, trained, tmp_path):
 
 
 def _absent25():
-    from egohand.geometry import JOINT_COUNT, HandPose25D
+    from egohand.geometry import JOINT_COUNT
 
     j = np.zeros((JOINT_COUNT, 3))
     j[:, 2] = 1.0  # placeholder depth for absent hands in 2.5d files
-    return HandPose25D(j, present=False)
+    return HandPose(j, present=False)
 
 
 def test_console_entry_point_works():

@@ -10,9 +10,8 @@ from egohand.errors import (
 from egohand.geometry import (
     JOINT_COUNT,
     CameraIntrinsics,
-    HandPose3D,
-    HandPose25D,
-    absent_pose3d,
+    HandPose,
+    absent_pose,
     lift_to_camera,
     mpjpe,
     mpjpe_report,
@@ -24,14 +23,14 @@ K = CameraIntrinsics(fx=500.0, fy=480.0, cx=256.0, cy=250.0)
 
 
 def _pose25(joints):
-    return HandPose25D(np.asarray(joints, dtype=float))
+    return HandPose(np.asarray(joints, dtype=float))
 
 
 def _random_pose3(rng):
     j = np.empty((JOINT_COUNT, 3))
     j[:, :2] = rng.uniform(-200, 200, (JOINT_COUNT, 2))
     j[:, 2] = rng.uniform(200, 900, JOINT_COUNT)
-    return HandPose3D(j)
+    return HandPose(j)
 
 
 class TestIntrinsics:
@@ -60,13 +59,13 @@ class TestLiftProject:
         assert np.allclose(out.joints[0], [80.0, 0.0, 400.0])
 
     def test_project_on_axis(self):
-        p = HandPose3D(np.tile([0.0, 0.0, 500.0], (JOINT_COUNT, 1)))
+        p = HandPose(np.tile([0.0, 0.0, 500.0], (JOINT_COUNT, 1)))
         out = project_to_image(p, K)
         assert np.allclose(out.joints[0], [K.cx, K.cy, 500.0])
 
     def test_project_hand_evaluated(self):
         k = CameraIntrinsics(500.0, 500.0, 256.0, 256.0)
-        p = HandPose3D(np.tile([80.0, 0.0, 400.0], (JOINT_COUNT, 1)))
+        p = HandPose(np.tile([80.0, 0.0, 400.0], (JOINT_COUNT, 1)))
         out = project_to_image(p, k)
         assert np.allclose(out.joints[0], [k.cx + 100.0, k.cy, 400.0])
 
@@ -93,7 +92,7 @@ class TestLiftProject:
         assert ei.value.joint_index == 5
         j[5, 2] = 0.0
         with pytest.raises(DegenerateDepthError):
-            project_to_image(HandPose3D(j), K)
+            project_to_image(HandPose(j), K)
 
     def test_present_flag_preserved(self):
         p = _pose25(np.tile([10.0, 10.0, 500.0], (JOINT_COUNT, 1)))
@@ -109,7 +108,7 @@ class TestMpjpe:
 
     def test_constant_offset_345(self):
         a = _random_pose3(np.random.default_rng(1))
-        b = HandPose3D(a.joints + np.array([3.0, 0.0, 4.0]))
+        b = HandPose(a.joints + np.array([3.0, 0.0, 4.0]))
         assert mpjpe(a, b) == 5.0
         assert mpjpe(b, a) == 5.0
 
@@ -127,7 +126,7 @@ class TestMpjpe:
         rng = np.random.default_rng(3)
         a = _random_pose3(rng)
         d = rng.uniform(-50, 50, 3)
-        assert abs(mpjpe(a, HandPose3D(a.joints + d)) - np.linalg.norm(d)) < 1e-9
+        assert abs(mpjpe(a, HandPose(a.joints + d)) - np.linalg.norm(d)) < 1e-9
 
     def test_invariant_under_common_rotation(self):
         rng = np.random.default_rng(4)
@@ -136,7 +135,7 @@ class TestMpjpe:
         c, s = np.cos(theta), np.sin(theta)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         before = mpjpe(a, b)
-        after = mpjpe(HandPose3D(a.joints @ rot.T), HandPose3D(b.joints @ rot.T))
+        after = mpjpe(HandPose(a.joints @ rot.T), HandPose(b.joints @ rot.T))
         assert abs(before - after) < 1e-9
 
 
@@ -149,8 +148,8 @@ class TestMpjpeReport:
     def test_hand_computed_means(self):
         rng = np.random.default_rng(6)
         gl, gr = _random_pose3(rng), _random_pose3(rng)
-        pl = HandPose3D(gl.joints + np.array([10.0, 0.0, 0.0]))
-        pr = HandPose3D(gr.joints + np.array([0.0, 20.0, 0.0]))
+        pl = HandPose(gl.joints + np.array([10.0, 0.0, 0.0]))
+        pr = HandPose(gr.joints + np.array([0.0, 20.0, 0.0]))
         left, right, both = mpjpe_report([(pl, pr)], [(gl, gr)])
         assert abs(left - 10.0) < 1e-12
         assert abs(right - 20.0) < 1e-12
@@ -163,9 +162,9 @@ class TestMpjpeReport:
     def test_absent_hands_excluded(self):
         rng = np.random.default_rng(7)
         gl, gr = _random_pose3(rng), _random_pose3(rng)
-        pl = HandPose3D(gl.joints + np.array([10.0, 0.0, 0.0]))
-        pairs_pred = [(pl, absent_pose3d()), (pl, HandPose3D(gr.joints + np.array([0.0, 0.0, 5.0])))]
-        pairs_gt = [(gl, absent_pose3d()), (gl, gr)]
+        pl = HandPose(gl.joints + np.array([10.0, 0.0, 0.0]))
+        pairs_pred = [(pl, absent_pose()), (pl, HandPose(gr.joints + np.array([0.0, 0.0, 5.0])))]
+        pairs_gt = [(gl, absent_pose()), (gl, gr)]
         left, right, both = mpjpe_report(pairs_pred, pairs_gt)
         assert abs(left - 10.0) < 1e-12
         assert abs(right - 5.0) < 1e-12
@@ -178,13 +177,13 @@ class TestMpjpeReport:
         rng = np.random.default_rng(8)
         a = _random_pose3(rng)
         with pytest.raises(DataConsistencyError):
-            mpjpe_report([(a, absent_pose3d())], [(a, a)])
+            mpjpe_report([(a, absent_pose())], [(a, a)])
 
     def test_no_present_column_rejected(self):
         rng = np.random.default_rng(9)
         a = _random_pose3(rng)
         with pytest.raises(EmptyDatasetError):
-            mpjpe_report([(a, absent_pose3d())], [(a, absent_pose3d())])
+            mpjpe_report([(a, absent_pose())], [(a, absent_pose())])
 
 
 class TestRotatePose2D:

@@ -18,7 +18,6 @@ from egohand.model import (
     config_to_text,
     evaluate,
     load_config,
-    load_model,
     parse_config_text,
     prepare_eval_set,
     train,
@@ -156,7 +155,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", [0, -2])
     @pytest.mark.parametrize(
-        "key", ["d_model", "heads", "ff_width", "blocks", "n_classes", "seq_len", "batch_size"]
+        "key", ["d_model", "heads", "ff_width", "blocks", "n_classes", "seq_len", "batch_size", "schedule_every"]
     )
     def test_non_positive_size_is_config_error_naming_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be >= 1, got {value}$"):
@@ -239,7 +238,7 @@ class TestTraining:
         part = train(data, val, TINY, epochs=3)
         ck = tmp_path / "resume.bin"
         nnkit.save_checkpoint(ck, part.model.params)
-        loaded = load_model(ck, TINY)
+        loaded = ActionModel(TINY, params=nnkit.load_checkpoint(ck))
         resumed = train(
             data, val, TINY, model=loaded, start_epoch=3, epochs=6, history=part.history
         )
@@ -332,7 +331,7 @@ class TestCheckpointCompat:
         m = ActionModel(TINY)
         p = tmp_path / "m.bin"
         nnkit.save_checkpoint(p, m.params)
-        loaded = load_model(p, TINY)
+        loaded = ActionModel(TINY, params=nnkit.load_checkpoint(p))
         for name in m.params.values:
             assert np.array_equal(loaded.params.values[name], m.params.values[name])
 
@@ -344,7 +343,7 @@ class TestCheckpointCompat:
 
         other = dataclasses.replace(TINY, d_model=32)
         with pytest.raises(CheckpointMismatchError):
-            load_model(p, other)
+            ActionModel(other, params=nnkit.load_checkpoint(p))
 
     def test_prepare_eval_set_shapes(self):
         data = _raw_set(np.random.default_rng(16), TINY, n_per_class=2)

@@ -141,46 +141,46 @@ class TestApplyMask:
 
     def test_all_ones_is_identity(self):
         f = self._frame(np.random.default_rng(0))
-        out = apply_mask(f, SegMask(np.ones(f.shape[:2])))
+        out = apply_mask(f, SegMask(np.ones(f.shape[:2], bool)))
         assert np.array_equal(out, f)
 
     def test_all_zeros_black_fill(self):
         f = self._frame(np.random.default_rng(1))
-        out = apply_mask(f, SegMask(np.zeros(f.shape[:2])))
+        out = apply_mask(f, SegMask(np.zeros(f.shape[:2], bool)))
         assert np.all(out == 0)
 
     def test_binary_idempotent(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             f = self._frame(rng)
-            m = SegMask((rng.uniform(size=f.shape[:2]) > 0.5).astype(float))
+            m = SegMask(rng.uniform(size=f.shape[:2]) > 0.5)
             once = apply_mask(f, m)
             assert np.array_equal(apply_mask(once, m), once)
 
     def test_commutes_with_mask_intersection(self):
         rng = np.random.default_rng(3)
         f = self._frame(rng)
-        m1 = (rng.uniform(size=f.shape[:2]) > 0.4).astype(float)
-        m2 = (rng.uniform(size=f.shape[:2]) > 0.4).astype(float)
+        m1 = rng.uniform(size=f.shape[:2]) > 0.4
+        m2 = rng.uniform(size=f.shape[:2]) > 0.4
         lhs = apply_mask(apply_mask(f, SegMask(m1)), SegMask(m2))
-        rhs = apply_mask(f, SegMask(m1 * m2))
+        rhs = apply_mask(f, SegMask(m1 & m2))
         assert np.array_equal(lhs, rhs)
 
     def test_soft_blend_toward_fill(self):
         f = np.full((2, 2, 3), 200, dtype=np.uint8)
-        m = SegMask(np.full((2, 2), 0.25), binary=False)
+        m = SegMask(np.full((2, 2), 0.25))
         out = apply_mask(f, m, fill=(0, 0, 0))
         assert np.all(out == 50)
 
     def test_dimension_mismatch(self):
         f = self._frame(np.random.default_rng(4))
         with pytest.raises(StructuralError):
-            apply_mask(f, SegMask(np.ones((3, 3))))
+            apply_mask(f, SegMask(np.ones((3, 3), bool)))
 
 
 def _naive_box_average(values, radius):
     h, w = values.shape
-    out = np.empty_like(values)
+    out = np.empty(values.shape)
     for i in range(h):
         for j in range(w):
             ilo, ihi = max(0, i - radius), min(h, i + radius + 1)
@@ -196,32 +196,32 @@ def _naive_box_average(values, radius):
 
 class TestDesharpen:
     def test_constant_mask_unchanged(self):
-        m = SegMask(np.ones((8, 8)))
+        m = SegMask(np.ones((8, 8), bool))
         out = desharpen_mask(m, 2)
         assert np.max(np.abs(out.values - 1.0)) < 1e-12
         assert not out.binary
 
     def test_single_pixel_center_one_ninth(self):
-        v = np.zeros((7, 7))
-        v[3, 3] = 1.0
+        v = np.zeros((7, 7), bool)
+        v[3, 3] = True
         out = desharpen_mask(SegMask(v), 1)
         assert abs(out.values[3, 3] - 1.0 / 9.0) < 1e-12
 
     def test_against_naive_convolution_oracle(self):
         rng = np.random.default_rng(5)
         for radius in (1, 2, 3):
-            v = (rng.uniform(size=(11, 9)) > 0.5).astype(float)
+            v = rng.uniform(size=(11, 9)) > 0.5
             out = desharpen_mask(SegMask(v), radius)
             assert np.max(np.abs(out.values - _naive_box_average(v, radius))) < 1e-9
 
     def test_output_within_unit_interval(self):
         rng = np.random.default_rng(6)
-        v = (rng.uniform(size=(10, 10)) > 0.3).astype(float)
+        v = rng.uniform(size=(10, 10)) > 0.3
         out = desharpen_mask(SegMask(v), 3)
         assert out.values.min() >= 0.0 and out.values.max() <= 1.0
 
     def test_radius_bounds(self):
-        m = SegMask(np.ones((5, 5)))
+        m = SegMask(np.ones((5, 5), bool))
         with pytest.raises(RangeError):
             desharpen_mask(m, 0)
         with pytest.raises(RangeError):
@@ -230,12 +230,12 @@ class TestDesharpen:
 
 class TestMaskStats:
     def test_all_ones(self):
-        frac, pixels = mask_stats(SegMask(np.ones((4, 8))))
+        frac, pixels = mask_stats(SegMask(np.ones((4, 8), bool)))
         assert frac == 1.0 and pixels == 32.0
 
     def test_half_ones(self):
-        v = np.zeros((4, 8))
-        v[:2] = 1.0
+        v = np.zeros((4, 8), bool)
+        v[:2] = True
         frac, pixels = mask_stats(SegMask(v))
         assert frac == 0.5 and pixels == 16.0
 
@@ -243,7 +243,7 @@ class TestMaskStats:
         rng = np.random.default_rng(7)
         for _ in range(20):
             v = rng.uniform(size=(5, 6))
-            frac, pixels = mask_stats(SegMask(v, binary=False))
+            frac, pixels = mask_stats(SegMask(v))
             s = 0.0
             for x in v.flat:
                 s += x
@@ -263,7 +263,7 @@ class TestDmapFormat:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_mask_round_trip(self, tmp_path):
-        m = SegMask((np.random.default_rng(9).uniform(size=(6, 4)) > 0.5).astype(float))
+        m = SegMask(np.random.default_rng(9).uniform(size=(6, 4)) > 0.5)
         p = tmp_path / "m.dmap"
         save_mask(p, m)
         loaded = load_mask(p)
@@ -290,7 +290,7 @@ class TestDmapFormat:
 
     def test_mask_vs_depth_kind_enforced(self, tmp_path):
         p = tmp_path / "x.dmap"
-        save_mask(p, SegMask(np.ones((2, 2))))
+        save_mask(p, SegMask(np.ones((2, 2), bool)))
         with pytest.raises(FormatError):
             load_depth(p)
         save_depth(p, _dm(np.ones((2, 2))))
@@ -428,25 +428,33 @@ class TestMaskRepresentation:
             range_mask_metric(metric, 700.0),
             gen_scene_depth(left, right, p)[1],
             metric_gt,
-            SegMask(np.array([[1.0, 0.0], [0.0, 1.0]])),
-            SegMask([[1, 0], [1, 1]]),
         ]
         save_mask(tmp_path / "m.dmap", masks[0])
         masks.append(load_mask(tmp_path / "m.dmap"))
         for m in masks:
             assert m.binary and m.values.dtype == bool and m.values.flags.c_contiguous
         assert desharpen_mask(masks[0], 1).values.dtype == np.float64
-        assert SegMask(np.array([[True, False]]), binary=False).values.dtype == np.float64
+        assert not SegMask(np.array([[1.0, 0.0]])).binary  # a float map is soft, whatever its values
+        with pytest.raises(AttributeError):
+            masks[0].binary = False
 
     @pytest.mark.parametrize("value, message", [
         (2.0, "mask values must lie in [0, 1]"),
-        (0.5, "binary mask contains non-{0,1} values"),
         (-1.0, "mask values must lie in [0, 1]"),
         (np.nan, "mask values must lie in [0, 1]"),
     ])
     def test_bad_binary_values_rejected(self, value, message):
         with pytest.raises(StructuralError, match=re.escape(message)):
             SegMask(np.array([[1.0, 0.0], [0.0, value]]))
+
+    def test_binary_flagged_payload_outside_0_1_is_format_error(self, tmp_path):
+        p = tmp_path / "h.dmap"
+        save_mask(p, SegMask(np.array([[1.0, 0.5]])))
+        raw = bytearray(p.read_bytes())
+        raw[7] = 1  # the header's binary flag
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=re.escape("binary mask contains non-{0,1} values")):
+            load_mask(p)
 
     def test_bool_map_shape_checked(self):
         for bad in (np.zeros((0, 3), bool), np.ones(4, bool)):
@@ -462,6 +470,4 @@ class TestMaskRepresentation:
         )
         keep = np.array([[True, False, True], [False, False, True]])
         save_mask(tmp_path / "b.dmap", SegMask(keep))
-        save_mask(tmp_path / "f.dmap", SegMask(keep.astype(np.float64)))
         assert (tmp_path / "b.dmap").read_bytes() == pinned
-        assert (tmp_path / "f.dmap").read_bytes() == pinned

@@ -10,8 +10,8 @@ from egohand.errors import DataConsistencyError, DatasetFormatError, EmptyAction
 from egohand.geometry import (
     JOINT_COUNT,
     CameraIntrinsics,
-    HandPose3D,
-    absent_pose3d,
+    HandPose,
+    absent_pose,
     rotate_points_2d,
 )
 from egohand.sequence import (
@@ -44,7 +44,7 @@ def _pose(rng):
     j = np.empty((JOINT_COUNT, 3))
     j[:, :2] = rng.uniform(-150, 150, (JOINT_COUNT, 2))
     j[:, 2] = rng.uniform(300, 700, JOINT_COUNT)
-    return HandPose3D(j)
+    return HandPose(j)
 
 
 def _obj(rng, label=3):
@@ -55,7 +55,7 @@ def _obj(rng, label=3):
 
 class TestAssemble:
     def test_all_zero(self):
-        v = assemble_frame_vector(absent_pose3d(), absent_pose3d(), ObjectObs(np.zeros((4, 2)), 0))
+        v = assemble_frame_vector(absent_pose(), absent_pose(), ObjectObs(np.zeros((4, 2)), 0))
         assert v.shape == (FRAME_DIM,)
         assert np.all(v == 0.0)
 

@@ -89,9 +89,9 @@ class TestSceneDepth:
             assert np.array_equal(mask.values, gt.values)
 
     def test_no_hands_is_pure_background(self):
-        from egohand.geometry import absent_pose3d
+        from egohand.geometry import absent_pose
 
-        pseudo, gt = gen_scene_depth(absent_pose3d(), absent_pose3d(), P)
+        pseudo, gt = gen_scene_depth(absent_pose(), absent_pose(), P)
         assert np.all(gt.values == 0.0)
         b_lo, b_hi = P.background_band
         assert pseudo.values.min() >= b_lo and pseudo.values.max() <= b_hi
@@ -156,9 +156,9 @@ class TestNoisyOracle:
         assert means[1] + 3 * ses[1] < means[2]
 
     def test_absent_stays_absent(self):
-        from egohand.geometry import absent_pose3d
+        from egohand.geometry import absent_pose
 
-        out = noisy_pose_oracle(absent_pose3d(), 0.5, P, np.random.default_rng(6))
+        out = noisy_pose_oracle(absent_pose(), 0.5, P, np.random.default_rng(6))
         assert not out.present and np.all(out.joints == 0.0)
 
     def test_fraction_range_checked(self):
@@ -169,28 +169,28 @@ class TestNoisyOracle:
 
 class TestMaskQuality:
     def test_perfect_mask(self):
-        gt = SegMask(np.pad(np.ones((4, 4)), 2).astype(float))
+        gt = SegMask(np.pad(np.ones((4, 4), bool), 2))
         assert mask_quality(gt, gt) == (0.0, 0.0)
 
     def test_no_mask_keeps_all_background(self):
-        gt = SegMask(np.pad(np.ones((4, 4)), 2).astype(float))
+        gt = SegMask(np.pad(np.ones((4, 4), bool), 2))
         full = SegMask(np.ones_like(gt.values))
         assert mask_quality(full, gt) == (1.0, 0.0)
 
     def test_empty_mask_loses_all_arm(self):
-        gt = SegMask(np.pad(np.ones((4, 4)), 2).astype(float))
+        gt = SegMask(np.pad(np.ones((4, 4), bool), 2))
         none = SegMask(np.zeros_like(gt.values))
         assert mask_quality(none, gt) == (0.0, 1.0)
 
     def test_soft_weights(self):
-        gt = SegMask(np.array([[1.0, 0.0]]))
-        soft = SegMask(np.array([[0.75, 0.25]]), binary=False)
+        gt = SegMask(np.array([[True, False]]))
+        soft = SegMask(np.array([[0.75, 0.25]]))
         bg_kept, arm_lost = mask_quality(soft, gt)
         assert abs(bg_kept - 0.25) < 1e-12
         assert abs(arm_lost - 0.25) < 1e-12
 
     def test_soft_ground_truth_rejected(self):
-        gt = SegMask(np.array([[1.0, 0.0]]), binary=False)
+        gt = SegMask(np.array([[1.0, 0.0]]))
         with pytest.raises(StructuralError, match="must be binary"):
             mask_quality(SegMask(np.array([[1.0, 1.0]])), gt)
 
