@@ -8,27 +8,41 @@ from __future__ import annotations
 import numpy as np
 
 
+def _window_means(c: np.ndarray, radius: int, out: np.ndarray) -> None:
+    """Write into ``out`` the window means along the last axis of ``c``'s
+    cumulative sums.
+
+    The window of j is [max(j - r, 0), min(j + r, n - 1)]; its sum is
+    c[min(j + r, n - 1)] minus c[j - r - 1] where j > r, formed from shifted
+    slices of c.
+    """
+    n = c.shape[-1]
+    k = max(n - radius, 0)  # windows of j < k end inside the map
+    out[:, :k] = c[:, radius:radius + k]
+    out[:, k:] = c[:, n - 1:]
+    if radius + 1 < n:
+        out[:, radius + 1:] -= c[:, :n - radius - 1]
+    j = np.arange(n)
+    out /= np.minimum(j + radius, n - 1) - np.maximum(j - radius, 0) + 1
+
+
 def box_blur(values: np.ndarray, radius: int) -> np.ndarray:
     """Border-renormalized separable box average (cumulative-sum path).
 
-    Along each axis the window of j is [max(j - r, 0), min(j + r, n - 1)]; its
-    sum is c[min(j + r, n - 1)] minus c[j - r - 1] where j > r, with c the
-    cumulative sum, formed from shifted slices of c.
+    Rows first, then columns; each pass takes its sequential float64
+    cumulative sum along the axis and differences it. Returns a new
+    C-contiguous float64 map; the two passes share two work buffers.
     """
-    out = values
-    for axis in (1, 0):
-        v = out if axis == 1 else out.T
-        n = v.shape[1]
-        c = np.cumsum(v, axis=1, dtype=np.float64)
-        k = max(n - radius, 0)  # windows of j < k end inside the map
-        sums = np.empty_like(c)
-        sums[:, :k] = c[:, radius:radius + k]
-        sums[:, k:] = c[:, n - 1:]
-        if radius + 1 < n:
-            sums[:, radius + 1:] -= c[:, :n - radius - 1]
-        j = np.arange(n)
-        sums /= np.minimum(j + radius, n - 1) - np.maximum(j - radius, 0) + 1
-        out = sums if axis == 1 else sums.T
+    out = np.empty(values.shape, np.float64)
+    c = np.empty_like(out)
+    np.copyto(out, values)
+    np.cumsum(out, axis=1, out=c)
+    _window_means(c, radius, out)
+    # the column sums row by row: contiguous adds, the same sequence as cumsum(axis=0)
+    c[0] = out[0]
+    for i in range(1, len(out)):
+        np.add(c[i - 1], out[i], out=c[i])
+    _window_means(c.T, radius, out.T)
     return out
 
 

@@ -7,7 +7,7 @@ z <= 0 (DegenerateDepthError), truncated checkpoints (FormatError) and
 training that diverges to non-finite values (NumericFaultError). Every
 error ends with a one-line message on stderr. Every command takes all
 randomness from --seed; identical flags and seed produce byte-identical
-CSV/SVG/checkpoint/dmap outputs (the report.json wall-time field is the
+CSV/SVG/checkpoint/dmap outputs (the report.json timing fields are the
 one exception).
 """
 
@@ -125,8 +125,9 @@ def _resolve_config(args) -> model.ActionModelConfig:
 
 
 # --- commands ------------------------------------------------------------------
-# Each command returns its run record, (report path, config, seed, metrics),
-# which main writes as JSON, or None when the run leaves no report.
+# Each command returns its run record, (report path, config, seed, metrics,
+# timings), which main writes as JSON, or None when the run leaves no report.
+# ``timings`` holds the timed fields that go beside wall_time_s.
 
 
 def cmd_synth(args) -> tuple:
@@ -139,7 +140,7 @@ def cmd_synth(args) -> tuple:
     print(f"wrote {n} sequences to {args.out}")
     config = {"classes": args.classes, "per_class": args.per_class, "scene_frames": args.scene_frames,
               "params": params.to_dict()}
-    return os.path.join(args.out, "report.json"), config, args.seed, {"sequences": n}
+    return os.path.join(args.out, "report.json"), config, args.seed, {"sequences": n}, {}
 
 
 def _depth_files(path: str, metric: bool) -> list[tuple[str, str]]:
@@ -162,22 +163,30 @@ def _depth_files(path: str, metric: bool) -> list[tuple[str, str]]:
 def cmd_segment(args) -> tuple:
     os.makedirs(args.out, exist_ok=True)
     stats_rows = []
+    stage_s = dict.fromkeys(("load", "mask", "desharpen", "apply", "save"), 0.0)
+
+    def timed(stage, fn, *fn_args):
+        t = time.perf_counter()
+        result = fn(*fn_args)
+        stage_s[stage] += time.perf_counter() - t
+        return result
+
     for stem, depth_path in _depth_files(args.depth, args.metric_mm is not None):
         frame_path = os.path.join(args.frames, stem + ".ppm")
         if not os.path.isfile(frame_path):
             raise FileNotFoundError(f"missing frame for {stem!r}: {frame_path}")
-        dm = load_depth(depth_path)
+        dm = timed("load", load_depth, depth_path)
         if args.metric_mm is not None:
-            mask = range_mask_metric(dm, args.metric_mm)
+            mask = timed("mask", range_mask_metric, dm, args.metric_mm)
         else:
-            norm = dm if dm.normalized else normalize_depth(dm)
-            mask = range_mask(norm, args.t)
+            norm = dm if dm.normalized else timed("mask", normalize_depth, dm)
+            mask = timed("mask", range_mask, norm, args.t)
         if args.desharpen is not None:
-            mask = desharpen_mask(mask, args.desharpen)
-        frame = load_ppm(frame_path)
-        seg = apply_mask(frame, mask, args.fill)
-        save_ppm(os.path.join(args.out, stem + ".seg.ppm"), seg)
-        save_mask(os.path.join(args.out, stem + ".mask.dmap"), mask)
+            mask = timed("desharpen", desharpen_mask, mask, args.desharpen)
+        frame = timed("load", load_ppm, frame_path)
+        seg = timed("apply", apply_mask, frame, mask, args.fill)
+        timed("save", save_ppm, os.path.join(args.out, stem + ".seg.ppm"), seg)
+        timed("save", save_mask, os.path.join(args.out, stem + ".mask.dmap"), mask)
         kept_fraction, kept_pixels = mask_stats(mask)
         stats_rows.append((stem, kept_fraction, kept_pixels))
     header = ["frame", "kept_fraction", "kept_pixels"]
@@ -186,7 +195,7 @@ def cmd_segment(args) -> tuple:
     config = {"t": args.t, "metric_mm": args.metric_mm, "desharpen": args.desharpen, "fill": list(args.fill)}
     metrics = {"frames": len(stats_rows),
                "mean_kept_fraction": float(np.mean([r[1] for r in stats_rows]))}
-    return os.path.join(args.out, "report.json"), config, None, metrics
+    return os.path.join(args.out, "report.json"), config, None, metrics, {"stage_s": stage_s}
 
 
 def cmd_sweep_threshold(args) -> tuple:
@@ -208,7 +217,7 @@ def cmd_sweep_threshold(args) -> tuple:
     print(f"sweep ({args.mode}): best t = {best[0]:g} with MPJPE both = {best[3]:.3f} mm")
     config = {"t_list": t_list, "mode": args.mode, "scenes": args.scenes,
               "data": os.path.abspath(args.data), "params": params.to_dict()}
-    return args.out + ".report.json", config, args.seed, {"rows": [list(r) for r in rows]}
+    return args.out + ".report.json", config, args.seed, {"rows": [list(r) for r in rows]}, {}
 
 
 def cmd_lift(args) -> None:
@@ -246,7 +255,7 @@ def cmd_eval_pose(args) -> tuple | None:
         reports.write_csv(args.out, ["mpjpe_left", "mpjpe_right", "mpjpe_both"], [(left, right, both)])
         config = {"pred": os.path.abspath(args.pred), "gt": os.path.abspath(args.gt)}
         metrics = {"mpjpe_left": left, "mpjpe_right": right, "mpjpe_both": both}
-        return args.out + ".report.json", config, None, metrics
+        return args.out + ".report.json", config, None, metrics, {}
 
 
 def _load_3d_dataset(data_dir: str):
@@ -305,7 +314,7 @@ def cmd_train(args) -> tuple:
         "best_val_acc": result.history.best_val_acc,
         "epochs_run": len(result.history.rows),
     }
-    return os.path.join(args.out, "report.json"), dataclasses.asdict(cfg), cfg.seed, metrics
+    return os.path.join(args.out, "report.json"), dataclasses.asdict(cfg), cfg.seed, metrics, {}
 
 
 def cmd_eval_action(args) -> tuple | None:
@@ -331,7 +340,7 @@ def cmd_eval_action(args) -> tuple | None:
             [tuple(int(v) for v in row) for row in confusion],
         )
         metrics = {"split": args.split, "top1": top1, "mask_group": args.mask_group}
-        return args.out + ".report.json", dataclasses.asdict(cfg), cfg.seed, metrics
+        return args.out + ".report.json", dataclasses.asdict(cfg), cfg.seed, metrics, {}
 
 
 def cmd_plot(args) -> None:
@@ -451,10 +460,10 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         record = args.func(args)
         if record is not None:
-            # the run report: everything but the wall time re-derives the run
-            path, config, seed, metrics = record
+            # the run report: everything but the timings re-derives the run
+            path, config, seed, metrics, timings = record
             doc = {"command": args.command, "config": config, "seed": seed, "metrics": metrics,
-                   "wall_time_s": time.perf_counter() - t0}
+                   "wall_time_s": time.perf_counter() - t0, **timings}
             with open(path, "w") as f:
                 f.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
     except tuple(_EXIT_CODES) as e:

@@ -9,6 +9,7 @@ an uninterrupted run.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,11 +47,23 @@ class ActionModelConfig:
 
     def __post_init__(self):
         for name in ("d_model", "heads", "ff_width", "blocks", "n_classes", "seq_len", "batch_size",
-                     "schedule_every"):
+                     "schedule_every", "max_epochs"):
             if getattr(self, name) < 1:
                 raise StructuralError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.heads != 0:
             raise StructuralError(f"d_model {self.d_model} not divisible by heads {self.heads}")
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise StructuralError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name, ok, rule in (
+            ("base_lr", self.base_lr > 0, "> 0"),
+            ("weight_decay", self.weight_decay >= 0, ">= 0"),
+            ("aug_rotation", self.aug_rotation >= 0, ">= 0"),
+            ("aug_mask_prob", 0 <= self.aug_mask_prob <= 1, "in [0, 1]"),
+            ("schedule_factor", self.schedule_factor > 0, "> 0"),
+        ):
+            if not ok:
+                raise StructuralError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 _INT_FIELDS = {f.name for f in dataclasses.fields(ActionModelConfig) if f.type == "int"}

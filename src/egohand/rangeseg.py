@@ -145,12 +145,27 @@ def apply_mask(frame: np.ndarray, mask: SegMask, fill=(0, 0, 0)) -> np.ndarray:
         raise StructuralError(
             f"frame {frame.shape[:2]} and mask {mask.values.shape} dimensions differ"
         )
-    fill_arr = np.asarray(fill, dtype=np.float64).reshape(1, 1, 3)
+    fill_arr = np.asarray(fill, dtype=np.float64).reshape(3)
+    h, w = mask.values.shape
+    out = np.empty((h, w, 3), np.uint8)
     if mask.binary:
-        return np.where(mask.values[:, :, None], frame, fill_arr.astype(np.uint8))
-    m = mask.values[:, :, None]
-    blended = frame.astype(np.float64) * m + fill_arr * (1.0 - m)
-    return np.clip(np.rint(blended), 0, 255).astype(np.uint8)
+        # row layout: each (3W,) row of the frame against its mask repeated per channel
+        rows = out.reshape(h, 3 * w)
+        rows[...] = np.tile(fill_arr.astype(np.uint8), w)
+        np.copyto(rows, frame.reshape(h, 3 * w), where=np.repeat(mask.values, 3, axis=1))
+        return out
+    # one contiguous plane per channel: frame * m + fill * (1 - m), rounded and clipped
+    m = mask.values
+    fill_weight = 1.0 - m
+    plane, fill_term = np.empty((h, w)), np.empty((h, w))
+    for ch in range(3):
+        np.multiply(frame[:, :, ch], m, out=plane)
+        np.multiply(fill_arr[ch], fill_weight, out=fill_term)
+        plane += fill_term
+        np.rint(plane, out=plane)
+        np.clip(plane, 0, 255, out=plane)
+        out[:, :, ch] = plane
+    return out
 
 
 def desharpen_mask(mask: SegMask, radius: int) -> SegMask:
@@ -168,7 +183,7 @@ def desharpen_mask(mask: SegMask, radius: int) -> SegMask:
         )
     blurred = _kernels.box_blur(mask.values, radius)
     # guard float round-off at the [0,1] boundary
-    return SegMask(np.clip(blurred, 0.0, 1.0))
+    return SegMask(np.clip(blurred, 0.0, 1.0, out=blurred))
 
 
 def mask_stats(mask: SegMask) -> tuple[float, float]:
@@ -179,10 +194,11 @@ def mask_stats(mask: SegMask) -> tuple[float, float]:
 # --- .dmap format ---------------------------------------------------------
 
 
-def _pack_dmap(values: np.ndarray, tag: int, flag: int) -> bytes:
+def _write_dmap(path, values: np.ndarray, tag: int, flag: int) -> None:
     h, w = values.shape
-    header = _DMAP_HEADER.pack(_DMAP_MAGIC, _DMAP_VERSION, tag, flag, w, h)
-    return header + values.astype("<f4").tobytes()
+    with open(path, "wb") as f:
+        f.write(_DMAP_HEADER.pack(_DMAP_MAGIC, _DMAP_VERSION, tag, flag, w, h))
+        f.write(values.astype("<f4"))
 
 
 def _read_dmap(path) -> tuple[np.ndarray, int, int]:
@@ -213,8 +229,7 @@ def _read_dmap(path) -> tuple[np.ndarray, int, int]:
 
 
 def save_depth(path, dm: DepthMap) -> None:
-    with open(path, "wb") as f:
-        f.write(_pack_dmap(dm.values, _ORDER_TAGS[dm.order], int(dm.normalized)))
+    _write_dmap(path, dm.values, _ORDER_TAGS[dm.order], int(dm.normalized))
 
 
 def load_depth(path) -> DepthMap:
@@ -225,8 +240,7 @@ def load_depth(path) -> DepthMap:
 
 
 def save_mask(path, mask: SegMask) -> None:
-    with open(path, "wb") as f:
-        f.write(_pack_dmap(mask.values, _MASK_TAG, int(mask.binary)))
+    _write_dmap(path, mask.values, _MASK_TAG, int(mask.binary))
 
 
 def load_mask(path) -> SegMask:
@@ -250,7 +264,7 @@ def save_ppm(path, frame: np.ndarray) -> None:
     h, w = frame.shape[:2]
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(frame.tobytes())
+        f.write(np.ascontiguousarray(frame))
 
 
 def load_ppm(path) -> np.ndarray:
@@ -280,10 +294,9 @@ def load_ppm(path) -> np.ndarray:
     if maxval != 255 or w < 1 or h < 1:
         raise FormatError(f"need a positive PPM size and maxval 255, got {w}x{h}, maxval {maxval}")
     need = w * h * 3
-    data = buf[pos : pos + need]
-    if len(data) != need:
-        raise FormatError(f"PPM payload truncated: expected {need} bytes, got {len(data)}")
-    if len(buf) - pos != need:
-        raise FormatError(f"{len(buf) - pos - need} trailing bytes after PPM payload")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).copy()
-
+    got = max(len(buf) - pos, 0)
+    if got < need:
+        raise FormatError(f"PPM payload truncated: expected {need} bytes, got {got}")
+    if got != need:
+        raise FormatError(f"{got - need} trailing bytes after PPM payload")
+    return np.frombuffer(buf, dtype=np.uint8, count=need, offset=pos).reshape(h, w, 3).copy()

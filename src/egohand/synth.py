@@ -366,7 +366,10 @@ def gen_scene_depth(left: HandPose, right: HandPose, p: SynthParams):
     top whenever a hand is present; background pixels fill the background
     band with a smooth pattern.
     """
-    zbuf = arm_depth_buffer(left, right, p)
+    return _pseudo_depth(arm_depth_buffer(left, right, p), p)
+
+
+def _pseudo_depth(zbuf: np.ndarray, p: SynthParams):
     arm = np.isfinite(zbuf)
     a_lo, a_hi = p.arm_band
     b_lo, b_hi = p.background_band
@@ -386,7 +389,10 @@ def gen_scene_depth(left: HandPose, right: HandPose, p: SynthParams):
 
 def gen_scene_depth_metric(left: HandPose, right: HandPose, p: SynthParams):
     """Ground-truth-style metric map in mm (closer-is-smaller) + exact mask."""
-    zbuf = arm_depth_buffer(left, right, p)
+    return _metric_depth(arm_depth_buffer(left, right, p), p)
+
+
+def _metric_depth(zbuf: np.ndarray, p: SynthParams):
     arm = np.isfinite(zbuf)
     m_lo, m_hi = p.background_mm_band
     values = m_lo + (m_hi - m_lo) * _background_pattern(*zbuf.shape)
@@ -522,8 +528,10 @@ def write_fixture_tree(
         for fr in seq.frames:
             if emitted >= scene_frames:
                 return
-            pseudo, gt = gen_scene_depth(fr.left, fr.right, params)
-            metric, _ = gen_scene_depth_metric(fr.left, fr.right, params)
+            # one rasterization gives both maps
+            zbuf = arm_depth_buffer(fr.left, fr.right, params)
+            pseudo, gt = _pseudo_depth(zbuf, params)
+            metric, _ = _metric_depth(zbuf, params)
             stem = os.path.join(scenes_dir, f"{fr.frame_id:06d}")
             save_depth(stem + ".dmap", pseudo)
             save_depth(stem + ".mm.dmap", metric)

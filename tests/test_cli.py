@@ -182,6 +182,9 @@ def _bad_params(edit):
         pytest.param(_train_with("blocks=0"), ("blocks must be >= 1",), id="blockless-train"),
         pytest.param(_train_with("schedule_start=0", "schedule_every=0"), ("schedule_every must be >= 1",),
                      id="schedule-every-0"),
+        pytest.param(_train_with("aug_rotation=nan"), ("aug_rotation must be finite, got nan",),
+                     id="nan-aug-rotation"),
+        pytest.param(_train_with("base_lr=-1"), ("base_lr must be > 0, got -1.0",), id="negative-base-lr"),
         pytest.param(_repeated_sequence_id, ("line 3", "repeated sequence_id 0"), id="repeated-sequence-id"),
         pytest.param(_two_d_pose_file, ("line 1", "unknown space tag '2d'"), id="two-d-pose-file"),
         pytest.param(_short_checkpoint, (), id="short-checkpoint"),
@@ -207,6 +210,18 @@ def test_library_errors_exit_3_with_one_line(make_argv, words, tree, tmp_path):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     for word in words:
         assert word in proc.stderr
+
+
+@pytest.mark.parametrize("epochs", ["0", "-3"])
+def test_train_without_epochs_exits_3_and_writes_nothing(epochs, tree, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "egohand", "train", "--data", str(tree), "--epochs", epochs,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == f"format/config error: max_epochs must be >= 1, got {epochs}\n"
+    assert not (tmp_path / "o").exists()
 
 
 class TestSegment:
@@ -597,12 +612,19 @@ def _report_eval_action(tree, trained, tmp):
 def test_run_report_contents(command, run, tree, trained, tmp_path):
     path, seed, config_keys, metric_keys = run(tree, trained, tmp_path)
     doc = json.loads(path.read_text())
-    assert set(doc) == {"command", "config", "seed", "metrics", "wall_time_s"}
+    timed = {"stage_s"} if command == "segment" else set()
+    assert set(doc) == {"command", "config", "seed", "metrics", "wall_time_s"} | timed
     assert doc["command"] == command
     assert doc["seed"] == seed
     assert set(doc["config"]) == config_keys
     assert set(doc["metrics"]) == metric_keys
     assert isinstance(doc["wall_time_s"], float) and doc["wall_time_s"] >= 0.0
+    if timed:
+        stage_s = doc["stage_s"]
+        assert list(stage_s) == ["apply", "desharpen", "load", "mask", "save"]
+        assert all(isinstance(v, float) and v >= 0.0 for v in stage_s.values())
+        assert stage_s["desharpen"] == 0.0 and stage_s["apply"] > 0.0  # a --t run blurs nothing
+        assert sum(stage_s.values()) <= doc["wall_time_s"]
 
 
 def test_commands_without_a_report(tree, trained, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -162,6 +164,32 @@ class TestConfig:
             parse_config_text(f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"^{key} must be >= 1"):
             apply_overrides(ActionModelConfig(), [f"{key}={value}"])
+
+
+    @pytest.mark.parametrize("key", ["base_lr", "schedule_factor", "weight_decay", "aug_rotation", "aug_mask_prob"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_is_config_error_naming_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
+            apply_overrides(ActionModelConfig(), [f"{key}={value}"])
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("base_lr", "0", "> 0"), ("base_lr", "-1", "> 0"),
+        ("schedule_factor", "0", "> 0"),
+        ("weight_decay", "-0.01", ">= 0"),
+        ("aug_rotation", "-0.5", ">= 0"),
+        ("aug_mask_prob", "-0.1", "in [0, 1]"), ("aug_mask_prob", "1.5", "in [0, 1]"),
+        ("max_epochs", "0", ">= 1"), ("max_epochs", "-3", ">= 1"),
+    ])
+    def test_out_of_range_value_is_config_error(self, key, value, rule):
+        with pytest.raises(ConfigError, match=f"^{key} must be {re.escape(rule)}, got "):
+            parse_config_text(f"{key} = {value}\n")
+
+    def test_boundary_values_accepted(self):
+        cfg = apply_overrides(ActionModelConfig(), [
+            "weight_decay=0", "aug_rotation=0", "aug_mask_prob=0", "max_epochs=1", "schedule_factor=2",
+        ])
+        assert (cfg.weight_decay, cfg.aug_rotation, cfg.aug_mask_prob, cfg.max_epochs) == (0.0, 0.0, 0.0, 1)
+        assert apply_overrides(cfg, ["aug_mask_prob=1"]).aug_mask_prob == 1.0
 
 
 _CONFIG_TEXT = config_to_text(ActionModelConfig())

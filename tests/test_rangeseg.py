@@ -402,6 +402,108 @@ class TestKernelBackends:
         assert np.max(np.abs(fast[both] - slow[both])) < 1e-9
 
 
+def _apply_mask_where(frame, mask, fill):
+    """``apply_mask``'s binary formula as a broadcast ``np.where``."""
+    return np.where(mask[:, :, None], frame, np.asarray(fill, np.float64).reshape(1, 1, 3).astype(np.uint8))
+
+
+def _apply_mask_blend(frame, weights, fill):
+    """``apply_mask``'s soft formula on whole (H, W, 3) float64 temporaries."""
+    m = weights[:, :, None]
+    blended = frame.astype(np.float64) * m + np.asarray(fill, np.float64).reshape(1, 1, 3) * (1.0 - m)
+    return np.clip(np.rint(blended), 0, 255).astype(np.uint8)
+
+
+def _coherent_mask(shape, rng):
+    """A filled ellipse with a rectangle cut out: large same-valued runs, like scene masks."""
+    h, w = shape
+    y, x = np.mgrid[0:h, 0:w]
+    cy, cx = rng.uniform(0, h), rng.uniform(0, w)
+    keep = ((y - cy) / max(h / 3, 1)) ** 2 + ((x - cx) / max(w / 3, 1)) ** 2 <= 1.0
+    keep[h // 3 : h // 2 + 1, w // 4 : w // 2 + 1] = False
+    return keep
+
+
+class TestMaskPathBytes:
+    """``apply_mask`` and ``desharpen_mask`` give the bytes of the plain
+    formulas, write to no input, and return owned C-contiguous maps."""
+
+    SHAPES = ((24, 37), (37, 24), (1, 9), (9, 1), (1, 1), (5, 7))
+    FILLS = ((0, 0, 0), (255, 255, 255), (20, 200, 90))
+
+    def _masks(self, shape, rng):
+        return {"coherent": _coherent_mask(shape, rng), "random": rng.uniform(size=shape) < 0.5}
+
+    @staticmethod
+    def _check_owned(out, shape, dtype):
+        assert out.shape == shape and out.dtype == dtype
+        assert out.flags.owndata and out.flags.c_contiguous
+
+    def test_binary_matches_where(self):
+        rng = np.random.default_rng(21)
+        for shape in self.SHAPES:
+            frame = rng.integers(0, 256, (*shape, 3), dtype=np.uint8)
+            for name, keep in self._masks(shape, rng).items():
+                mask = SegMask(keep)
+                before = frame.copy(), mask.values.copy()
+                for fill in self.FILLS:
+                    out = apply_mask(frame, mask, fill)
+                    assert out.tobytes() == _apply_mask_where(frame, keep, fill).tobytes(), (shape, name, fill)
+                    self._check_owned(out, frame.shape, np.uint8)
+                assert np.array_equal(frame, before[0]) and np.array_equal(mask.values, before[1])
+
+    def test_binary_strided_frame(self):
+        rng = np.random.default_rng(22)
+        big = rng.integers(0, 256, (20, 30, 3), dtype=np.uint8)
+        frame = big[::2, ::3]  # a view: not contiguous
+        keep = _coherent_mask(frame.shape[:2], rng)
+        out = apply_mask(frame, SegMask(keep), (20, 200, 90))
+        assert out.tobytes() == _apply_mask_where(frame, keep, (20, 200, 90)).tobytes()
+        self._check_owned(out, frame.shape, np.uint8)
+
+    def test_soft_matches_blend(self):
+        rng = np.random.default_rng(23)
+        for shape in self.SHAPES:
+            frame = rng.integers(0, 256, (*shape, 3), dtype=np.uint8)
+            weights = {"uniform": rng.uniform(size=shape),
+                       # exact halves put frame/fill midpoints on rint's ties
+                       "halves": rng.integers(0, 3, shape) / 2.0}
+            for radius in (1, 2, 3):
+                if radius < min(shape):
+                    for name, keep in self._masks(shape, rng).items():
+                        weights[f"{name} r{radius}"] = desharpen_mask(SegMask(keep), radius).values
+            for name, w in weights.items():
+                mask = SegMask(w)
+                before = frame.copy(), mask.values.copy()
+                for fill in self.FILLS:
+                    out = apply_mask(frame, mask, fill)
+                    assert out.tobytes() == _apply_mask_blend(frame, w, fill).tobytes(), (shape, name, fill)
+                    self._check_owned(out, frame.shape, np.uint8)
+                assert np.array_equal(frame, before[0]) and np.array_equal(mask.values, before[1])
+
+    def test_desharpen_matches_clipped_gather_formula(self):
+        rng = np.random.default_rng(24)
+        for shape in ((24, 37), (37, 24), (5, 7), (4, 4)):
+            for radius in (1, 2, 3):
+                if radius >= min(shape):
+                    continue
+                for name, keep in self._masks(shape, rng).items():
+                    mask = SegMask(keep)
+                    before = mask.values.copy()
+                    out = desharpen_mask(mask, radius).values
+                    want = np.clip(_box_blur_gathers(keep, radius), 0.0, 1.0)
+                    assert out.tobytes() == want.tobytes(), (shape, radius, name)
+                    self._check_owned(out, shape, np.float64)
+                    assert np.array_equal(mask.values, before)
+
+    def test_box_blur_leaves_float_input_alone(self):
+        v = np.random.default_rng(25).uniform(size=(6, 8))
+        before = v.copy()
+        out = _kernels.box_blur(v, 2)
+        assert np.array_equal(v, before) and not np.shares_memory(out, v)
+        self._check_owned(out, v.shape, np.float64)
+
+
 def test_composition_determinism():
     # identical (frame, depth, t) triples produce bit-identical outputs
     rng = np.random.default_rng(13)
