@@ -132,7 +132,6 @@ def _resolve_config(args) -> model.ActionModelConfig:
 
 def cmd_synth(args) -> tuple:
     params = synth.SynthParams()
-    os.makedirs(args.out, exist_ok=True)
     synth.write_fixture_tree(
         args.out, params, args.classes, args.per_class, args.seed, scene_frames=args.scene_frames
     )

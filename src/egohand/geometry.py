@@ -65,12 +65,18 @@ def absent_pose() -> HandPose:
     return HandPose(np.zeros((JOINT_COUNT, 3)), present=False)
 
 
-def lift_to_camera(pose: HandPose, k: CameraIntrinsics) -> HandPose:
-    """Lift (u, v, z) to camera space: X=(u-cx)z/fx, Y=(v-cy)z/fy, Z=z."""
-    z = pose.joints[:, 2]
+def _positive_depth(points: np.ndarray) -> np.ndarray:
+    """The z column of ``points``; DegenerateDepthError names the first row with z <= 0."""
+    z = points[:, 2]
     bad = np.nonzero(z <= 0)[0]
     if bad.size:
         raise DegenerateDepthError(int(bad[0]), float(z[bad[0]]))
+    return z
+
+
+def lift_to_camera(pose: HandPose, k: CameraIntrinsics) -> HandPose:
+    """Lift (u, v, z) to camera space: X=(u-cx)z/fx, Y=(v-cy)z/fy, Z=z."""
+    z = _positive_depth(pose.joints)
     out = np.empty_like(pose.joints)
     out[:, 0] = (pose.joints[:, 0] - k.cx) * z / k.fx
     out[:, 1] = (pose.joints[:, 1] - k.cy) * z / k.fy
@@ -78,17 +84,19 @@ def lift_to_camera(pose: HandPose, k: CameraIntrinsics) -> HandPose:
     return HandPose(out, present=pose.present)
 
 
-def project_to_image(pose: HandPose, k: CameraIntrinsics) -> HandPose:
-    """Inverse of lift_to_camera: u = fx*X/Z + cx, v = fy*Y/Z + cy, z = Z."""
-    z = pose.joints[:, 2]
-    bad = np.nonzero(z <= 0)[0]
-    if bad.size:
-        raise DegenerateDepthError(int(bad[0]), float(z[bad[0]]))
-    out = np.empty_like(pose.joints)
-    out[:, 0] = k.fx * pose.joints[:, 0] / z + k.cx
-    out[:, 1] = k.fy * pose.joints[:, 1] / z + k.cy
+def project_points(points: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
+    """Project (N, 3) camera-space points to (u, v, z): u = fx*X/Z + cx, v = fy*Y/Z + cy, z = Z."""
+    z = _positive_depth(points)
+    out = np.empty_like(points)
+    out[:, 0] = k.fx * points[:, 0] / z + k.cx
+    out[:, 1] = k.fy * points[:, 1] / z + k.cy
     out[:, 2] = z
-    return HandPose(out, present=pose.present)
+    return out
+
+
+def project_to_image(pose: HandPose, k: CameraIntrinsics) -> HandPose:
+    """Inverse of lift_to_camera."""
+    return HandPose(project_points(pose.joints, k), present=pose.present)
 
 
 def mpjpe(pred: HandPose, gt: HandPose) -> float:

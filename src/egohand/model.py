@@ -59,6 +59,7 @@ class ActionModelConfig:
             ("base_lr", self.base_lr > 0, "> 0"),
             ("weight_decay", self.weight_decay >= 0, ">= 0"),
             ("aug_rotation", self.aug_rotation >= 0, ">= 0"),
+            ("aug_rotation", self.aug_rotation <= math.pi, "<= pi"),
             ("aug_mask_prob", 0 <= self.aug_mask_prob <= 1, "in [0, 1]"),
             ("schedule_factor", self.schedule_factor > 0, "> 0"),
         ):
@@ -219,12 +220,7 @@ class ActionModel:
         for i in range(c.blocks):
             p = f"block{i}."
             a1, c_ln1 = nnkit.layer_norm(h, pv[p + "ln1.g"], pv[p + "ln1.b"])
-            attn_p = {
-                "wq": pv[p + "attn.wq"], "bq": pv[p + "attn.bq"],
-                "wk": pv[p + "attn.wk"],
-                "wv": pv[p + "attn.wv"], "bv": pv[p + "attn.bv"],
-                "wo": pv[p + "attn.wo"], "bo": pv[p + "attn.bo"],
-            }
+            attn_p = {nm: pv[p + "attn." + nm] for nm in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")}
             h2, c_attn = nnkit.multi_head_attention(a1, attn_p, c.heads)
             h2 += h
             a2, c_ln2 = nnkit.layer_norm(h2, pv[p + "ln2.g"], pv[p + "ln2.b"])
@@ -268,46 +264,36 @@ class ActionModel:
         pv = self.params.values
         acc = self.params.accumulate
         x, blocks_cache, c_lnf, cls_vec, c_gelu, h1g = cache
-        b = x.shape[0]
 
-        g, gw, gb = nnkit.linear_backward(glogits, h1g, pv["head2.w"])
-        acc("head2.w", gw)
-        acc("head2.b", gb)
-        g = nnkit.gelu_backward(g, c_gelu)
-        g, gw, gb = nnkit.linear_backward(g, cls_vec, pv["head1.w"])
-        acc("head1.w", gw)
-        acc("head1.b", gb)
+        # each step accumulates its layer's parameter gradients and returns the input gradient
+        def lin(name, g, inp):
+            g, gw, gb = nnkit.linear_backward(g, inp, pv[name + ".w"])
+            acc(name + ".w", gw)
+            acc(name + ".b", gb)
+            return g
 
-        g, gg, gb = nnkit.layer_norm_backward(g, c_lnf)
-        acc("final_ln.g", gg)
-        acc("final_ln.b", gb)
-        gh = np.zeros((b, c.seq_len + 1, c.d_model))
+        def norm(name, g, ln_cache):
+            g, gg, gb = nnkit.layer_norm_backward(g, ln_cache)
+            acc(name + ".g", gg)
+            acc(name + ".b", gb)
+            return g
+
+        g = nnkit.gelu_backward(lin("head2", glogits, h1g), c_gelu)
+        g = norm("final_ln", lin("head1", g, cls_vec), c_lnf)
+        gh = np.zeros((x.shape[0], c.seq_len + 1, c.d_model))
         gh[:, 0, :] = g
 
         for i in reversed(range(c.blocks)):
             p = f"block{i}."
             c_ln1, c_attn, a2, c_ln2, c_gelu, f1g = blocks_cache[i]
-            # feed-forward residual
-            g, gw, gb = nnkit.linear_backward(gh, f1g, pv[p + "ff2.w"])
-            acc(p + "ff2.w", gw)
-            acc(p + "ff2.b", gb)
-            g = nnkit.gelu_backward(g, c_gelu)
-            g, gw, gb = nnkit.linear_backward(g, a2, pv[p + "ff1.w"])
-            acc(p + "ff1.w", gw)
-            acc(p + "ff1.b", gb)
-            ga2, gg, gb = nnkit.layer_norm_backward(g, c_ln2)
-            acc(p + "ln2.g", gg)
-            acc(p + "ln2.b", gb)
-            gh2 = ga2
+            # feed-forward residual; no name holds its (B, T, ff_width) gradients past this line
+            gh2 = norm(p + "ln2", lin(p + "ff1", nnkit.gelu_backward(lin(p + "ff2", gh, f1g), c_gelu), a2), c_ln2)
             gh2 += gh
             # attention residual
             ga1, attn_grads = nnkit.multi_head_attention_backward(gh2, c_attn)
             for nm, arr in attn_grads.items():
                 acc(p + "attn." + nm, arr)
-            g, gg, gb = nnkit.layer_norm_backward(ga1, c_ln1)
-            acc(p + "ln1.g", gg)
-            acc(p + "ln1.b", gb)
-            gh = g
+            gh = norm(p + "ln1", ga1, c_ln1)
             gh += gh2
 
         acc("pos", gh.sum(axis=0))

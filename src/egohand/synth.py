@@ -28,6 +28,7 @@ from .geometry import (
     CameraIntrinsics,
     HandPose,
     absent_pose,
+    project_points,
     project_to_image,
 )
 from .rangeseg import CLOSER_IS_LARGER, CLOSER_IS_SMALLER, DepthMap, SegMask, save_depth, save_mask, save_ppm
@@ -44,12 +45,17 @@ DEFAULT_BONES = {
     "pinky": (75.0, 30.0, 20.0, 18.0),
 }
 
-# finger splay angles (rad) about the pointing direction, thumb..pinky
-_FINGER_SPLAY = (-1.05, -0.30, 0.0, 0.28, 0.60)
+# per finger, thumb..pinky: splay angle (rad) about the pointing direction, and the share
+# of the curl its k-th segment takes as pitch (curl * k) * gain (the thumb bends less);
+# curl * (k * gain) rounds differently
+_FINGER_SPLAY = np.array([-1.05, -0.30, 0.0, 0.28, 0.60])[:, None]
+_CURL_GAIN = np.array([0.35, 1.0, 1.0, 1.0, 1.0])[:, None]
 
-# capsule half-thickness in mm by segment position within a finger chain
-_SEG_RADII_MM = (15.0, 10.0, 8.0, 7.0)
-_FOREARM_RADIUS_MM = 26.0
+# one capsule per joint-parent edge, then wrist -> forearm end (row 21 of the projected points)
+_CAPSULE_FROM = np.array(JOINT_PARENTS[1:] + (0,))
+_CAPSULE_TO = np.arange(1, JOINT_COUNT + 1)
+# capsule half-thickness in mm: by segment position within each finger chain, then the forearm
+_CAPSULE_RADII_MM = np.array((15.0, 10.0, 8.0, 7.0) * len(DEFAULT_BONES) + (26.0,))
 _FOREARM_LENGTH_FACTOR = 2.2
 # the SynthParams fields that hold tuples; their JSON values are lists
 _TUPLE_FIELDS = ("arm_band", "background_band", "background_mm_band", "frames_range")
@@ -143,16 +149,14 @@ def _hand_local(bones: dict, scale: float, curl: float, mirror: bool) -> np.ndar
     Built as a right hand, mirrored in x for the left. Each segment direction
     is unit length, so bone lengths are exact for any curl.
     """
-    joints = np.zeros((JOINT_COUNT, 3))
-    for f, finger in enumerate(("thumb", "index", "middle", "ring", "pinky")):
-        lengths = bones[finger]
-        dx, dy = np.sin(_FINGER_SPLAY[f]), -np.cos(_FINGER_SPLAY[f])
-        pos = joints[0].copy()
-        for k in range(4):
-            pitch = curl * k * (0.35 if finger == "thumb" else 1.0)
-            direction = np.array([dx * np.cos(pitch), dy * np.cos(pitch), np.sin(pitch)])
-            pos = pos + direction * (lengths[k] * scale)
-            joints[1 + 4 * f + k] = pos
+    lengths = np.array([bones[finger] for finger in DEFAULT_BONES], dtype=np.float64)
+    pitch = curl * np.arange(4.0) * _CURL_GAIN
+    direction = np.stack(
+        [np.sin(_FINGER_SPLAY) * np.cos(pitch), -np.cos(_FINGER_SPLAY) * np.cos(pitch), np.sin(pitch)], axis=-1
+    )
+    # each chain walks out from the +0.0 wrist, so a -0.0 first step lands on +0.0
+    chains = np.cumsum(direction * (lengths * scale)[:, :, None], axis=1) + 0.0
+    joints = np.concatenate([np.zeros((1, 3)), chains.reshape(-1, 3)])
     if mirror:
         joints[:, 0] *= -1.0
     return joints
@@ -317,26 +321,13 @@ def gen_frame(class_id: int, rng, p: SynthParams):
 
 def _hand_capsules(pose: HandPose, k: CameraIntrinsics) -> np.ndarray:
     """Projected capsules (x0, y0, z0, x1, y1, z1, r_px) for one hand + forearm."""
-    uvz = project_to_image(pose, k).joints
-    segs = []
-    for j in range(1, JOINT_COUNT):
-        parent = JOINT_PARENTS[j]
-        r_mm = _SEG_RADII_MM[(j - 1) % 4]
-        z_mid = 0.5 * (uvz[parent, 2] + uvz[j, 2])
-        segs.append(
-            (uvz[parent, 0], uvz[parent, 1], uvz[parent, 2],
-             uvz[j, 0], uvz[j, 1], uvz[j, 2], r_mm * k.fx / z_mid)
-        )
     # forearm stub: extend from the wrist away from the middle-finger base
     wrist = pose.joints[0]
     end = wrist + (wrist - pose.joints[9]) * _FOREARM_LENGTH_FACTOR
-    eu = k.fx * end[0] / end[2] + k.cx
-    ev = k.fy * end[1] / end[2] + k.cy
-    z_mid = 0.5 * (uvz[0, 2] + end[2])
-    segs.append(
-        (uvz[0, 0], uvz[0, 1], uvz[0, 2], eu, ev, end[2], _FOREARM_RADIUS_MM * k.fx / z_mid)
-    )
-    return np.asarray(segs, dtype=np.float64)
+    uvz = project_points(np.vstack([pose.joints, end]), k)
+    a, b = uvz[_CAPSULE_FROM], uvz[_CAPSULE_TO]
+    r_px = _CAPSULE_RADII_MM * k.fx / (0.5 * (a[:, 2] + b[:, 2]))
+    return np.concatenate([a, b, r_px[:, None]], axis=1)
 
 
 def _background_pattern(h: int, w: int) -> np.ndarray:
@@ -369,11 +360,15 @@ def gen_scene_depth(left: HandPose, right: HandPose, p: SynthParams):
     return _pseudo_depth(arm_depth_buffer(left, right, p), p)
 
 
+def _banded(zbuf: np.ndarray, band: tuple):
+    """The arm mask of ``zbuf`` (finite depth) and a map filling ``band`` with the background pattern."""
+    lo, hi = band
+    return np.isfinite(zbuf), lo + (hi - lo) * _background_pattern(*zbuf.shape)
+
+
 def _pseudo_depth(zbuf: np.ndarray, p: SynthParams):
-    arm = np.isfinite(zbuf)
+    arm, values = _banded(zbuf, p.background_band)
     a_lo, a_hi = p.arm_band
-    b_lo, b_hi = p.background_band
-    values = b_lo + (b_hi - b_lo) * _background_pattern(*zbuf.shape)
     if arm.any():
         z = zbuf[arm]
         zmin, zmax = z.min(), z.max()
@@ -393,9 +388,7 @@ def gen_scene_depth_metric(left: HandPose, right: HandPose, p: SynthParams):
 
 
 def _metric_depth(zbuf: np.ndarray, p: SynthParams):
-    arm = np.isfinite(zbuf)
-    m_lo, m_hi = p.background_mm_band
-    values = m_lo + (m_hi - m_lo) * _background_pattern(*zbuf.shape)
+    arm, values = _banded(zbuf, p.background_mm_band)
     values[arm] = zbuf[arm]
     return (
         DepthMap(values, order=CLOSER_IS_SMALLER, normalized=False),
@@ -477,6 +470,8 @@ def generate_dataset(params: SynthParams, classes: int, per_class: int, master_s
     """Labelled 3D-pose dataset with per-class 70/15/15 splits."""
     if not (1 <= classes <= N_CLASSES):
         raise RangeError(f"classes must lie in [1, {N_CLASSES}], got {classes}")
+    if per_class < 1:
+        raise RangeError(f"per_class must be >= 1, got {per_class}")
     n_train = max(1, int(round(0.70 * per_class)))
     n_val = max(1, int(0.15 * per_class)) if per_class >= 3 else 0
     # keep every split non-empty once there are three or more sequences
@@ -510,6 +505,8 @@ def write_fixture_tree(
     """Emit the full fixture tree: poses.ndjson + manifest.csv + params.json
     plus, for the first ``scene_frames`` frames, pseudo-depth / metric /
     ground-truth-mask .dmap files and schematic PPM frames under scenes/."""
+    if scene_frames < 0:
+        raise RangeError(f"scene_frames must be >= 0, got {scene_frames}")
     dataset = generate_dataset(params, classes, per_class, master_seed)
     save_dataset(out_dir, dataset)
     meta = {

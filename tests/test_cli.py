@@ -185,6 +185,8 @@ def _bad_params(edit):
         pytest.param(_train_with("aug_rotation=nan"), ("aug_rotation must be finite, got nan",),
                      id="nan-aug-rotation"),
         pytest.param(_train_with("base_lr=-1"), ("base_lr must be > 0, got -1.0",), id="negative-base-lr"),
+        pytest.param(_train_with("aug_rotation=1e308"), ("aug_rotation must be <= pi, got 1e+308",),
+                     id="huge-aug-rotation"),
         pytest.param(_repeated_sequence_id, ("line 3", "repeated sequence_id 0"), id="repeated-sequence-id"),
         pytest.param(_two_d_pose_file, ("line 1", "unknown space tag '2d'"), id="two-d-pose-file"),
         pytest.param(_short_checkpoint, (), id="short-checkpoint"),
@@ -222,6 +224,20 @@ def test_train_without_epochs_exits_3_and_writes_nothing(epochs, tree, tmp_path)
     assert proc.returncode == 3
     assert proc.stderr == f"format/config error: max_epochs must be >= 1, got {epochs}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--per-class", "0"], "per_class must be >= 1, got 0"),
+    (["--per-class", "2", "--scene-frames", "-3"], "scene_frames must be >= 0, got -3"),
+])
+def test_synth_count_out_of_range_exits_3_and_writes_nothing(flags, message, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "egohand", "synth", "--classes", "2", *flags, "--out", str(tmp_path / "t")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == f"format/config error: {message}\n"
+    assert not (tmp_path / "t").exists()
 
 
 class TestSegment:

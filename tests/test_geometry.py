@@ -15,6 +15,7 @@ from egohand.geometry import (
     lift_to_camera,
     mpjpe,
     mpjpe_report,
+    project_points,
     project_to_image,
     rotate_points_2d,
 )
@@ -98,6 +99,32 @@ class TestLiftProject:
         p = _pose25(np.tile([10.0, 10.0, 500.0], (JOINT_COUNT, 1)))
         p.present = False
         assert lift_to_camera(p, K).present is False
+
+
+class TestProjectPoints:
+    def test_equals_project_to_image(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            pose = _random_pose3(rng)
+            assert project_points(pose.joints, K).tobytes() == project_to_image(pose, K).joints.tobytes()
+
+    def test_any_row_count_by_the_pinhole_formula(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 22, 300):
+            pts = np.column_stack([rng.uniform(-300, 300, (n, 2)), rng.uniform(1e-3, 3000, n)])
+            expect = np.column_stack([
+                K.fx * pts[:, 0] / pts[:, 2] + K.cx, K.fy * pts[:, 1] / pts[:, 2] + K.cy, pts[:, 2],
+            ])
+            assert project_points(pts, K).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("bad_rows, z", [((0,), 0.0), ((7, 3), -2.5), ((21, 22), -0.0), ((4,), -1e-300)])
+    def test_degenerate_depth_names_first_bad_row(self, bad_rows, z):
+        pts = np.tile([40.0, -25.0, 600.0], (23, 1))
+        pts[list(bad_rows), 2] = z
+        with pytest.raises(DegenerateDepthError) as ei:
+            project_points(pts, K)
+        assert ei.value.joint_index == min(bad_rows)
+        assert ei.value.z == z
 
 
 class TestMpjpe:

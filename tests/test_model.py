@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -177,6 +178,7 @@ class TestConfig:
         ("schedule_factor", "0", "> 0"),
         ("weight_decay", "-0.01", ">= 0"),
         ("aug_rotation", "-0.5", ">= 0"),
+        ("aug_rotation", "3.1416", "<= pi"), ("aug_rotation", "1e308", "<= pi"),
         ("aug_mask_prob", "-0.1", "in [0, 1]"), ("aug_mask_prob", "1.5", "in [0, 1]"),
         ("max_epochs", "0", ">= 1"), ("max_epochs", "-3", ">= 1"),
     ])
@@ -190,6 +192,7 @@ class TestConfig:
         ])
         assert (cfg.weight_decay, cfg.aug_rotation, cfg.aug_mask_prob, cfg.max_epochs) == (0.0, 0.0, 0.0, 1)
         assert apply_overrides(cfg, ["aug_mask_prob=1"]).aug_mask_prob == 1.0
+        assert apply_overrides(cfg, [f"aug_rotation={math.pi!r}"]).aug_rotation == math.pi
 
 
 _CONFIG_TEXT = config_to_text(ActionModelConfig())

@@ -3,12 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from egohand import _kernels
 from egohand.errors import RangeError, StructuralError
-from egohand.geometry import JOINT_COUNT, JOINT_PARENTS, project_to_image
+from egohand.geometry import JOINT_COUNT, JOINT_PARENTS, absent_pose, project_to_image
 from egohand.rangeseg import SegMask, desharpen_mask, normalize_depth, range_mask, range_mask_metric
 from egohand.sequence import load_dataset
 from egohand.synth import (
+    DEFAULT_BONES,
     SynthParams,
+    _hand_capsules,
+    _hand_local,
+    arm_depth_buffer,
     class_template,
     gen_frame,
     gen_hand_sequence,
@@ -119,6 +124,94 @@ class TestSceneDepth:
             # zero-free map: metric path == normalize-then-threshold path
             via_norm = range_mask(normalize_depth(metric), 700.0 / metric.values.max())
             assert np.array_equal(mask_mm.values, via_norm.values)
+
+
+def _hand_local_loop(bones, scale, curl, mirror):
+    """_hand_local as a joint-by-joint walk, as it was built before the (5, 4) segment table."""
+    splay = (-1.05, -0.30, 0.0, 0.28, 0.60)
+    joints = np.zeros((JOINT_COUNT, 3))
+    for f, finger in enumerate(("thumb", "index", "middle", "ring", "pinky")):
+        lengths = bones[finger]
+        dx, dy = np.sin(splay[f]), -np.cos(splay[f])
+        pos = joints[0].copy()
+        for k in range(4):
+            pitch = curl * k * (0.35 if finger == "thumb" else 1.0)
+            direction = np.array([dx * np.cos(pitch), dy * np.cos(pitch), np.sin(pitch)])
+            pos = pos + direction * (lengths[k] * scale)
+            joints[1 + 4 * f + k] = pos
+    if mirror:
+        joints[:, 0] *= -1.0
+    return joints
+
+
+def _hand_capsules_loop(pose, k):
+    """_hand_capsules as a per-segment loop with its own pinhole formula, as before the capsule table."""
+    j = pose.joints
+    uvz = np.empty_like(j)
+    uvz[:, 0] = k.fx * j[:, 0] / j[:, 2] + k.cx
+    uvz[:, 1] = k.fy * j[:, 1] / j[:, 2] + k.cy
+    uvz[:, 2] = j[:, 2]
+    segs = []
+    for i in range(1, JOINT_COUNT):
+        parent = JOINT_PARENTS[i]
+        r_mm = (15.0, 10.0, 8.0, 7.0)[(i - 1) % 4]
+        z_mid = 0.5 * (uvz[parent, 2] + uvz[i, 2])
+        segs.append((*uvz[parent], *uvz[i], r_mm * k.fx / z_mid))
+    end = j[0] + (j[0] - j[9]) * 2.2
+    eu = k.fx * end[0] / end[2] + k.cx
+    ev = k.fy * end[1] / end[2] + k.cy
+    z_mid = 0.5 * (uvz[0, 2] + end[2])
+    segs.append((*uvz[0], eu, ev, end[2], 26.0 * k.fx / z_mid))
+    return np.asarray(segs, dtype=np.float64)
+
+
+def _arm_depth_buffer_loop(left, right, p):
+    segs = [_hand_capsules_loop(pose, p.intrinsics) for pose in (left, right) if pose.present]
+    if not segs:
+        return np.full((p.image_size, p.image_size), np.inf)
+    return _kernels.capsule_zfield(p.image_size, p.image_size, np.ascontiguousarray(np.concatenate(segs)))
+
+
+_LONG_BONES = {finger: [1.3 * b + 1.0 for b in lengths] for finger, lengths in DEFAULT_BONES.items()}
+_INT_BONES = {finger: [int(b) + 3 for b in lengths] for finger, lengths in DEFAULT_BONES.items()}
+_SMALL = SynthParams(image_size=96, fx=90.0, fy=110.0, cx=48.0, cy=45.0, bone_scale=0.45, bones=_LONG_BONES)
+
+
+class TestSkeletonBytes:
+    """The table-built skeleton and capsules give the loop builders' bytes."""
+
+    # -0.0 and a negative curl make a first step of -0.0, which the walk from the wrist turns into +0.0
+    CURLS = [0.0, -0.0, -0.2, *np.linspace(0.05, 1.1, 43), 0.37, 0.71]
+
+    @pytest.mark.parametrize("bones, scale", [
+        (P.bones, P.bone_scale), (_LONG_BONES, 1.25), (_INT_BONES, 1), (P.bones, 0.6000000000000001),
+    ])
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_hand_local(self, bones, scale, mirror):
+        for curl in self.CURLS:
+            got = _hand_local(bones, scale, curl, mirror)
+            assert got.tobytes() == _hand_local_loop(bones, scale, curl, mirror).tobytes(), curl
+
+    @pytest.mark.parametrize("p", [P, _SMALL], ids=["default", "small"])
+    def test_capsules_and_depth_buffer_over_generated_frames(self, p):
+        rng = np.random.default_rng(41)
+        hands = 0
+        for i in range(72):
+            left, right, _ = gen_frame(i % 36, rng, p)
+            for pose in (left, right):
+                if pose.present:
+                    assert _hand_capsules(pose, p.intrinsics).tobytes() == _hand_capsules_loop(
+                        pose, p.intrinsics).tobytes()
+                    hands += 1
+            if p is _SMALL or i % 9 == 0:
+                assert arm_depth_buffer(left, right, p).tobytes() == _arm_depth_buffer_loop(left, right, p).tobytes()
+        assert hands == 2 * 72 - 16  # the 8 single-hand classes come up twice each
+
+    def test_depth_buffer_with_absent_hands(self):
+        left, right, _ = gen_frame(0, np.random.default_rng(2), _SMALL)
+        for pair in ((left, absent_pose()), (absent_pose(), right), (absent_pose(), absent_pose())):
+            assert arm_depth_buffer(*pair, _SMALL).tobytes() == _arm_depth_buffer_loop(*pair, _SMALL).tobytes()
+        assert np.all(np.isinf(arm_depth_buffer(absent_pose(), absent_pose(), _SMALL)))
 
 
 class TestNoisyOracle:
