@@ -31,6 +31,8 @@ class EvalScene:
 
 def make_eval_scenes(params: SynthParams, seed: int, n_scenes: int) -> list[EvalScene]:
     """Deterministic single-frame scenes cycling through all classes."""
+    if n_scenes < 1:
+        raise RangeError(f"n_scenes must be >= 1, got {n_scenes}")
     scenes = []
     for i in range(n_scenes):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, i))))

@@ -56,8 +56,6 @@ _ML, _MR, _MT, _MB = 70, 24, 42, 52
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
-    if hi == lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
@@ -79,6 +77,9 @@ def svg_line_chart(path, x_values, series: dict, x_label: str, y_label: str, tit
     pad = 0.05 * (yhi - ylo)
     ylo -= pad
     yhi += pad
+    for axis, lo, hi in (("x", xlo, xhi), ("y", ylo, yhi)):
+        if not 0.0 < hi - lo < math.inf:
+            raise FormatError(f"cannot plot the {axis} range [{lo!r}, {hi!r}]: its width is zero or not finite")
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     def px(x):

@@ -29,7 +29,6 @@ from .geometry import (
     HandPose,
     absent_pose,
     project_points,
-    project_to_image,
 )
 from .rangeseg import CLOSER_IS_LARGER, CLOSER_IS_SMALLER, DepthMap, SegMask, save_depth, save_mask, save_ppm
 from .sequence import N_CLASSES, Dataset, FrameRecord, ObjectObs, SequenceRecord, save_dataset
@@ -57,6 +56,8 @@ _CAPSULE_TO = np.arange(1, JOINT_COUNT + 1)
 # capsule half-thickness in mm: by segment position within each finger chain, then the forearm
 _CAPSULE_RADII_MM = np.array((15.0, 10.0, 8.0, 7.0) * len(DEFAULT_BONES) + (26.0,))
 _FOREARM_LENGTH_FACTOR = 2.2
+# schematic frame colours: background, then arm
+_SCHEMATIC_PALETTE = np.array([(38, 44, 54), (201, 178, 153)], dtype=np.uint8)
 # the SynthParams fields that hold tuples; their JSON values are lists
 _TUPLE_FIELDS = ("arm_band", "background_band", "background_mm_band", "frames_range")
 
@@ -142,32 +143,35 @@ class SynthParams:
 # --- hand skeleton ----------------------------------------------------------
 
 
-def _hand_local(bones: dict, scale: float, curl: float, mirror: bool) -> np.ndarray:
-    """21 joints of one hand in its local frame (wrist at origin, mm).
+def _hand_local(bones: dict, scale: float, curl, mirror: bool) -> np.ndarray:
+    """21 joints of one hand in its local frame (wrist at origin, mm), one hand per ``curl``.
 
     Fingers point along -y; ``curl`` pitches successive phalanges toward +z.
     Built as a right hand, mirrored in x for the left. Each segment direction
-    is unit length, so bone lengths are exact for any curl.
+    is unit length, so bone lengths are exact for any curl. A scalar curl
+    gives a (21, 3) hand, a vector of curls a (len(curl), 21, 3) stack.
     """
     lengths = np.array([bones[finger] for finger in DEFAULT_BONES], dtype=np.float64)
-    pitch = curl * np.arange(4.0) * _CURL_GAIN
+    pitch = np.asarray(curl)[..., None, None] * np.arange(4.0) * _CURL_GAIN
     direction = np.stack(
         [np.sin(_FINGER_SPLAY) * np.cos(pitch), -np.cos(_FINGER_SPLAY) * np.cos(pitch), np.sin(pitch)], axis=-1
     )
     # each chain walks out from the +0.0 wrist, so a -0.0 first step lands on +0.0
-    chains = np.cumsum(direction * (lengths * scale)[:, :, None], axis=1) + 0.0
-    joints = np.concatenate([np.zeros((1, 3)), chains.reshape(-1, 3)])
+    chains = np.cumsum(direction * (lengths * scale)[:, :, None], axis=-2) + 0.0
+    lead = chains.shape[:-3]
+    joints = np.concatenate([np.zeros((*lead, 1, 3)), chains.reshape(*lead, -1, 3)], axis=-2)
     if mirror:
-        joints[:, 0] *= -1.0
+        joints[..., 0] *= -1.0
     return joints
 
 
-def _place_hand(local: np.ndarray, yaw: float, center: np.ndarray) -> np.ndarray:
-    c, s = np.cos(yaw), np.sin(yaw)
+def _place_hand(local: np.ndarray, yaw: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Hands (frames, 21, 3) turned by ``yaw`` (frames,) about z and moved to ``center`` (frames, 3)."""
+    c, s = np.cos(yaw)[:, None], np.sin(yaw)[:, None]
     out = local.copy()
-    out[:, 0] = c * local[:, 0] - s * local[:, 1]
-    out[:, 1] = s * local[:, 0] + c * local[:, 1]
-    return out + center
+    out[..., 0] = c * local[..., 0] - s * local[..., 1]
+    out[..., 1] = s * local[..., 0] + c * local[..., 1]
+    return out + center[:, None, :]
 
 
 # --- class motion templates --------------------------------------------------
@@ -246,50 +250,37 @@ def _draw_jitter(rng) -> _SequenceJitter:
     )
 
 
-def _frame_at(tpl: MotionTemplate, jit: _SequenceJitter, tau: float, p: SynthParams):
-    """Ground-truth (left, right, object) for normalized time tau in [0, 1]."""
-    f = tpl.freqs
-    ph = tpl.phases + jit.phase_offset
-    osc = lambda i: np.sin(2.0 * np.pi * f[i] * tau + ph[i])
-    offset = jit.amp_scale * np.array(
-        [tpl.amp_xy * osc(0), tpl.amp_xy * osc(1), tpl.amp_z * osc(2)]
-    )
-    yaw = tpl.yaw0 + 0.30 * osc(3)
-    curl = np.clip(tpl.curl0 + jit.curl_offset + 0.15 * osc(4), 0.05, 1.1)
+def _motion(tpl: MotionTemplate, jit: _SequenceJitter, tau: np.ndarray, p: SynthParams):
+    """Ground-truth (left, right, object) frames, one per normalized time in ``tau``."""
+    # each product and sum keeps the association of a frame-by-frame evaluation, so frames keep their bytes
+    osc = np.sin(2.0 * np.pi * tpl.freqs * tau[:, None] + (tpl.phases + jit.phase_offset))
+    offset = jit.amp_scale * (np.array([tpl.amp_xy, tpl.amp_xy, tpl.amp_z]) * osc[:, :3])
+    yaw = tpl.yaw0 + 0.30 * osc[:, 3]
+    curl = np.clip(tpl.curl0 + jit.curl_offset + 0.15 * osc[:, 4], 0.05, 1.1)
 
-    hands = []
+    hands = []  # (frames, 21, 3) joints per present hand, None for an absent one
     for present, base, mirror, sgn in (
         (tpl.left_present, tpl.base_left, True, 1.0),
         (tpl.right_present, tpl.base_right, False, -1.0),
     ):
         if not present:
-            hands.append(absent_pose())
+            hands.append(None)
             continue
         center = base + jit.center_offset + offset * np.array([sgn, 1.0, sgn])
-        local = _hand_local(p.bones, p.bone_scale, curl, mirror)
-        hands.append(HandPose(_place_hand(local, sgn * yaw, center)))
-    left, right = hands
-
+        hands.append(_place_hand(_hand_local(p.bones, p.bone_scale, curl, mirror), sgn * yaw, center))
+    # every joint is projected (z > 0 checked), the wrists' (u, v) kept
     k = p.intrinsics
-    wrists_uv = [project_to_image(pose, k).joints[0, :2] for pose in (left, right) if pose.present]
-    if wrists_uv:
-        bc = np.mean(np.asarray(wrists_uv), axis=0)
-    else:
-        bc = np.array([p.cx, p.cy])
-    bc = bc + 18.0 * np.array([osc(3), osc(4)])
+    wrists_uv = [project_points(h.reshape(-1, 3), k)[::JOINT_COUNT, :2] for h in hands if h is not None]
+    bc = np.mean(wrists_uv, axis=0) if wrists_uv else np.array([p.cx, p.cy])
+    bc = bc + 18.0 * osc[:, 3:]
     bw, bh = tpl.box_size
     margin = 2.0
-    bc[0] = np.clip(bc[0], bw / 2 + margin, p.image_size - bw / 2 - margin)
-    bc[1] = np.clip(bc[1], bh / 2 + margin, p.image_size - bh / 2 - margin)
-    corners = np.array(
-        [
-            [bc[0] - bw / 2, bc[1] - bh / 2],
-            [bc[0] + bw / 2, bc[1] - bh / 2],
-            [bc[0] + bw / 2, bc[1] + bh / 2],
-            [bc[0] - bw / 2, bc[1] + bh / 2],
-        ]
-    )
-    return left, right, ObjectObs(corners, tpl.object_label)
+    bc[:, 0] = np.clip(bc[:, 0], bw / 2 + margin, p.image_size - bw / 2 - margin)
+    bc[:, 1] = np.clip(bc[:, 1], bh / 2 + margin, p.image_size - bh / 2 - margin)
+    # corners clockwise from the top-left
+    corners = bc[:, None, :] + np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]]) * (bw / 2, bh / 2)
+    left, right = ([HandPose(j) for j in h] if h is not None else [absent_pose() for _ in tau] for h in hands)
+    return [(lp, rp, ObjectObs(box, tpl.object_label)) for lp, rp, box in zip(left, right, corners)]
 
 
 def gen_hand_sequence(class_id: int, rng, p: SynthParams):
@@ -303,17 +294,14 @@ def gen_hand_sequence(class_id: int, rng, p: SynthParams):
     jit = _draw_jitter(rng)
     length = int(rng.integers(p.frames_range[0], p.frames_range[1] + 1))
     tau0 = rng.uniform(0.0, 0.3)
-    frames = [
-        _frame_at(tpl, jit, tau0 + i / max(length - 1, 1), p) for i in range(length)
-    ]
-    return frames, length
+    return _motion(tpl, jit, tau0 + np.arange(length) / max(length - 1, 1), p), length
 
 
 def gen_frame(class_id: int, rng, p: SynthParams):
     """One ground-truth frame at a random phase (for per-frame experiments)."""
     tpl = class_template(class_id)
     jit = _draw_jitter(rng)
-    return _frame_at(tpl, jit, rng.uniform(0.0, 1.0), p)
+    return _motion(tpl, jit, np.array([rng.uniform(0.0, 1.0)]), p)[0]
 
 
 # --- scene depth rendering ----------------------------------------------------
@@ -398,11 +386,7 @@ def _metric_depth(zbuf: np.ndarray, p: SynthParams):
 
 def render_schematic_frame(gt_mask: SegMask) -> np.ndarray:
     """Flat-shaded RGB frame: arm region vs background."""
-    h, w = gt_mask.values.shape
-    frame = np.empty((h, w, 3), dtype=np.uint8)
-    frame[...] = (38, 44, 54)
-    frame[gt_mask.values] = (201, 178, 153)
-    return frame
+    return np.take(_SCHEMATIC_PALETTE, gt_mask.values.view(np.uint8), axis=0)
 
 
 # --- simulated estimator -------------------------------------------------------

@@ -240,6 +240,18 @@ def test_synth_count_out_of_range_exits_3_and_writes_nothing(flags, message, tmp
     assert not (tmp_path / "t").exists()
 
 
+@pytest.mark.parametrize("scenes", ["0", "-2"])
+def test_sweep_scene_count_out_of_range_exits_3_and_writes_nothing(scenes, tree, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "egohand", "sweep-threshold", "--data", str(tree), "--t-list", "0.47",
+         "--scenes", scenes, "--out", str(tmp_path / "r.csv")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == f"format/config error: n_scenes must be >= 1, got {scenes}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSegment:
     def test_outputs_and_stats(self, tree, tmp_path):
         out = tmp_path / "seg"
@@ -557,6 +569,20 @@ class TestPlot:
         err = capsys.readouterr().err
         assert f"{csv}: line 3" in err and err.count("\n") == 1
         assert not (tmp_path / "n.svg").exists()
+
+    @pytest.mark.parametrize("rows, axis", [
+        ("1e17,1", "x"),  # widening by 1.0 leaves a one-point x range empty
+        ("0,1e17\n1,1e17", "y"),
+        ("0,1e308\n1,-1e308", "y"),  # the padded y range overflows
+        ("-1e308,0\n1e308,1", "x"),
+    ], ids=["one-x-1e17", "constant-y-1e17", "y-overflow", "x-overflow"])
+    def test_unplottable_range_is_3(self, tmp_path, capsys, rows, axis):
+        csv = tmp_path / "r.csv"
+        csv.write_text(f"x,y\n{rows}\n")
+        assert main(["plot", "--csv", str(csv), "--out", str(tmp_path / "r.svg")]) == 3
+        err = capsys.readouterr().err
+        assert f"cannot plot the {axis} range" in err and err.count("\n") == 1
+        assert not (tmp_path / "r.svg").exists()
 
     def test_byte_determinism(self, tmp_path):
         csv = tmp_path / "d.csv"

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from egohand import _kernels
-from egohand.errors import RangeError, StructuralError
-from egohand.geometry import JOINT_COUNT, JOINT_PARENTS, absent_pose, project_to_image
+from egohand.errors import DegenerateDepthError, RangeError, StructuralError
+from egohand.geometry import JOINT_COUNT, JOINT_PARENTS, HandPose, absent_pose, project_to_image
 from egohand.rangeseg import SegMask, desharpen_mask, normalize_depth, range_mask, range_mask_metric
-from egohand.sequence import load_dataset
+from egohand.sequence import ObjectObs, load_dataset
 from egohand.synth import (
     DEFAULT_BONES,
     SynthParams,
+    _draw_jitter,
     _hand_capsules,
     _hand_local,
     arm_depth_buffer,
@@ -22,6 +23,7 @@ from egohand.synth import (
     generate_dataset,
     mask_quality,
     noisy_pose_oracle,
+    render_schematic_frame,
     sequence_seed,
     write_fixture_tree,
 )
@@ -207,11 +209,164 @@ class TestSkeletonBytes:
                 assert arm_depth_buffer(left, right, p).tobytes() == _arm_depth_buffer_loop(left, right, p).tobytes()
         assert hands == 2 * 72 - 16  # the 8 single-hand classes come up twice each
 
+    @pytest.mark.parametrize("bones, scale", [(P.bones, P.bone_scale), (_LONG_BONES, 1.25)])
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_hand_local_over_a_curl_vector(self, bones, scale, mirror):
+        got = _hand_local(bones, scale, np.array(self.CURLS), mirror)
+        want = np.stack([_hand_local(bones, scale, curl, mirror) for curl in self.CURLS])
+        assert got.shape == (len(self.CURLS), JOINT_COUNT, 3)
+        assert got.tobytes() == want.tobytes()
+
     def test_depth_buffer_with_absent_hands(self):
         left, right, _ = gen_frame(0, np.random.default_rng(2), _SMALL)
         for pair in ((left, absent_pose()), (absent_pose(), right), (absent_pose(), absent_pose())):
             assert arm_depth_buffer(*pair, _SMALL).tobytes() == _arm_depth_buffer_loop(*pair, _SMALL).tobytes()
         assert np.all(np.isinf(arm_depth_buffer(absent_pose(), absent_pose(), _SMALL)))
+
+
+def _place_hand_loop(local, yaw, center):
+    """_place_hand for one hand at one yaw, as it was before the frame axis."""
+    c, s = np.cos(yaw), np.sin(yaw)
+    out = local.copy()
+    out[:, 0] = c * local[:, 0] - s * local[:, 1]
+    out[:, 1] = s * local[:, 0] + c * local[:, 1]
+    return out + center
+
+
+def _frame_at_loop(tpl, jit, tau, p):
+    """One ground-truth frame evaluated on its own, as before the per-sequence evaluator."""
+    f = tpl.freqs
+    ph = tpl.phases + jit.phase_offset
+
+    def osc(i):
+        return np.sin(2.0 * np.pi * f[i] * tau + ph[i])
+
+    offset = jit.amp_scale * np.array([tpl.amp_xy * osc(0), tpl.amp_xy * osc(1), tpl.amp_z * osc(2)])
+    yaw = tpl.yaw0 + 0.30 * osc(3)
+    curl = np.clip(tpl.curl0 + jit.curl_offset + 0.15 * osc(4), 0.05, 1.1)
+    hands = []
+    for present, base, mirror, sgn in (
+        (tpl.left_present, tpl.base_left, True, 1.0),
+        (tpl.right_present, tpl.base_right, False, -1.0),
+    ):
+        if not present:
+            hands.append(absent_pose())
+            continue
+        center = base + jit.center_offset + offset * np.array([sgn, 1.0, sgn])
+        local = _hand_local(p.bones, p.bone_scale, curl, mirror)
+        hands.append(HandPose(_place_hand_loop(local, sgn * yaw, center)))
+    left, right = hands
+    k = p.intrinsics
+    wrists_uv = [project_to_image(pose, k).joints[0, :2] for pose in (left, right) if pose.present]
+    bc = np.mean(np.asarray(wrists_uv), axis=0) if wrists_uv else np.array([p.cx, p.cy])
+    bc = bc + 18.0 * np.array([osc(3), osc(4)])
+    bw, bh = tpl.box_size
+    margin = 2.0
+    bc[0] = np.clip(bc[0], bw / 2 + margin, p.image_size - bw / 2 - margin)
+    bc[1] = np.clip(bc[1], bh / 2 + margin, p.image_size - bh / 2 - margin)
+    corners = np.array([
+        [bc[0] - bw / 2, bc[1] - bh / 2],
+        [bc[0] + bw / 2, bc[1] - bh / 2],
+        [bc[0] + bw / 2, bc[1] + bh / 2],
+        [bc[0] - bw / 2, bc[1] + bh / 2],
+    ])
+    return left, right, ObjectObs(corners, tpl.object_label)
+
+
+def _gen_hand_sequence_loop(class_id, rng, p):
+    tpl, jit = class_template(class_id), _draw_jitter(rng)
+    length = int(rng.integers(p.frames_range[0], p.frames_range[1] + 1))
+    tau0 = rng.uniform(0.0, 0.3)
+    return [_frame_at_loop(tpl, jit, tau0 + i / max(length - 1, 1), p) for i in range(length)], length
+
+
+def _gen_frame_loop(class_id, rng, p):
+    tpl, jit = class_template(class_id), _draw_jitter(rng)
+    return _frame_at_loop(tpl, jit, rng.uniform(0.0, 1.0), p)
+
+
+def _frame_bytes(frame):
+    left, right, obj = frame
+    return (left.present, left.joints.tobytes(), right.present, right.joints.tobytes(), obj.label, obj.box.tobytes())
+
+
+# lengths 1 to 6: a one-frame sequence puts its only frame at tau0
+_LONG = SynthParams(bones=_LONG_BONES, bone_scale=0.8, frames_range=(1, 6))
+
+
+class TestMotionBytes:
+    """Motion evaluated once per sequence gives the per-frame evaluator's bytes."""
+
+    PARAMS = pytest.mark.parametrize("p", [P, _SMALL, _LONG], ids=["default", "small", "long-bones"])
+
+    @PARAMS
+    def test_gen_hand_sequence(self, p):
+        lengths = set()
+        for seed in (0, 1, 29):
+            for c in range(36):
+                got, n = gen_hand_sequence(c, np.random.default_rng([seed, c]), p)
+                want, m = _gen_hand_sequence_loop(c, np.random.default_rng([seed, c]), p)
+                assert n == m == len(got)
+                assert list(map(_frame_bytes, got)) == list(map(_frame_bytes, want)), (seed, c)
+                lengths.add(n)
+        if p is _LONG:
+            assert lengths == set(range(1, 7))
+
+    @PARAMS
+    def test_gen_frame(self, p):
+        for seed in range(4):
+            for c in range(36):
+                got = gen_frame(c, np.random.default_rng([seed, c]), p)
+                want = _gen_frame_loop(c, np.random.default_rng([seed, c]), p)
+                assert _frame_bytes(got) == _frame_bytes(want), (seed, c)
+
+    @pytest.mark.parametrize("p, seed", [(P, 5), (_LONG, 12)], ids=["default", "long-bones"])
+    def test_generate_dataset(self, p, seed):
+        ds = generate_dataset(p, classes=36, per_class=2, master_seed=seed)
+        assert [s.sequence_id for s in ds.sequences] == list(range(72))
+        for seq in ds.sequences:
+            rng = np.random.default_rng(sequence_seed(seed, seq.sequence_id))
+            want, _ = _gen_hand_sequence_loop(seq.action_label, rng, p)
+            got = [(fr.left, fr.right, fr.obj) for fr in seq.frames]
+            assert list(map(_frame_bytes, got)) == list(map(_frame_bytes, want)), seq.sequence_id
+
+    @pytest.mark.parametrize("c", [0, 4, 7])  # both hands, no left hand, no right hand
+    def test_frames_share_no_memory(self, c):
+        frames, _ = gen_hand_sequence(c, np.random.default_rng(3), P)
+        arrays = [a for left, right, obj in frames for a in (left.joints, right.joints, obj.box)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_non_positive_depth_keeps_the_frame_error(self):
+        # a negative bone scale flips the fingers through the camera plane
+        p = SynthParams(bone_scale=-40.0)
+        with pytest.raises(DegenerateDepthError) as want:
+            _gen_frame_loop(0, np.random.default_rng(1), p)
+        with pytest.raises(DegenerateDepthError) as got:
+            gen_frame(0, np.random.default_rng(1), p)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(DegenerateDepthError):
+            gen_hand_sequence(0, np.random.default_rng(1), p)
+
+
+def _schematic_loop(gt_mask):
+    """render_schematic_frame as it painted before the palette lookup."""
+    h, w = gt_mask.values.shape
+    frame = np.empty((h, w, 3), dtype=np.uint8)
+    frame[...] = (38, 44, 54)
+    frame[gt_mask.values] = (201, 178, 153)
+    return frame
+
+
+def test_schematic_frame_bytes():
+    rng = np.random.default_rng(8)
+    masks = [gen_scene_depth(*gen_frame(c, rng, _SMALL)[:2], _SMALL)[1] for c in (0, 4, 7)]
+    masks += [SegMask(rng.random((5, 9)) < 0.5), SegMask(np.zeros((3, 4), bool)), SegMask(np.ones((4, 3), bool))]
+    for mask in masks:
+        got = render_schematic_frame(mask)
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        assert got.tobytes() == _schematic_loop(mask).tobytes()
 
 
 class TestNoisyOracle:
