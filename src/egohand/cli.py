@@ -159,10 +159,10 @@ def _depth_files(path: str, metric: bool) -> list[tuple[str, str]]:
     raise FileNotFoundError(f"no .dmap files under {path}")
 
 
-def cmd_segment(args) -> tuple:
-    os.makedirs(args.out, exist_ok=True)
-    stats_rows = []
-    stage_s = dict.fromkeys(("load", "mask", "desharpen", "apply", "save"), 0.0)
+def _stage_timer(stages):
+    """(stage_s, timed): ``timed(stage, fn, *fn_args)`` calls ``fn`` and adds
+    its seconds to ``stage_s[stage]``; each stage starts at 0.0."""
+    stage_s = dict.fromkeys(stages, 0.0)
 
     def timed(stage, fn, *fn_args):
         t = time.perf_counter()
@@ -170,6 +170,13 @@ def cmd_segment(args) -> tuple:
         stage_s[stage] += time.perf_counter() - t
         return result
 
+    return stage_s, timed
+
+
+def cmd_segment(args) -> tuple:
+    os.makedirs(args.out, exist_ok=True)
+    stats_rows = []
+    stage_s, timed = _stage_timer(("load", "mask", "desharpen", "apply", "save"))
     for stem, depth_path in _depth_files(args.depth, args.metric_mm is not None):
         frame_path = os.path.join(args.frames, stem + ".ppm")
         if not os.path.isfile(frame_path):
@@ -200,11 +207,14 @@ def cmd_segment(args) -> tuple:
 def cmd_sweep_threshold(args) -> tuple:
     t_list = _float_list(args.t_list)
     master_seed, params = _load_tree_meta(args.data)
-    scenes = experiments.make_eval_scenes(params, master_seed, args.scenes)
-    rows = experiments.sweep_threshold(params, t_list, args.mode, args.seed, scenes)
-    reports.write_csv(args.out, ["t", "mpjpe_left", "mpjpe_right", "mpjpe_both"], rows)
+    stage_s, timed = _stage_timer(("scenes", "sweep", "write"))
+    scenes = timed("scenes", experiments.make_eval_scenes, params, master_seed, args.scenes)
+    rows = timed("sweep", experiments.sweep_threshold, params, t_list, args.mode, args.seed, scenes)
+    timed("write", reports.write_csv, args.out, ["t", "mpjpe_left", "mpjpe_right", "mpjpe_both"], rows)
     svg_path = args.svg or (os.path.splitext(args.out)[0] + ".svg")
-    reports.svg_line_chart(
+    timed(
+        "write",
+        reports.svg_line_chart,
         svg_path,
         [r[0] for r in rows],
         {"left": [r[1] for r in rows], "right": [r[2] for r in rows], "both": [r[3] for r in rows]},
@@ -216,7 +226,7 @@ def cmd_sweep_threshold(args) -> tuple:
     print(f"sweep ({args.mode}): best t = {best[0]:g} with MPJPE both = {best[3]:.3f} mm")
     config = {"t_list": t_list, "mode": args.mode, "scenes": args.scenes,
               "data": os.path.abspath(args.data), "params": params.to_dict()}
-    return args.out + ".report.json", config, args.seed, {"rows": [list(r) for r in rows]}, {}
+    return args.out + ".report.json", config, args.seed, {"rows": [list(r) for r in rows]}, {"stage_s": stage_s}
 
 
 def cmd_lift(args) -> None:

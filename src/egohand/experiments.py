@@ -46,9 +46,13 @@ def _noise_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(3, *key))))
 
 
-def _sharp_qualities(scenes: list[EvalScene], t: float) -> list[tuple[float, float]]:
-    """Per-scene (f_bg, f_loss) of the sharp range mask at threshold ``t``."""
-    return [mask_quality(range_mask(scene.norm, t), scene.gt) for scene in scenes]
+def _sharp_qualities(scenes: list[EvalScene], t_list) -> list[list[tuple[float, float]]]:
+    """Per-scene (f_bg, f_loss) of the sharp range mask, one list per threshold.
+
+    Each scene's masks are built and scored while its map is still in cache.
+    """
+    per_scene = [[mask_quality(range_mask(scene.norm, t), scene.gt) for t in t_list] for scene in scenes]
+    return [[q[ti] for q in per_scene] for ti in range(len(t_list))]
 
 
 def _paired_mpjpe(params: SynthParams, scenes: list[EvalScene], qualities, seed: int, *key: int):
@@ -77,11 +81,11 @@ def sweep_threshold(
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     if not t_list:
         raise ValueError("threshold list is empty")
-    rows = []
-    for ti, t in enumerate(t_list):
+    for t in t_list:
         if not (0.0 < t < 1.0):
             raise RangeError(f"threshold must lie in (0, 1), got {t}")
-        qualities = _sharp_qualities(scenes, t)
+    rows = []
+    for ti, (t, qualities) in enumerate(zip(t_list, _sharp_qualities(scenes, t_list))):
         if mode == "infer":
             d = params.infer_damping
             report = _paired_mpjpe(params, scenes, [(d * fb, d * fl) for fb, fl in qualities], seed)
@@ -98,7 +102,7 @@ def ablation_masking(params: SynthParams, seeds, scenes: list[EvalScene]):
     the whole background (clutter fraction 1). Noise draws are paired per
     (seed, scene) so the comparison isolates the sigma difference.
     """
-    masked = _sharp_qualities(scenes, params.band_midpoint)
+    masked, = _sharp_qualities(scenes, [params.band_midpoint])
     unmasked = [(1.0, 0.0)] * len(scenes)
     return [
         (_paired_mpjpe(params, scenes, masked, seed)[2],

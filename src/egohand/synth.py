@@ -101,11 +101,16 @@ class SynthParams:
         if not (self.arm_band[0] < self.arm_band[1] <= 1.0):
             raise StructuralError(f"bad arm band {self.arm_band}")
         for finger, lengths in self.bones.items():
-            if any(l <= 0 for l in lengths):
-                raise StructuralError(f"non-positive bone length in {finger}")
+            if not all(l > 0 for l in lengths):  # NaN fails too
+                raise StructuralError(f"bones[{finger!r}] lengths must be > 0, got {list(lengths)}")
         if self.image_size <= 0:
             raise RangeError(f"image_size must be positive, got {self.image_size}")
-        for key in ("fx", "fy"):
+        lo, hi = self.frames_range
+        if not 1 <= lo <= hi:
+            raise RangeError(f"frames_range must satisfy 1 <= lo <= hi, got {self.frames_range}")
+        if not 0.0 <= self.infer_damping <= 1.0:
+            raise RangeError(f"infer_damping must lie in [0, 1], got {self.infer_damping}")
+        for key in ("fx", "fy", "bone_scale"):
             value = getattr(self, key)
             if not (np.isfinite(value) and value > 0):
                 raise RangeError(f"{key} must be finite and positive, got {value}")
@@ -434,12 +439,15 @@ def mask_quality(mask: SegMask, gt: SegMask) -> tuple[float, float]:
     if mask.values.shape != gt.values.shape:
         raise StructuralError("mask and ground truth dimensions differ")
     arm = gt.values
-    bg = ~arm
     n_arm = np.count_nonzero(arm)
     n_bg = arm.size - n_arm
-    bg_kept = float(mask.values[bg].sum() / n_bg) if n_bg else 0.0
-    arm_lost = float((1.0 - mask.values[arm]).sum() / n_arm) if n_arm else 0.0
-    return bg_kept, arm_lost
+    if mask.binary:
+        # both sums are integer counts, so counting gives their exact values
+        kept, kept_arm = np.count_nonzero(mask.values), np.count_nonzero(mask.values & arm)
+        bg_kept, arm_lost = kept - kept_arm, n_arm - kept_arm
+    else:
+        bg_kept, arm_lost = mask.values[~arm].sum(), (1.0 - mask.values[arm]).sum()
+    return (float(bg_kept / n_bg) if n_bg else 0.0), (float(arm_lost / n_arm) if n_arm else 0.0)
 
 
 # --- dataset emission -----------------------------------------------------------

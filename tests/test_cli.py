@@ -240,6 +240,32 @@ def test_synth_count_out_of_range_exits_3_and_writes_nothing(flags, message, tmp
     assert not (tmp_path / "t").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("bone_scale", float("nan"), "bone_scale must be finite and positive, got nan"),
+    ("bone_scale", -0.5, "bone_scale must be finite and positive, got -0.5"),
+    ("bones", {"index": [40.0, float("nan"), 22.0, 18.0]}, "bones['index'] lengths must be > 0, got [40.0, nan"),
+    ("infer_damping", float("nan"), "infer_damping must lie in [0, 1], got nan"),
+    ("infer_damping", -0.5, "infer_damping must lie in [0, 1], got -0.5"),
+    ("infer_damping", 1.5, "infer_damping must lie in [0, 1], got 1.5"),
+    ("frames_range", [0, -3], "frames_range must satisfy 1 <= lo <= hi, got (0, -3)"),
+    ("frames_range", [0, 0], "frames_range must satisfy 1 <= lo <= hi, got (0, 0)"),
+], ids=["bone_scale-nan", "bone_scale-negative", "bones-nan", "infer_damping-nan", "infer_damping-negative",
+        "infer_damping-above-1", "frames_range-0-to-minus-3", "frames_range-0-to-0"])
+def test_impossible_params_exit_3_and_write_nothing(key, value, message, tree, tmp_path):
+    def edit(meta):
+        params = meta["params"]
+        new = {**params[key], **value} if key == "bones" else value
+        return {**meta, "params": {**params, key: new}}
+
+    argv = _bad_params(edit)(tree, tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "egohand", *argv], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("format/config error: ") and proc.stderr.count("\n") == 1
+    assert "params.json" in proc.stderr and message in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["params.json"]
+
+
 @pytest.mark.parametrize("scenes", ["0", "-2"])
 def test_sweep_scene_count_out_of_range_exits_3_and_writes_nothing(scenes, tree, tmp_path):
     proc = subprocess.run(
@@ -646,6 +672,10 @@ def _report_eval_action(tree, trained, tmp):
     return tmp / "c.csv.report.json", 5, _MODEL_CONFIG_KEYS, {"split", "top1", "mask_group"}
 
 
+# the per-stage seconds a command's report holds, in the report's key order
+_STAGES = {"segment": ["apply", "desharpen", "load", "mask", "save"], "sweep-threshold": ["scenes", "sweep", "write"]}
+
+
 @pytest.mark.parametrize(
     "command, run",
     [("synth", _report_synth), ("segment", _report_segment), ("sweep-threshold", _report_sweep),
@@ -654,7 +684,7 @@ def _report_eval_action(tree, trained, tmp):
 def test_run_report_contents(command, run, tree, trained, tmp_path):
     path, seed, config_keys, metric_keys = run(tree, trained, tmp_path)
     doc = json.loads(path.read_text())
-    timed = {"stage_s"} if command == "segment" else set()
+    timed = {"stage_s"} if command in _STAGES else set()
     assert set(doc) == {"command", "config", "seed", "metrics", "wall_time_s"} | timed
     assert doc["command"] == command
     assert doc["seed"] == seed
@@ -663,9 +693,12 @@ def test_run_report_contents(command, run, tree, trained, tmp_path):
     assert isinstance(doc["wall_time_s"], float) and doc["wall_time_s"] >= 0.0
     if timed:
         stage_s = doc["stage_s"]
-        assert list(stage_s) == ["apply", "desharpen", "load", "mask", "save"]
+        assert list(stage_s) == _STAGES[command]
         assert all(isinstance(v, float) and v >= 0.0 for v in stage_s.values())
-        assert stage_s["desharpen"] == 0.0 and stage_s["apply"] > 0.0  # a --t run blurs nothing
+        if command == "segment":
+            assert stage_s["desharpen"] == 0.0 and stage_s["apply"] > 0.0  # a --t run blurs nothing
+        else:
+            assert all(v > 0.0 for v in stage_s.values())
         assert sum(stage_s.values()) <= doc["wall_time_s"]
 
 

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from egohand import experiments
 from egohand.errors import RangeError
 from egohand.experiments import (
+    _paired_mpjpe,
     ablation_desharpen,
     ablation_masking,
     make_eval_scenes,
     sweep_threshold,
 )
+from egohand.rangeseg import range_mask
 from egohand.synth import SynthParams
 
 # bands whose midpoint sits exactly at 0.47 with a strict quality V-shape
@@ -69,3 +72,58 @@ def test_desharpen_ablation_direction(scenes):
     for sharp, blurred in res:
         assert blurred > sharp
 
+
+def _summed_quality(mask, gt):
+    """mask_quality as it summed boolean-indexed copies before binary masks were counted."""
+    arm = gt.values
+    n_arm = np.count_nonzero(arm)
+    n_bg = arm.size - n_arm
+    bg_kept = float(mask.values[~arm].sum() / n_bg) if n_bg else 0.0
+    arm_lost = float((1.0 - mask.values[arm]).sum() / n_arm) if n_arm else 0.0
+    return bg_kept, arm_lost
+
+
+def _threshold_major_sweep(params, t_list, mode, seed, scenes):
+    """sweep_threshold as it was: every scene's mask rebuilt for each threshold in turn."""
+    rows = []
+    for ti, t in enumerate(t_list):
+        qualities = [_summed_quality(range_mask(sc.norm, t), sc.gt) for sc in scenes]
+        if mode == "infer":
+            d = params.infer_damping
+            report = _paired_mpjpe(params, scenes, [(d * fb, d * fl) for fb, fl in qualities], seed)
+        else:
+            report = _paired_mpjpe(params, scenes, qualities, seed, ti)
+        rows.append((float(t), *report))
+    return rows
+
+
+def _threshold_major_masking(params, seeds, scenes):
+    masked = [_summed_quality(range_mask(sc.norm, params.band_midpoint), sc.gt) for sc in scenes]
+    unmasked = [(1.0, 0.0)] * len(scenes)
+    return [(_paired_mpjpe(params, scenes, masked, seed)[2], _paired_mpjpe(params, scenes, unmasked, seed)[2])
+            for seed in seeds]
+
+
+def test_scene_major_rows_equal_threshold_major_rows():
+    bank = make_eval_scenes(SWEEP_PARAMS, seed=11, n_scenes=6)
+    t_list = [0.51, 0.35, 0.47, 0.43, 0.35, 0.39]  # unsorted, 0.35 twice
+    for seed in (0, 5):
+        for mode in ("train", "infer"):
+            got = sweep_threshold(SWEEP_PARAMS, t_list, mode, seed, bank)
+            assert repr(got) == repr(_threshold_major_sweep(SWEEP_PARAMS, t_list, mode, seed, bank))
+        assert repr(ablation_masking(SWEEP_PARAMS, [seed], bank)) == repr(
+            _threshold_major_masking(SWEEP_PARAMS, [seed], bank))
+    # a repeated threshold keeps its own noise key in train mode
+    rows = sweep_threshold(SWEEP_PARAMS, t_list, "train", 0, bank)
+    assert rows[1][0] == rows[4][0] and rows[1][1:] != rows[4][1:]
+
+
+def test_bad_threshold_rejected_before_any_mask(scenes, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "range_mask", lambda *a: calls.append(a) or range_mask(*a))
+    for bad in (1.5, 0.0, float("nan")):
+        with pytest.raises(RangeError, match="threshold must lie in"):
+            sweep_threshold(SWEEP_PARAMS, [0.35, 0.47, bad], "train", seed=0, scenes=scenes)
+    assert calls == []
+    sweep_threshold(SWEEP_PARAMS, [0.35, 0.47], "infer", seed=0, scenes=scenes[:3])
+    assert len(calls) == 6  # one mask per (scene, threshold)

@@ -339,8 +339,10 @@ class TestMotionBytes:
                 assert not np.shares_memory(a, b)
 
     def test_non_positive_depth_keeps_the_frame_error(self):
-        # a negative bone scale flips the fingers through the camera plane
-        p = SynthParams(bone_scale=-40.0)
+        # a negative bone scale flips the fingers through the camera plane;
+        # SynthParams rejects one, so it is set past the constructor's check
+        p = SynthParams()
+        p.bone_scale = -40.0
         with pytest.raises(DegenerateDepthError) as want:
             _gen_frame_loop(0, np.random.default_rng(1), p)
         with pytest.raises(DegenerateDepthError) as got:
@@ -453,6 +455,25 @@ class TestMaskQuality:
                 for m in (mask, desharpen_mask(mask, 3)):
                     assert mask_quality(m, gt) == _mask_quality_float64(m.values, gt_map)
 
+    def test_bytes_on_a_scene_at_the_sweep_thresholds(self):
+        """Counted binary qualities and summed blurred ones keep the float64 formula's bytes."""
+        params = SynthParams(arm_band=(0.485, 0.99), background_band=(0.05, 0.455))
+        left, right, _ = gen_frame(5, np.random.default_rng(2), params)
+        pseudo, gt = gen_scene_depth(left, right, params)
+        norm = normalize_depth(pseudo)
+        shape = gt.values.shape
+        assert shape == (512, 512) and 0 < np.count_nonzero(gt.values) < gt.values.size
+        masks = [range_mask(norm, t) for t in (0.35, 0.39, 0.43, 0.47, 0.51)]
+        masks += [SegMask(np.ones(shape, bool)), SegMask(np.zeros(shape, bool))]
+        gts = [gt.values, np.ones(shape, bool), np.zeros(shape, bool)]  # n_bg = 0, n_arm = 0
+        as_bytes = lambda pair: tuple(np.float64(v).tobytes() for v in pair)
+        for gt_map in gts:
+            for mask in masks:
+                for m in (mask, desharpen_mask(mask, 2)):
+                    got = mask_quality(m, SegMask(gt_map))
+                    assert all(type(v) is float for v in got)
+                    assert as_bytes(got) == as_bytes(_mask_quality_float64(m.values, gt_map))
+
 
 def _mask_quality_float64(weights, gt_map):
     """mask_quality over float64 maps, as it was computed before masks were bool."""
@@ -474,10 +495,24 @@ class TestParams:
     @pytest.mark.parametrize("field, value", [
         ("image_size", 0), ("image_size", -5), ("fx", 0.0), ("fy", -1.0), ("fx", np.inf), ("fy", np.nan),
         ("noise_sigma0", -1.0), ("noise_clutter_gain", -1e-9), ("noise_loss_gain", -120.0),
+        ("bone_scale", np.nan), ("bone_scale", 0.0), ("bone_scale", -0.5), ("bone_scale", np.inf),
+        ("infer_damping", np.nan), ("infer_damping", -0.5), ("infer_damping", 1.0000001),
+        ("frames_range", (0, -3)), ("frames_range", (0, 0)), ("frames_range", (5, 4)),
     ])
     def test_impossible_values_rejected(self, field, value):
         with pytest.raises(RangeError, match=field):
             SynthParams(**{field: value})
+
+    @pytest.mark.parametrize("length", [np.nan, 0.0, -1.0])
+    def test_impossible_bone_length_rejected(self, length):
+        bones = {k: list(v) for k, v in DEFAULT_BONES.items()}
+        bones["ring"][2] = length
+        with pytest.raises(StructuralError, match=r"bones\['ring'\]"):
+            SynthParams(bones=bones)
+
+    def test_boundary_values_accepted(self):
+        SynthParams(infer_damping=0.0, frames_range=(1, 1), bone_scale=1e-9)
+        SynthParams(infer_damping=1.0)
 
     def test_zero_noise_allowed(self):
         SynthParams(noise_sigma0=0.0, noise_clutter_gain=0.0, noise_loss_gain=0.0)
