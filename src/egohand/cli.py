@@ -138,7 +138,7 @@ def cmd_synth(args) -> tuple:
     n = args.classes * args.per_class
     print(f"wrote {n} sequences to {args.out}")
     config = {"classes": args.classes, "per_class": args.per_class, "scene_frames": args.scene_frames,
-              "params": params.to_dict()}
+              "params": dataclasses.asdict(params)}
     return os.path.join(args.out, "report.json"), config, args.seed, {"sequences": n}, {}
 
 
@@ -225,7 +225,7 @@ def cmd_sweep_threshold(args) -> tuple:
     best = min(rows, key=lambda r: r[3])
     print(f"sweep ({args.mode}): best t = {best[0]:g} with MPJPE both = {best[3]:.3f} mm")
     config = {"t_list": t_list, "mode": args.mode, "scenes": args.scenes,
-              "data": os.path.abspath(args.data), "params": params.to_dict()}
+              "data": os.path.abspath(args.data), "params": dataclasses.asdict(params)}
     return args.out + ".report.json", config, args.seed, {"rows": [list(r) for r in rows]}, {"stage_s": stage_s}
 
 

@@ -79,7 +79,7 @@ def sweep_threshold(
     """Rows of (t, mpjpe_left, mpjpe_right, mpjpe_both) across thresholds."""
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if not t_list:
+    if len(t_list) == 0:
         raise ValueError("threshold list is empty")
     for t in t_list:
         if not (0.0 < t < 1.0):
@@ -95,6 +95,11 @@ def sweep_threshold(
     return rows
 
 
+def _paired_arms(params: SynthParams, scenes: list[EvalScene], arms, seeds) -> list[tuple]:
+    """Per seed, the MPJPE(both) of each arm's per-scene (f_bg, f_loss), in arm order."""
+    return [tuple(_paired_mpjpe(params, scenes, arm, seed)[2] for arm in arms) for seed in seeds]
+
+
 def ablation_masking(params: SynthParams, seeds, scenes: list[EvalScene]):
     """Paired per-seed MPJPE(both): range-masked vs unmasked full scene.
 
@@ -104,11 +109,7 @@ def ablation_masking(params: SynthParams, seeds, scenes: list[EvalScene]):
     """
     masked, = _sharp_qualities(scenes, [params.band_midpoint])
     unmasked = [(1.0, 0.0)] * len(scenes)
-    return [
-        (_paired_mpjpe(params, scenes, masked, seed)[2],
-         _paired_mpjpe(params, scenes, unmasked, seed)[2])
-        for seed in seeds
-    ]
+    return _paired_arms(params, scenes, (masked, unmasked), seeds)
 
 
 def ablation_desharpen(params: SynthParams, radius: int, seeds, scenes: list[EvalScene]):
@@ -118,9 +119,5 @@ def ablation_desharpen(params: SynthParams, radius: int, seeds, scenes: list[Eva
         mask = range_mask(scene.norm, params.band_midpoint)
         sharp.append(mask_quality(mask, scene.gt))
         blurred.append(mask_quality(desharpen_mask(mask, radius), scene.gt))
-    return [
-        (_paired_mpjpe(params, scenes, sharp, seed)[2],
-         _paired_mpjpe(params, scenes, blurred, seed)[2])
-        for seed in seeds
-    ]
+    return _paired_arms(params, scenes, (sharp, blurred), seeds)
 

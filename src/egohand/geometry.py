@@ -44,8 +44,8 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise StructuralError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise StructuralError(f"focal lengths must be finite and positive, got fx={self.fx}, fy={self.fy}")
         if not (np.isfinite(self.cx) and np.isfinite(self.cy)):
             raise StructuralError("principal point must be finite")
 
@@ -137,8 +137,8 @@ def mpjpe_report(preds, gts) -> tuple[float, float, float]:
     return left, right, (left + right) / 2.0
 
 
-def rotate_points_2d(points, angle: float, center=(0.0, 0.0)) -> np.ndarray:
-    """Planar rotation of (N, 2) points about ``center`` by ``angle`` rad."""
+def rotate_points_2d(points, angle, center=(0.0, 0.0)) -> np.ndarray:
+    """Planar rotation of (..., 2) points about ``center``; ``angle`` (rad) broadcasts against their leading axes."""
     pts = np.asarray(points, dtype=np.float64)
     c, s = np.cos(angle), np.sin(angle)
     ctr = np.asarray(center, dtype=np.float64)

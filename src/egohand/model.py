@@ -24,6 +24,8 @@ from .errors import (
 )
 from .sequence import FRAME_DIM, SEQ_LEN, augment_sequence, subsample_or_pad
 
+PREDICT_CHUNK = 256  # sequences per forward pass in ``ActionModel.predict``
+
 
 @dataclass
 class ActionModelConfig:
@@ -203,18 +205,22 @@ class ActionModel:
 
     # forward / backward ------------------------------------------------------
 
-    def _trunk(self, x: np.ndarray, pos: np.ndarray, need_cache: bool = False):
-        """Embed, prepend CLS, add ``pos``, run the blocks and the final LN.
+    def _trunk(self, x: np.ndarray, need_cache: bool = False):
+        """Embed a (B, seq_len, input_dim) batch, prepend CLS, add the positional
+        table, run the blocks and the final LN.
 
-        Returns the normalized (B, d_model) CLS states plus what
+        Returns the float64 input, the normalized (B, d_model) CLS states, what
         ``backward_batch`` needs of the blocks (empty without ``need_cache``)
         and the final LN, which only the CLS row goes through.
         """
         c = self.cfg
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 3 or x.shape[1:] != (c.seq_len, c.input_dim):
+            raise StructuralError(f"expected (B, {c.seq_len}, {c.input_dim}) input, got {x.shape}")
         pv = self.params.values
         emb = nnkit.linear(x, pv["embed.w"], pv["embed.b"])
         h = np.concatenate([np.broadcast_to(pv["cls"], (x.shape[0], 1, c.d_model)), emb], axis=1)
-        h += pos
+        h += pv["pos"]
 
         blocks_cache = []
         for i in range(c.blocks):
@@ -232,18 +238,12 @@ class ActionModel:
                 blocks_cache.append((c_ln1, c_attn, a2, c_ln2, c_gelu, f1g))
 
         cls_vec, c_lnf = nnkit.layer_norm(h[:, 0, :], pv["final_ln.g"], pv["final_ln.b"])
-        return cls_vec, blocks_cache, c_lnf
+        return x, cls_vec, blocks_cache, c_lnf
 
     def forward_batch(self, x: np.ndarray, need_cache: bool = False):
         """Logits for a (B, seq_len, input_dim) batch; optionally keep a cache."""
-        c = self.cfg
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[1:] != (c.seq_len, c.input_dim):
-            raise StructuralError(
-                f"expected (B, {c.seq_len}, {c.input_dim}) input, got {x.shape}"
-            )
         pv = self.params.values
-        cls_vec, blocks_cache, c_lnf = self._trunk(x, pv["pos"], need_cache)
+        x, cls_vec, blocks_cache, c_lnf = self._trunk(x, need_cache)
         h1 = nnkit.linear(cls_vec, pv["head1.w"], pv["head1.b"])
         h1g, c_gelu = nnkit.gelu(h1, need_cache)
         logits = nnkit.linear(h1g, pv["head2.w"], pv["head2.b"])
@@ -251,12 +251,9 @@ class ActionModel:
             return logits, None
         return logits, (x, blocks_cache, c_lnf, cls_vec, c_gelu, h1g)
 
-    def cls_output(self, x: np.ndarray, zero_pos: bool = False) -> np.ndarray:
-        """(B, d_model) final-layer-norm CLS states of a (B, seq_len, input_dim)
-        batch; ``zero_pos`` zeroes the positional table (a permutation probe)."""
-        pos = self.params.values["pos"]
-        cls_vec, _, _ = self._trunk(np.asarray(x, dtype=np.float64), np.zeros_like(pos) if zero_pos else pos)
-        return cls_vec
+    def cls_output(self, x: np.ndarray) -> np.ndarray:
+        """(B, d_model) final-layer-norm CLS states of a (B, seq_len, input_dim) batch."""
+        return self._trunk(x)[1]
 
     def backward_batch(self, glogits: np.ndarray, cache) -> None:
         """Accumulate parameter gradients from upstream logits gradient."""
@@ -310,13 +307,13 @@ class ActionModel:
         self.backward_batch(nnkit.cross_entropy_backward(probs, labels), cache)
         return loss, logits
 
-    def predict(self, x: np.ndarray, chunk: int = 256) -> np.ndarray:
-        """Argmax class per sequence, batched in chunks."""
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Argmax class per sequence, batched in chunks of ``PREDICT_CHUNK``."""
         out = []
-        for lo in range(0, len(x), chunk):
+        for lo in range(0, len(x), PREDICT_CHUNK):
             # diverged weights overflow on the way; the check below reports it
             with np.errstate(over="ignore", invalid="ignore"):
-                logits, _ = self.forward_batch(x[lo : lo + chunk])
+                logits, _ = self.forward_batch(x[lo : lo + PREDICT_CHUNK])
             if not np.all(np.isfinite(logits)):
                 raise NumericFaultError("non-finite logits: the weights have diverged")
             out.append(logits.argmax(axis=1))

@@ -182,14 +182,12 @@ def multi_head_attention_backward(g: np.ndarray, cache):
 
     gx = np.zeros_like(x)
     grads = {"wo": gwo, "bo": gbo}
-    for name, ghead in (("q", gq), ("v", gv)):
+    for name, ghead in (("q", gq), ("v", gv), ("k", gk)):
         gi, gw, gb = linear_backward(unhead(ghead), x, p["w" + name])
         gx += gi
         grads["w" + name] = gw
-        grads["b" + name] = gb
-    gk2 = unhead(gk).reshape(-1, d)
-    gx += (gk2 @ p["wk"].T).reshape(x.shape)
-    grads["wk"] = x.reshape(-1, d).T @ gk2
+        if name != "k":  # the key projection has no bias
+            grads["b" + name] = gb
     return gx, grads
 
 

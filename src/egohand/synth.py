@@ -29,6 +29,7 @@ from .geometry import (
     HandPose,
     absent_pose,
     project_points,
+    rotate_points_2d,
 )
 from .rangeseg import CLOSER_IS_LARGER, CLOSER_IS_SMALLER, DepthMap, SegMask, save_depth, save_mask, save_ppm
 from .sequence import N_CLASSES, Dataset, FrameRecord, ObjectObs, SequenceRecord, save_dataset
@@ -58,14 +59,12 @@ _CAPSULE_RADII_MM = np.array((15.0, 10.0, 8.0, 7.0) * len(DEFAULT_BONES) + (26.0
 _FOREARM_LENGTH_FACTOR = 2.2
 # schematic frame colours: background, then arm
 _SCHEMATIC_PALETTE = np.array([(38, 44, 54), (201, 178, 153)], dtype=np.uint8)
-# the SynthParams fields that hold tuples; their JSON values are lists
-_TUPLE_FIELDS = ("arm_band", "background_band", "background_mm_band", "frames_range")
 
 
 def _json_like(value, default) -> bool:
-    """Whether JSON ``value`` has the layout and number types of ``default``."""
-    if isinstance(default, (list, dict)):
-        if type(value) is not type(default) or len(value) != len(default):
+    """Whether JSON ``value`` has the layout and number types of ``default``; a tuple reads as a list."""
+    if isinstance(default, (list, tuple, dict)):
+        if type(value) is not (dict if isinstance(default, dict) else list) or len(value) != len(default):
             return False
         if isinstance(default, dict):
             return all(k in value and _json_like(value[k], v) for k, v in default.items())
@@ -127,22 +126,15 @@ class SynthParams:
     def band_midpoint(self) -> float:
         return (self.background_band[1] + self.arm_band[0]) / 2.0
 
-    def to_dict(self) -> dict:
-        """The fields as JSON values: each tuple becomes a list."""
-        d = asdict(self)
-        for key in _TUPLE_FIELDS:
-            d[key] = list(d[key])
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "SynthParams":
-        """Inverse of ``to_dict``; an unknown, missing or malformed field raises DatasetFormatError."""
-        defaults = cls().to_dict()
+        """Inverse of ``asdict`` via JSON; an unknown, missing or malformed field raises DatasetFormatError."""
+        defaults = asdict(cls())
         for key in sorted(set(d) | set(defaults)):
             kind = "unknown" if key not in defaults else "missing" if key not in d else None
             if kind or not _json_like(d[key], defaults[key]):
                 raise DatasetFormatError(f"{kind or 'malformed'} params field {key!r}")
-        return cls(**{**d, **{key: tuple(d[key]) for key in _TUPLE_FIELDS}})
+        return cls(**{key: tuple(v) if isinstance(defaults[key], tuple) else v for key, v in d.items()})
 
 
 # --- hand skeleton ----------------------------------------------------------
@@ -172,10 +164,8 @@ def _hand_local(bones: dict, scale: float, curl, mirror: bool) -> np.ndarray:
 
 def _place_hand(local: np.ndarray, yaw: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Hands (frames, 21, 3) turned by ``yaw`` (frames,) about z and moved to ``center`` (frames, 3)."""
-    c, s = np.cos(yaw)[:, None], np.sin(yaw)[:, None]
     out = local.copy()
-    out[..., 0] = c * local[..., 0] - s * local[..., 1]
-    out[..., 1] = s * local[..., 0] + c * local[..., 1]
+    out[..., :2] = rotate_points_2d(local[..., :2], yaw[:, None])
     return out + center[:, None, :]
 
 
@@ -505,7 +495,7 @@ def write_fixture_tree(
         "master_seed": master_seed,
         "classes": classes,
         "per_class": per_class,
-        "params": params.to_dict(),
+        "params": asdict(params),
     }
     with open(os.path.join(out_dir, "params.json"), "w") as f:
         f.write(json.dumps(meta, separators=(",", ":"), sort_keys=True) + "\n")

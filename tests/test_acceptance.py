@@ -288,12 +288,13 @@ def test_transformer_structural_invariant(capsys, trained, raw_sets):
     result, cfg, _ = trained
     # with positional embeddings zeroed, CLS output ignores frame order
     probe_model = ActionModel(ActionModelConfig(seed=9))
+    probe_model.params.values["pos"][...] = 0.0
     rng = np.random.default_rng(3)
     x = rng.normal(0, 40, (1, SEQ_LEN, FRAME_DIM))
-    base = probe_model.cls_output(x, zero_pos=True)
+    base = probe_model.cls_output(x)
     worst = 0.0
     for _ in range(10):
-        out = probe_model.cls_output(x[:, rng.permutation(SEQ_LEN)], zero_pos=True)
+        out = probe_model.cls_output(x[:, rng.permutation(SEQ_LEN)])
         worst = max(worst, float(np.max(np.abs(out - base))))
     assert worst < 1e-9, f"permutation leakage {worst:.2e}"
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from egohand.cli import main
-from egohand.geometry import CameraIntrinsics, HandPose, project_to_image
+from egohand.geometry import CameraIntrinsics, HandPose, lift_to_camera, project_to_image
 from egohand.model import ActionModelConfig
 from egohand.rangeseg import DepthMap, load_mask, load_ppm, save_depth, save_ppm
 from egohand.sequence import (
@@ -392,6 +392,15 @@ class TestSweep:
         svg = out.with_suffix(".svg")
         assert svg.is_file() and svg.read_text().startswith("<svg")
 
+    def test_svg_flag_places_the_chart(self, tree, tmp_path):
+        argv = ["sweep-threshold", "--data", str(tree), "--t-list", "0.35,0.47", "--scenes", "4"]
+        assert main([*argv, "--out", str(tmp_path / "a.csv")]) == 0
+        chart = tmp_path / "charts" / "b.svg"
+        chart.parent.mkdir()
+        assert main([*argv, "--out", str(tmp_path / "b.csv"), "--svg", str(chart)]) == 0
+        assert chart.read_bytes() == (tmp_path / "a.svg").read_bytes()
+        assert not (tmp_path / "b.svg").exists()
+
     def test_single_element_list(self, tree, tmp_path):
         out = tmp_path / "one.csv"
         rc = main(
@@ -440,6 +449,39 @@ class TestLiftEvalPose:
                     saw_absent = True
                     assert not got.left.present and np.all(got.left.joints == 0.0)
         assert saw_absent
+
+    def test_intrinsics_flag_overrides_the_file(self, tree, tmp_path):
+        src = tmp_path / "p25.ndjson"
+        self._make_25d(tree, src)
+        out = tmp_path / "p3.ndjson"
+        assert main(["lift", "--in", str(src), "--out", str(out), "--intrinsics", "400,450,250,260"]) == 0
+        k = CameraIntrinsics(400.0, 450.0, 250.0, 260.0)
+        _, _, frames25 = load_pose_file(src)
+        got_k, _, frames3 = load_pose_file(out)
+        assert got_k == k
+        for fr25, fr3 in zip(frames25, frames3, strict=True):
+            for pose25, pose3 in ((fr25.left, fr3.left), (fr25.right, fr3.right)):
+                if pose25.present:
+                    assert np.array_equal(pose3.joints[:, :2], lift_to_camera(pose25, k).joints[:, :2])
+
+    def test_intrinsics_flag_needs_four_values(self, tree, tmp_path):
+        src = tmp_path / "p25.ndjson"
+        self._make_25d(tree, src)
+        out = tmp_path / "p3.ndjson"
+        assert main(["lift", "--in", str(src), "--out", str(out), "--intrinsics", "400,450,250"]) == 4
+        assert not out.exists()
+
+    def test_infinite_focal_flag_exits_3_and_writes_nothing(self, tree, tmp_path):
+        src = tmp_path / "p25.ndjson"
+        self._make_25d(tree, src)
+        out = tmp_path / "p3.ndjson"
+        proc = subprocess.run(
+            [sys.executable, "-m", "egohand", "lift", "--in", str(src), "--out", str(out),
+             "--intrinsics", "inf,500,256,256"], capture_output=True, text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.count("\n") == 1 and "finite and positive" in proc.stderr
+        assert not out.exists()
 
     def test_eval_pose_zero_and_offset(self, tree, tmp_path):
         ds = load_dataset(tree)
@@ -521,6 +563,16 @@ def trained(tree, tmp_path_factory):
 
 
 class TestTrainEval:
+    def test_verbose_prints_one_line_per_epoch(self, tree, tmp_path, capsys):
+        rc = main(
+            ["train", "--data", str(tree), "--seed", "5", "--epochs", "2", "--set", "d_model=16",
+             "--set", "heads=2", "--set", "ff_width=32", "--out", str(tmp_path / "o"), "--verbose"]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[:-1]] == [["epoch", "0"], ["epoch", "1"]]
+        assert lines[-1].startswith("trained 2 epochs")
+
     def test_outputs_exist(self, trained):
         for name in ("checkpoint.bin", "last.bin", "history.csv", "config.snapshot.cfg", "report.json"):
             assert (trained / name).is_file()

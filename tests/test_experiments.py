@@ -10,8 +10,8 @@ from egohand.experiments import (
     make_eval_scenes,
     sweep_threshold,
 )
-from egohand.rangeseg import range_mask
-from egohand.synth import SynthParams
+from egohand.rangeseg import desharpen_mask, range_mask
+from egohand.synth import SynthParams, mask_quality
 
 # bands whose midpoint sits exactly at 0.47 with a strict quality V-shape
 SWEEP_PARAMS = SynthParams(arm_band=(0.485, 0.99), background_band=(0.05, 0.455))
@@ -50,6 +50,18 @@ def test_infer_mode_flatter(scenes):
     infer_rows = sweep_threshold(SWEEP_PARAMS, T_LIST, "infer", seed=2, scenes=scenes)
     spread = lambda rows: max(r[3] for r in rows) - min(r[3] for r in rows)
     assert spread(infer_rows) < 0.5 * spread(train_rows)
+
+
+def test_numpy_threshold_lists(scenes):
+    bank = scenes[:6]
+    t_list = [0.35, 0.39, 0.43, 0.47, 0.51]
+    want = repr(sweep_threshold(SWEEP_PARAMS, t_list, "infer", seed=3, scenes=bank))
+    assert repr(sweep_threshold(SWEEP_PARAMS, np.array(t_list), "infer", seed=3, scenes=bank)) == want
+    linspace = np.linspace(0.35, 0.51, 5)
+    assert repr(sweep_threshold(SWEEP_PARAMS, linspace, "infer", seed=3, scenes=bank)) == repr(
+        sweep_threshold(SWEEP_PARAMS, linspace.tolist(), "infer", seed=3, scenes=bank))
+    with pytest.raises(ValueError, match="empty"):
+        sweep_threshold(SWEEP_PARAMS, np.array([]), "train", seed=0, scenes=bank)
 
 
 def test_bad_threshold_rejected(scenes):
@@ -116,6 +128,34 @@ def test_scene_major_rows_equal_threshold_major_rows():
     # a repeated threshold keeps its own noise key in train mode
     rows = sweep_threshold(SWEEP_PARAMS, t_list, "train", 0, bank)
     assert rows[1][0] == rows[4][0] and rows[1][1:] != rows[4][1:]
+
+
+def _ablation_masking_by_hand(params, seeds, scenes):
+    """ablation_masking with its per-seed pairing written out in place."""
+    masked = [mask_quality(range_mask(sc.norm, params.band_midpoint), sc.gt) for sc in scenes]
+    unmasked = [(1.0, 0.0)] * len(scenes)
+    return [(_paired_mpjpe(params, scenes, masked, seed)[2], _paired_mpjpe(params, scenes, unmasked, seed)[2])
+            for seed in seeds]
+
+
+def _ablation_desharpen_by_hand(params, radius, seeds, scenes):
+    """ablation_desharpen with its per-seed pairing written out in place."""
+    sharp, blurred = [], []
+    for sc in scenes:
+        mask = range_mask(sc.norm, params.band_midpoint)
+        sharp.append(mask_quality(mask, sc.gt))
+        blurred.append(mask_quality(desharpen_mask(mask, radius), sc.gt))
+    return [(_paired_mpjpe(params, scenes, sharp, seed)[2], _paired_mpjpe(params, scenes, blurred, seed)[2])
+            for seed in seeds]
+
+
+def test_ablations_equal_hand_written_pairing():
+    bank = make_eval_scenes(SWEEP_PARAMS, seed=13, n_scenes=6)
+    seeds = [0, 9]
+    assert repr(ablation_masking(SWEEP_PARAMS, seeds, bank)) == repr(
+        _ablation_masking_by_hand(SWEEP_PARAMS, seeds, bank))
+    assert repr(ablation_desharpen(SWEEP_PARAMS, 2, seeds, bank)) == repr(
+        _ablation_desharpen_by_hand(SWEEP_PARAMS, 2, seeds, bank))
 
 
 def test_bad_threshold_rejected_before_any_mask(scenes, monkeypatch):

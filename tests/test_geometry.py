@@ -41,6 +41,11 @@ class TestIntrinsics:
         with pytest.raises(StructuralError):
             CameraIntrinsics(500.0, -1.0, 10.0, 10.0)
 
+    @pytest.mark.parametrize("fx, fy", [(np.inf, 500.0), (500.0, np.inf), (np.nan, 500.0)])
+    def test_rejects_nonfinite_focal(self, fx, fy):
+        with pytest.raises(StructuralError, match="finite and positive"):
+            CameraIntrinsics(fx, fy, 256.0, 256.0)
+
     def test_rejects_nonfinite_principal_point(self):
         with pytest.raises(StructuralError):
             CameraIntrinsics(500.0, 500.0, np.nan, 10.0)

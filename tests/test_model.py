@@ -67,6 +67,10 @@ class TestForward:
         with pytest.raises(StructuralError):
             m.forward_batch(np.zeros((2, SEQ_LEN + 1, FRAME_DIM)))
 
+    def test_cls_output_shape_enforced(self):
+        with pytest.raises(StructuralError):
+            ActionModel(TINY).cls_output(np.zeros((2, SEQ_LEN + 1, FRAME_DIM)))
+
     def test_batch_invariance(self):
         m = ActionModel(TINY)
         rng = np.random.default_rng(1)
@@ -78,20 +82,21 @@ class TestForward:
 
     def test_zero_pos_cls_permutation_invariant(self):
         m = ActionModel(TINY)
+        m.params.values["pos"][...] = 0.0
         rng = np.random.default_rng(2)
         x = rng.normal(0, 25, (1, SEQ_LEN, FRAME_DIM))
-        base = m.cls_output(x, zero_pos=True)
+        base = m.cls_output(x)
         assert base.shape == (1, TINY.d_model)
         for _ in range(5):
             perm = rng.permutation(SEQ_LEN)
-            out = m.cls_output(x[:, perm], zero_pos=True)
+            out = m.cls_output(x[:, perm])
             assert np.max(np.abs(out - base)) < 1e-9
 
     def test_active_pos_breaks_permutation_invariance(self):
         m = ActionModel(TINY)
         rng = np.random.default_rng(3)
         x = rng.normal(0, 25, (1, SEQ_LEN, FRAME_DIM))
-        out = m.cls_output(x[:, rng.permutation(SEQ_LEN)], zero_pos=False)
+        out = m.cls_output(x[:, rng.permutation(SEQ_LEN)])
         assert np.max(np.abs(out - m.cls_output(x))) > 1e-6
 
 

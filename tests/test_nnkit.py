@@ -185,6 +185,20 @@ class TestAttention:
         for name in p:
             assert _rel(grads[name], _fd_grad(loss, p[name])) < 1e-5, name
 
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_backward_bytes_match_hand_written_key_path(self, b, heads):
+        rng = np.random.default_rng(12)
+        p = self._params(rng, 8)
+        x, g = rng.normal(size=(b, 5, 8)), rng.normal(size=(b, 5, 8))
+        _, cache = nnkit.multi_head_attention(x, p, heads)
+        gx, grads = nnkit.multi_head_attention_backward(g, cache)
+        gx_ref, grads_ref = _ref_attention_backward(g, cache)
+        assert gx.tobytes() == gx_ref.tobytes()
+        assert list(grads) == list(grads_ref)
+        for name, grad in grads.items():
+            assert grad.tobytes() == grads_ref[name].tobytes(), name
+
 
 class TestCrossEntropy:
     def test_uniform_logits_is_log_c(self):
@@ -304,6 +318,36 @@ def _ref_softmax_rows(x):
 
 def _ref_softmax_backward(g, p):
     return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
+def _ref_attention_backward(g, cache):
+    """multi_head_attention_backward with the key GEMMs written out beside linear_backward."""
+    x, q, k, v, attn, merged, p, heads, scale = cache
+    b, t, d = x.shape
+    dh = d // heads
+    gmerged, gwo, gbo = nnkit.linear_backward(g, merged, p["wo"])
+    gctx = gmerged.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+    gattn = gctx @ v.transpose(0, 1, 3, 2)
+    gv = attn.transpose(0, 1, 3, 2) @ gctx
+    gscores = nnkit.softmax_backward(gattn, attn)
+    gscores *= scale
+    gq = gscores @ k
+    gk = gscores.transpose(0, 1, 3, 2) @ q
+
+    def unhead(a):
+        return a.transpose(0, 2, 1, 3).reshape(b, t, d)
+
+    gx = np.zeros_like(x)
+    grads = {"wo": gwo, "bo": gbo}
+    for name, ghead in (("q", gq), ("v", gv)):
+        gi, gw, gb = nnkit.linear_backward(unhead(ghead), x, p["w" + name])
+        gx += gi
+        grads["w" + name] = gw
+        grads["b" + name] = gb
+    gk2 = unhead(gk).reshape(-1, d)
+    gx += (gk2 @ p["wk"].T).reshape(x.shape)
+    grads["wk"] = x.reshape(-1, d).T @ gk2
+    return gx, grads
 
 
 def _ref_adamw_step(values, grads, m, v, step, lr, beta1, beta2, eps, weight_decay):

@@ -451,7 +451,7 @@ def test_pose_file_header_values_raise_only_format_error(pose_records, field, va
 
 
 # values the pose reader once coerced or accepted: a truthy non-boolean
-# "present", numeric strings and the "2d" pose space
+# "present", numeric strings, an infinite focal length and the "2d" pose space
 @pytest.mark.parametrize(
     "part, field, value",
     [
@@ -460,9 +460,11 @@ def test_pose_file_header_values_raise_only_format_error(pose_records, field, va
         ("frame", ("left", "joints", 0, 1), "1.5"),
         ("frame", ("obj_box", 2, 0), "1.5"),
         ("header", ("intrinsics", "fx"), "500"),
+        ("header", ("intrinsics", "fx"), float("inf")),
         ("header", ("space",), "2d"),
     ],
-    ids=["present-string", "present-list", "joint-string", "box-string", "intrinsic-string", "space-2d"],
+    ids=["present-string", "present-list", "joint-string", "box-string", "intrinsic-string", "intrinsic-infinity",
+         "space-2d"],
 )
 def test_coerced_value_rejected_with_line(pose_records, part, field, value):
     header, frame, path = pose_records

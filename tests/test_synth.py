@@ -1,10 +1,11 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from egohand import _kernels
-from egohand.errors import DegenerateDepthError, RangeError, StructuralError
+from egohand.errors import DatasetFormatError, DegenerateDepthError, RangeError, StructuralError
 from egohand.geometry import JOINT_COUNT, JOINT_PARENTS, HandPose, absent_pose, project_to_image
 from egohand.rangeseg import SegMask, desharpen_mask, normalize_depth, range_mask, range_mask_metric
 from egohand.sequence import ObjectObs, load_dataset
@@ -518,8 +519,20 @@ class TestParams:
         SynthParams(noise_sigma0=0.0, noise_clutter_gain=0.0, noise_loss_gain=0.0)
 
     def test_json_round_trip(self):
-        p = SynthParams(arm_band=(0.485, 0.99), background_band=(0.05, 0.455), noise_sigma0=4.0)
-        assert SynthParams.from_dict(json.loads(json.dumps(p.to_dict()))) == p
+        for p in (
+            P,
+            SynthParams(arm_band=(0.485, 0.99), background_band=(0.05, 0.455), noise_sigma0=4.0),
+            SynthParams(background_mm_band=(700.0, 3000.0), frames_range=(1, 6), bones=_LONG_BONES),
+        ):
+            assert SynthParams.from_dict(json.loads(json.dumps(asdict(p)))) == p
+
+    @pytest.mark.parametrize("value", [{"0": 0.55, "1": 0.95}, "0.55,0.95"], ids=["object", "string"])
+    @pytest.mark.parametrize("key", ["arm_band", "frames_range"])
+    def test_tuple_field_not_a_list_is_malformed(self, key, value):
+        d = json.loads(json.dumps(asdict(P)))
+        d[key] = value
+        with pytest.raises(DatasetFormatError, match=f"malformed params field '{key}'"):
+            SynthParams.from_dict(d)
 
     def test_default_midpoint(self):
         assert abs(P.band_midpoint - 0.475) < 1e-12
