@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import StructuralError
+
 
 def _window_means(c: np.ndarray, radius: int, out: np.ndarray) -> None:
     """Write into ``out`` the window means along the last axis of ``c``'s
@@ -26,23 +28,42 @@ def _window_means(c: np.ndarray, radius: int, out: np.ndarray) -> None:
     out /= np.minimum(j + radius, n - 1) - np.maximum(j - radius, 0) + 1
 
 
-def box_blur(values: np.ndarray, radius: int) -> np.ndarray:
+def _map_buffer(name: str, buf: np.ndarray | None, values, *others: np.ndarray) -> np.ndarray:
+    """``buf`` once checked to fit ``values``, or a fresh float64 map of its shape."""
+    shape = np.shape(values)
+    if buf is None:
+        return np.empty(shape, np.float64)
+    if not (isinstance(buf, np.ndarray) and buf.dtype == np.float64 and buf.shape == shape
+            and buf.flags.c_contiguous and buf.flags.writeable):
+        got = (f"{buf.dtype} {buf.shape}, C-contiguous {buf.flags.c_contiguous}, writeable {buf.flags.writeable}"
+               if isinstance(buf, np.ndarray) else type(buf).__name__)
+        raise StructuralError(f"{name} must be a writeable C-contiguous float64 map of shape {shape}, got {got}")
+    if any(np.shares_memory(buf, other) for other in (values, *others)):
+        raise StructuralError(f"{name} shares memory with the input map or the other buffer")
+    return buf
+
+
+def box_blur(values: np.ndarray, radius: int, out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
     """Border-renormalized separable box average (cumulative-sum path).
 
     Rows first, then columns; each pass takes its sequential float64
-    cumulative sum along the axis and differences it. Returns a new
-    C-contiguous float64 map; the two passes share two work buffers.
+    cumulative sum along the axis and differences it. The result goes into
+    ``out`` and the cumulative sums into ``work``. Each, when given, must be
+    a writeable C-contiguous float64 map of the input's shape that shares no
+    memory with the input or the other (``StructuralError`` otherwise); when
+    not given, it is allocated afresh. Returns ``out``.
     """
-    out = np.empty(values.shape, np.float64)
-    c = np.empty_like(out)
+    out = _map_buffer("out", out, values)
+    work = _map_buffer("work", work, values, out)
     np.copyto(out, values)
-    np.cumsum(out, axis=1, out=c)
-    _window_means(c, radius, out)
+    np.cumsum(out, axis=1, out=work)
+    _window_means(work, radius, out)
     # the column sums row by row: contiguous adds, the same sequence as cumsum(axis=0)
-    c[0] = out[0]
+    work[0] = out[0]
     for i in range(1, len(out)):
-        np.add(c[i - 1], out[i], out=c[i])
-    _window_means(c.T, radius, out.T)
+        np.add(work[i - 1], out[i], out=work[i])
+    _window_means(work.T, radius, out.T)
     return out
 
 

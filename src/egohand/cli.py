@@ -297,13 +297,20 @@ def cmd_train(args) -> tuple:
     sets = _raw_sets(args.data)
     os.makedirs(args.out, exist_ok=True)
 
-    log = None
-    if args.verbose:
-        log = lambda row: print(
-            f"epoch {row[0]:4d}  loss {row[1]:.4f}  train acc {row[2]:.4f}  "
-            f"val acc {row[3]:.4f}  lr {row[4]:g}",
-            flush=True,
-        )
+    # per-epoch seconds and training sequences per second; epoch 0 counts from the call
+    epoch_s, seqs_per_s = [], []
+    epoch_start = time.perf_counter()
+
+    def log(row):
+        nonlocal epoch_start
+        now = time.perf_counter()
+        epoch_s.append(now - epoch_start)
+        seqs_per_s.append(len(sets["train"]) / epoch_s[-1])
+        epoch_start = now
+        if args.verbose:
+            print(f"epoch {row[0]:4d}  loss {row[1]:.4f}  train acc {row[2]:.4f}  "
+                  f"val acc {row[3]:.4f}  lr {row[4]:g}", flush=True)
+
     result = model.train(sets["train"], sets["val"], cfg, log=log)
     nnkit.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), result.best)
     nnkit.save_checkpoint(os.path.join(args.out, "last.bin"), result.model.params)
@@ -323,7 +330,8 @@ def cmd_train(args) -> tuple:
         "best_val_acc": result.history.best_val_acc,
         "epochs_run": len(result.history.rows),
     }
-    return os.path.join(args.out, "report.json"), dataclasses.asdict(cfg), cfg.seed, metrics, {}
+    timings = {"epoch_s": epoch_s, "seqs_per_s": seqs_per_s}
+    return os.path.join(args.out, "report.json"), dataclasses.asdict(cfg), cfg.seed, metrics, timings
 
 
 def cmd_eval_action(args) -> tuple | None:

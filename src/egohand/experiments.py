@@ -113,11 +113,19 @@ def ablation_masking(params: SynthParams, seeds, scenes: list[EvalScene]):
 
 
 def ablation_desharpen(params: SynthParams, radius: int, seeds, scenes: list[EvalScene]):
-    """Paired per-seed MPJPE(both): sharp band-midpoint mask vs its blur."""
+    """Paired per-seed MPJPE(both): sharp band-midpoint mask vs its blur.
+
+    Every scene is blurred into one held pair of maps (result and work),
+    scored before the next scene overwrites it; a scene of another shape
+    gets a new pair. Two fresh maps per scene would be handed back to the
+    kernel when the scene ends and page-faulted in again by the next one.
+    """
     sharp, blurred = [], []
+    out = work = None
     for scene in scenes:
         mask = range_mask(scene.norm, params.band_midpoint)
         sharp.append(mask_quality(mask, scene.gt))
-        blurred.append(mask_quality(desharpen_mask(mask, radius), scene.gt))
+        if out is None or out.shape != mask.values.shape:
+            out, work = np.empty(mask.values.shape), np.empty(mask.values.shape)
+        blurred.append(mask_quality(desharpen_mask(mask, radius, out=out, work=work), scene.gt))
     return _paired_arms(params, scenes, (sharp, blurred), seeds)
-

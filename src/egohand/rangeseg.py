@@ -20,6 +20,7 @@ u8 (0 = closer-is-smaller, 1 = closer-is-larger, 255 = mask), flag u8
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -136,7 +137,7 @@ def apply_mask(frame: np.ndarray, mask: SegMask, fill=(0, 0, 0)) -> np.ndarray:
     """Mask an (H, W, 3) uint8 frame.
 
     Binary masks select kept pixels exactly; soft masks blend each channel
-    toward ``fill`` by the mask weight.
+    toward ``fill`` by the mask weight. ``fill`` is three integers in 0..255.
     """
     frame = np.asarray(frame)
     if frame.ndim != 3 or frame.shape[2] != 3 or frame.dtype != np.uint8:
@@ -145,7 +146,13 @@ def apply_mask(frame: np.ndarray, mask: SegMask, fill=(0, 0, 0)) -> np.ndarray:
         raise StructuralError(
             f"frame {frame.shape[:2]} and mask {mask.values.shape} dimensions differ"
         )
-    fill_arr = np.asarray(fill, dtype=np.float64).reshape(3)
+    try:
+        rgb = [operator.index(v) for v in fill]
+    except TypeError:
+        rgb = []
+    if len(rgb) != 3 or not all(0 <= v <= 255 for v in rgb):
+        raise StructuralError(f"fill must be three integers in 0..255, got {fill!r}")
+    fill_arr = np.array(rgb, dtype=np.float64)
     h, w = mask.values.shape
     out = np.empty((h, w, 3), np.uint8)
     if mask.binary:
@@ -168,12 +175,16 @@ def apply_mask(frame: np.ndarray, mask: SegMask, fill=(0, 0, 0)) -> np.ndarray:
     return out
 
 
-def desharpen_mask(mask: SegMask, radius: int) -> SegMask:
+def desharpen_mask(mask: SegMask, radius: int, out: np.ndarray | None = None,
+                   work: np.ndarray | None = None) -> SegMask:
     """Box-blur a mask with a (2r+1)-wide window, renormalized at borders.
 
     The output is soft; every pixel equals the mean of the input over the
     intersection of its window with the image, so a constant mask blurs to
-    itself.
+    itself. ``out`` and ``work`` follow ``_kernels.box_blur``: given, the
+    blur is written into ``out`` (which the returned mask then holds) with
+    ``work`` as its scratch map; a caller blurring many same-shaped masks
+    can hold one pair instead of allocating two maps per call.
     """
     if radius < 1:
         raise RangeError(f"blur radius must be >= 1, got {radius}")
@@ -181,7 +192,7 @@ def desharpen_mask(mask: SegMask, radius: int) -> SegMask:
         raise RangeError(
             f"blur radius {radius} must be smaller than min(width, height) = {min(mask.values.shape)}"
         )
-    blurred = _kernels.box_blur(mask.values, radius)
+    blurred = _kernels.box_blur(mask.values, radius, out=out, work=work)
     # guard float round-off at the [0,1] boundary
     return SegMask(np.clip(blurred, 0.0, 1.0, out=blurred))
 

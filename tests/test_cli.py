@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -737,7 +738,8 @@ def test_run_report_contents(command, run, tree, trained, tmp_path):
     path, seed, config_keys, metric_keys = run(tree, trained, tmp_path)
     doc = json.loads(path.read_text())
     timed = {"stage_s"} if command in _STAGES else set()
-    assert set(doc) == {"command", "config", "seed", "metrics", "wall_time_s"} | timed
+    per_epoch = {"epoch_s", "seqs_per_s"} if command == "train" else set()
+    assert set(doc) == {"command", "config", "seed", "metrics", "wall_time_s"} | timed | per_epoch
     assert doc["command"] == command
     assert doc["seed"] == seed
     assert set(doc["config"]) == config_keys
@@ -752,6 +754,12 @@ def test_run_report_contents(command, run, tree, trained, tmp_path):
         else:
             assert all(v > 0.0 for v in stage_s.values())
         assert sum(stage_s.values()) <= doc["wall_time_s"]
+    if per_epoch:
+        # one entry per epoch run, each finite and positive
+        for key in per_epoch:
+            assert len(doc[key]) == doc["metrics"]["epochs_run"]
+            assert all(isinstance(v, float) and math.isfinite(v) and v > 0.0 for v in doc[key])
+        assert sum(doc["epoch_s"]) <= doc["wall_time_s"]
 
 
 def test_commands_without_a_report(tree, trained, tmp_path):

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from egohand import experiments
-from egohand.errors import RangeError
+from egohand.errors import EmptyDatasetError, RangeError
 from egohand.experiments import (
+    EvalScene,
     _paired_mpjpe,
     ablation_desharpen,
     ablation_masking,
     make_eval_scenes,
     sweep_threshold,
 )
-from egohand.rangeseg import desharpen_mask, range_mask
+from egohand.rangeseg import DepthMap, SegMask, desharpen_mask, range_mask
 from egohand.synth import SynthParams, mask_quality
 
 # bands whose midpoint sits exactly at 0.47 with a strict quality V-shape
@@ -167,3 +168,22 @@ def test_bad_threshold_rejected_before_any_mask(scenes, monkeypatch):
     assert calls == []
     sweep_threshold(SWEEP_PARAMS, [0.35, 0.47], "infer", seed=0, scenes=scenes[:3])
     assert len(calls) == 6  # one mask per (scene, threshold)
+
+
+def test_desharpen_ablation_across_map_shapes():
+    """Scenes of differing map shapes each get a blur pair of their own shape."""
+    bank = make_eval_scenes(SWEEP_PARAMS, seed=13, n_scenes=5)
+
+    def subsampled(sc):
+        v = sc.norm.values[::2, ::3]
+        return EvalScene(sc.left, sc.right, DepthMap(v / v.max(), sc.norm.order, normalized=True),
+                         SegMask(sc.gt.values[::2, ::3]))
+
+    mixed = [bank[0], subsampled(bank[1]), subsampled(bank[2]), bank[3], bank[4]]
+    assert repr(ablation_desharpen(SWEEP_PARAMS, 2, [0, 9], mixed)) == repr(
+        _ablation_desharpen_by_hand(SWEEP_PARAMS, 2, [0, 9], mixed))
+
+
+def test_desharpen_ablation_of_no_scenes_is_empty_dataset():
+    with pytest.raises(EmptyDatasetError):
+        ablation_desharpen(SWEEP_PARAMS, 2, [0], [])
