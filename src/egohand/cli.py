@@ -340,15 +340,16 @@ def cmd_eval_action(args) -> tuple | None:
         if os.path.isfile(sibling):
             args.config = sibling
     cfg = _resolve_config(args)
-    net = model.ActionModel(cfg, params=nnkit.load_checkpoint(args.checkpoint))
-    sets = _raw_sets(args.data)
+    stage_s, timed = _stage_timer(("load", "prepare", "predict"))
+    net = model.ActionModel(cfg, params=timed("load", nnkit.load_checkpoint, args.checkpoint))
+    sets = timed("load", _raw_sets, args.data)
     if not sets[args.split]:
         raise EmptyDatasetError(f"split {args.split!r} is empty")
-    x, y = model.prepare_eval_set(sets[args.split], cfg)
+    x, y = timed("prepare", model.prepare_eval_set, sets[args.split], cfg)
     if args.mask_group:
         x = x.copy()
         x[:, :, GROUP_SLICES[args.mask_group]] = 0.0
-    top1, confusion = model.evaluate(net, x, y)
+    top1, confusion = timed("predict", model.evaluate, net, x, y)
     print(f"top-1 accuracy on {args.split}: {top1:.4f} ({len(y)} sequences)")
     if args.out:
         reports.write_csv(
@@ -357,7 +358,7 @@ def cmd_eval_action(args) -> tuple | None:
             [tuple(int(v) for v in row) for row in confusion],
         )
         metrics = {"split": args.split, "top1": top1, "mask_group": args.mask_group}
-        return args.out + ".report.json", dataclasses.asdict(cfg), cfg.seed, metrics, {}
+        return args.out + ".report.json", dataclasses.asdict(cfg), cfg.seed, metrics, {"stage_s": stage_s}
 
 
 def cmd_plot(args) -> None:

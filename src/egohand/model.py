@@ -212,6 +212,14 @@ class ActionModel:
         Returns the float64 input, the normalized (B, d_model) CLS states, what
         ``backward_batch`` needs of the blocks (empty without ``need_cache``)
         and the final LN, which only the CLS row goes through.
+
+        Without a cache the trunk computes only the rows its result reads: the
+        last block's attention runs over every row, since the CLS row attends
+        to all of them, but its feed-forward half runs on the CLS row alone.
+        Each row's arithmetic is unchanged, so for B >= 2 the logits keep their
+        bytes; at B = 1 numpy runs the one-row GEMMs as vector-matrix products,
+        which round differently in the last bits. Training keeps every row, so
+        gradients and checkpoints keep their bytes.
         """
         c = self.cfg
         x = np.asarray(x, dtype=np.float64)
@@ -229,6 +237,8 @@ class ActionModel:
             attn_p = {nm: pv[p + "attn." + nm] for nm in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")}
             h2, c_attn = nnkit.multi_head_attention(a1, attn_p, c.heads)
             h2 += h
+            if i == c.blocks - 1 and not need_cache:
+                h2 = h2[:, :1]  # only the CLS row is read past the last attention
             a2, c_ln2 = nnkit.layer_norm(h2, pv[p + "ln2.g"], pv[p + "ln2.b"])
             f1 = nnkit.linear(a2, pv[p + "ff1.w"], pv[p + "ff1.b"])
             f1g, c_gelu = nnkit.gelu(f1, need_cache)

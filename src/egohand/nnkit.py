@@ -151,7 +151,7 @@ def multi_head_attention(x: np.ndarray, p: dict, heads: int):
     scale = 1.0 / np.sqrt(dh)
 
     q = linear(x, p["wq"], p["bq"]).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
-    k = (x @ p["wk"]).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+    k = (x.reshape(-1, d) @ p["wk"]).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
     v = linear(x, p["wv"], p["bv"]).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
     scores = q @ k.transpose(0, 1, 3, 2)
     scores *= scale

@@ -726,7 +726,8 @@ def _report_eval_action(tree, trained, tmp):
 
 
 # the per-stage seconds a command's report holds, in the report's key order
-_STAGES = {"segment": ["apply", "desharpen", "load", "mask", "save"], "sweep-threshold": ["scenes", "sweep", "write"]}
+_STAGES = {"segment": ["apply", "desharpen", "load", "mask", "save"], "sweep-threshold": ["scenes", "sweep", "write"],
+           "eval-action": ["load", "predict", "prepare"]}
 
 
 @pytest.mark.parametrize(

@@ -100,6 +100,80 @@ class TestForward:
         assert np.max(np.abs(out - m.cls_output(x))) > 1e-6
 
 
+def _full_row_forward(m: ActionModel, x: np.ndarray):
+    """(logits, CLS states) with every block run over all seq_len + 1 rows, as
+    the trunk did before inference kept only the CLS row of the last block."""
+    c, pv = m.cfg, m.params.values
+    h = np.concatenate([np.broadcast_to(pv["cls"], (len(x), 1, c.d_model)),
+                        nnkit.linear(x, pv["embed.w"], pv["embed.b"])], axis=1)
+    h += pv["pos"]
+    for i in range(c.blocks):
+        p = f"block{i}."
+        a1, _ = nnkit.layer_norm(h, pv[p + "ln1.g"], pv[p + "ln1.b"])
+        attn_p = {nm: pv[p + "attn." + nm] for nm in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")}
+        h2, _ = nnkit.multi_head_attention(a1, attn_p, c.heads)
+        h2 += h
+        a2, _ = nnkit.layer_norm(h2, pv[p + "ln2.g"], pv[p + "ln2.b"])
+        f1g, _ = nnkit.gelu(nnkit.linear(a2, pv[p + "ff1.w"], pv[p + "ff1.b"]))
+        h = nnkit.linear(f1g, pv[p + "ff2.w"], pv[p + "ff2.b"])
+        h += h2
+    cls_vec, _ = nnkit.layer_norm(h[:, 0, :], pv["final_ln.g"], pv["final_ln.b"])
+    h1g, _ = nnkit.gelu(nnkit.linear(cls_vec, pv["head1.w"], pv["head1.b"]))
+    return nnkit.linear(h1g, pv["head2.w"], pv["head2.b"]), cls_vec
+
+
+class TestClsRowInference:
+    """Without a cache the last block's feed-forward half runs on the CLS row only."""
+
+    def _model(self, seed=0):
+        m = ActionModel(ActionModelConfig(seed=seed))
+        scale_weights(m, 5.0)
+        return m
+
+    @pytest.mark.parametrize("b", [2, 3, 36, 64])
+    def test_bytes_match_full_rows(self, b):
+        m = self._model()
+        x = np.random.default_rng(b).normal(0, 30, (b, SEQ_LEN, FRAME_DIM))
+        logits_ref, cls_ref = _full_row_forward(m, x)
+        assert m.forward_batch(x)[0].tobytes() == logits_ref.tobytes()
+        assert m.cls_output(x).tobytes() == cls_ref.tobytes()
+
+    def test_single_sequence_within_rounding(self):
+        # with one row numpy runs the feed-forward GEMMs as vector-matrix
+        # products, which sum in another order than the 21-row GEMMs
+        m = self._model()
+        x = np.random.default_rng(1).normal(0, 30, (1, SEQ_LEN, FRAME_DIM))
+        logits_ref, cls_ref = _full_row_forward(m, x)
+        for got, want in ((m.forward_batch(x)[0], logits_ref), (m.cls_output(x), cls_ref)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_predict_over_chunks_matches_full_row_argmax(self):
+        m = self._model(seed=4)
+        x = np.random.default_rng(5).normal(0, 30, (257, SEQ_LEN, FRAME_DIM))  # chunks of 256 and 1
+        logits_ref, _ = _full_row_forward(m, x)
+        top2 = np.sort(logits_ref, axis=1)[:, -2:]
+        assert np.min(top2[:, 1] - top2[:, 0]) > 1e-9  # no near-tie the last chunk's rounding could flip
+        np.testing.assert_array_equal(m.predict(x), logits_ref.argmax(axis=1))
+
+    def test_last_block_gelu_sees_one_row_only_without_cache(self, monkeypatch):
+        shapes = []
+        gelu = nnkit.gelu
+
+        def probe(x, need_cache=False):
+            shapes.append(x.shape)
+            return gelu(x, need_cache)
+
+        monkeypatch.setattr(nnkit, "gelu", probe)
+        m = ActionModel(TINY)
+        x = np.random.default_rng(6).normal(0, 30, (3, SEQ_LEN, FRAME_DIM))
+        last = TINY.blocks - 1  # the block GELUs come first, then the head's
+        m.predict(x)
+        assert shapes[last] == (3, 1, TINY.ff_width)
+        shapes.clear()
+        m.loss_and_grads(x, np.array([0, 1, 2]))
+        assert shapes[last] == (3, SEQ_LEN + 1, TINY.ff_width)
+
+
 def scale_weights(m: ActionModel, factor: float) -> None:
     """Move off the tiny-init point: near-zero gradients sit at the FD
     noise floor of double precision, which would measure conditioning

@@ -187,6 +187,18 @@ class TestAttention:
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("b", [1, 3])
+    def test_forward_bytes_match_stacked_key_projection(self, b, heads):
+        rng = np.random.default_rng(13)
+        p = self._params(rng, 32)
+        x = rng.normal(size=(b, 21, 32))
+        y, cache = nnkit.multi_head_attention(x, p, heads)
+        y_ref, cache_ref = _ref_attention_stacked_keys(x, p, heads)
+        assert y.tobytes() == y_ref.tobytes()
+        for got, want in zip(_arrays(cache), _arrays(cache_ref)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("b", [1, 3])
     def test_backward_bytes_match_hand_written_key_path(self, b, heads):
         rng = np.random.default_rng(12)
         p = self._params(rng, 8)
@@ -318,6 +330,19 @@ def _ref_softmax_rows(x):
 
 def _ref_softmax_backward(g, p):
     return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
+def _ref_attention_stacked_keys(x, p, heads):
+    """multi_head_attention with the key projection as a stack of B per-sequence GEMMs."""
+    b, t, d = x.shape
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    q = nnkit.linear(x, p["wq"], p["bq"]).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+    k = (x @ p["wk"]).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+    v = nnkit.linear(x, p["wv"], p["bv"]).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+    attn = _ref_softmax_rows(q @ k.transpose(0, 1, 3, 2) * scale)
+    merged = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
+    return nnkit.linear(merged, p["wo"], p["bo"]), (x, q, k, v, attn, merged, p, heads, scale)
 
 
 def _ref_attention_backward(g, cache):
