@@ -129,11 +129,18 @@ def config_to_text(cfg: ActionModelConfig) -> str:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch (epoch, train_loss, train_acc, val_acc, lr) rows."""
+    """Per-epoch (epoch, train_loss, train_acc, val_acc, lr) rows. The best epoch
+    is the first row with the highest val_acc; (-1, -1.0) before any row."""
 
     rows: list = field(default_factory=list)
-    best_epoch: int = -1
-    best_val_acc: float = -1.0
+
+    @property
+    def best_epoch(self) -> int:
+        return max(self.rows, key=lambda row: row[3], default=(-1,))[0]
+
+    @property
+    def best_val_acc(self) -> float:
+        return max((row[3] for row in self.rows), default=-1.0)
 
 
 class ActionModel:
@@ -362,7 +369,7 @@ def evaluate(model: ActionModel, x: np.ndarray, labels: np.ndarray):
 @dataclass
 class TrainResult:
     model: ActionModel
-    best: nnkit.ParamSet
+    best: nnkit.ParamSet | None
     history: TrainHistory
 
 
@@ -391,20 +398,24 @@ def train(
     Per epoch: seeded shuffle -> batches -> per-sequence random subsample +
     rotation/masking augmentation -> forward -> cross-entropy -> backward ->
     AdamW with the step LR schedule. Validation uses uniform subsampling and
-    no augmentation. Bit-reproducible for a given (cfg.seed, data) and
-    resumable: epoch e behaves identically whether or not the run restarted.
+    no augmentation. Bit-reproducible for a given (cfg.seed, data); runs
+    epochs [start_epoch, epochs), ``epochs`` defaulting to ``cfg.max_epochs``.
+    To resume, pass an earlier call's ``model``, ``start_epoch`` and ``history``:
+    epoch e behaves identically whether or not the run restarted. ``best`` is a
+    snapshot at the call's last epoch that beat every earlier row, else None.
     """
     if not train_set or not val_set:
         raise EmptyDatasetError("train and validation sets must be non-empty")
-    for frames, label in train_set:
-        if not (0 <= label < cfg.n_classes):
-            raise StructuralError(f"train label {label} outside [0, {cfg.n_classes})")
+    for name, labelled in (("train", train_set), ("validation", val_set)):
+        for _, label in labelled:
+            if not (0 <= label < cfg.n_classes):
+                raise StructuralError(f"{name} label {label} outside [0, {cfg.n_classes})")
     model = model if model is not None else ActionModel(cfg)
     history = history if history is not None else TrainHistory()
     end_epoch = cfg.max_epochs if epochs is None else epochs
 
     x_val, y_val = prepare_eval_set(val_set, cfg)
-    best = _snapshot(model.params)
+    best = None
 
     n = len(train_set)
     for epoch in range(start_epoch, end_epoch):
@@ -436,12 +447,10 @@ def train(
             loss_sum += loss * len(idx)
             correct += int((logits.argmax(axis=1) == yb).sum())
         val_acc, _ = evaluate(model, x_val, y_val)
+        if val_acc > history.best_val_acc:
+            best = _snapshot(model.params)
         row = (epoch, loss_sum / n, correct / n, val_acc, lr)
         history.rows.append(row)
-        if val_acc > history.best_val_acc:
-            history.best_val_acc = val_acc
-            history.best_epoch = epoch
-            best = _snapshot(model.params)
         if log is not None:
             log(row)
     return TrainResult(model=model, best=best, history=history)

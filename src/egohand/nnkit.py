@@ -34,6 +34,7 @@ from .errors import (
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator guard
 
 
 # --- layers -----------------------------------------------------------------
@@ -248,46 +249,38 @@ class ParamSet:
         self.grads[name] += grad.reshape(self.grads[name].shape)
 
 
-def adamw_step(
-    params: ParamSet,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-) -> None:
+def adamw_step(params: ParamSet, lr: float, weight_decay: float = 0.0) -> None:
     """Decoupled weight decay followed by a bias-corrected Adam update."""
     for name, g in params.grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericFaultError(f"non-finite gradient in {name!r}")
     params.step += 1
     t = params.step
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     # two scratch buffers serve every tensor, which stays in cache while updated
     size = max((p.size for p in params.values.values()), default=0)
     scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in params.values.items():
         g = params.grads[name]
-        if weight_decay != 0.0:
-            p *= 1.0 - lr * weight_decay
+        p *= 1.0 - lr * weight_decay
         m = params.m[name]
         v = params.v[name]
         a = scratch_a[: p.size].reshape(p.shape)
         b = scratch_b[: p.size].reshape(p.shape)
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=a)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         m += a
-        v *= beta2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=b)
-        b *= 1.0 - beta2
+        b *= 1.0 - ADAM_BETA2
         v += b
         # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
         np.divide(m, c1, out=a)
         a *= lr
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
-        b += eps
+        b += ADAM_EPS
         a /= b
         p -= a
 

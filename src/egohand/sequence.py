@@ -117,7 +117,7 @@ def subsample_or_pad(frames, n: int = SEQ_LEN, rng=None):
         idx = (np.arange(n) * k) // n
     else:
         idx = np.sort(rng.choice(k, size=n, replace=False))
-    return frames[idx].copy(), n
+    return frames[idx], n  # integer-array indexing already makes a new array
 
 
 def augment_sequence(frames, rotation_range: float, mask_prob: float, rng, valid_count: int | None = None):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from egohand import model as model_module
 from egohand import nnkit
 from egohand.errors import (
     CheckpointMismatchError,
@@ -16,6 +18,7 @@ from egohand.errors import (
 from egohand.model import (
     ActionModel,
     ActionModelConfig,
+    TrainHistory,
     _snapshot,
     apply_overrides,
     config_to_text,
@@ -390,6 +393,71 @@ class TestTraining:
         r3 = train(data, val, TINY, epochs=3)
         assert r1.history.rows == r3.history.rows
 
+    def test_validation_label_rejected_before_any_step(self):
+        data = _raw_set(np.random.default_rng(13), TINY)
+        val = [(frames, label) for frames, label in data[:3]] + [(data[0][0], TINY.n_classes)]
+        m = ActionModel(TINY)
+        with pytest.raises(StructuralError, match=re.escape("validation label 4 outside [0, 4)")):
+            train(data, val, TINY, model=m, epochs=3)
+        assert m.params.step == 0
+
+    def test_one_snapshot_per_improving_epoch(self, monkeypatch, tmp_path):
+        # at this rate and data val_acc improves at epochs 0, 2 and 5 and ties after
+        cfg = dataclasses.replace(TINY, base_lr=0.01)
+        data = _raw_set(np.random.default_rng(8), cfg)
+        val = _raw_set(np.random.default_rng(9), cfg, n_per_class=2)
+        calls = []
+        real = model_module._snapshot
+        monkeypatch.setattr(model_module, "_snapshot", lambda params: calls.append(params.step) or real(params))
+        res = train(data, val, cfg, epochs=8)
+        accs = [row[3] for row in res.history.rows]
+        improving = [e for e, acc in enumerate(accs) if acc > max(accs[:e], default=-1.0)]
+        assert len(improving) >= 2 and improving[-1] < 7
+        steps_per_epoch = -(-len(data) // cfg.batch_size)
+        assert calls == [(e + 1) * steps_per_epoch for e in improving]
+        assert res.history.best_epoch == improving[-1]
+        # the snapshot holds the weights at the best epoch, not at the end of the call
+        upto_best = train(data, val, cfg, epochs=improving[-1] + 1).model.params
+        nnkit.save_checkpoint(tmp_path / "best.bin", res.best)
+        nnkit.save_checkpoint(tmp_path / "upto.bin", upto_best)
+        assert (tmp_path / "best.bin").read_bytes() == (tmp_path / "upto.bin").read_bytes()
+
+    def test_resume_without_improvement_returns_no_best(self):
+        # a vanishing rate keeps every prediction, so val_acc only ties the first epoch
+        cfg = dataclasses.replace(TINY, base_lr=1e-12)
+        data = _raw_set(np.random.default_rng(8), cfg)
+        val = _raw_set(np.random.default_rng(9), cfg, n_per_class=2)
+        part = train(data, val, cfg, epochs=2)
+        assert part.best is not None
+        resumed = train(data, val, cfg, model=part.model, start_epoch=2, epochs=8, history=part.history)
+        assert len({row[3] for row in resumed.history.rows}) == 1
+        assert resumed.best is None
+        assert (resumed.history.best_epoch, resumed.history.best_val_acc) == (0, part.history.rows[0][3])
+
+
+def _best_by_strict_update(val_accs):
+    """The best (epoch, val_acc) as a running strict ``>`` update finds it."""
+    best = (-1, -1.0)
+    for epoch, acc in enumerate(val_accs):
+        if acc > best[1]:
+            best = (epoch, acc)
+    return best
+
+
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), max_size=12))
+@example([])
+@example([0.5, 0.75, 0.75, 0.25])
+@settings(max_examples=200, deadline=None)
+def test_history_best_is_first_highest_row(val_accs):
+    history = TrainHistory(rows=[(e, 1.0, 0.5, acc, 0.001) for e, acc in enumerate(val_accs)])
+    assert (history.best_epoch, history.best_val_acc) == _best_by_strict_update(val_accs)
+
+
+def test_history_stores_only_its_rows():
+    assert [f.name for f in dataclasses.fields(TrainHistory)] == ["rows"]
+    with pytest.raises(AttributeError):
+        TrainHistory().best_epoch = 2
+
 
 class TestEvaluate:
     def test_forced_correct_predictions(self):
@@ -449,8 +517,6 @@ class TestCheckpointCompat:
         m = ActionModel(TINY)
         p = tmp_path / "m.bin"
         nnkit.save_checkpoint(p, m.params)
-        import dataclasses
-
         other = dataclasses.replace(TINY, d_model=32)
         with pytest.raises(CheckpointMismatchError):
             ActionModel(other, params=nnkit.load_checkpoint(p))

@@ -267,7 +267,7 @@ class TestAdamW:
         lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.004
         for _ in range(10):
             ps.grads["p"][0, 0] = ps.values["p"][0, 0] - 3.0
-            nnkit.adamw_step(ps, lr, b1, b2, eps, wd)
+            nnkit.adamw_step(ps, lr, weight_decay=wd)
 
         # reference AdamW recurrence written independently on plain floats
         p, m, v = 0.0, 0.0, 0.0
@@ -286,6 +286,26 @@ class TestAdamW:
         ps.grads["p"][0, 0] = np.nan
         with pytest.raises(NumericFaultError):
             nnkit.adamw_step(ps, 0.001)
+
+    def test_zero_decay_leaves_the_update_bytes(self):
+        # multiplying by 1.0 - lr * 0.0 is exact, so no decay branch is needed
+        rng = np.random.default_rng(4)
+        p = rng.normal(size=(3, 5))
+        p[0, :2] = (-0.0, 0.0)
+        ps = nnkit.ParamSet()
+        ps.add("w", p.copy())
+        m = v = np.zeros_like(p)
+        for t in range(1, 4):
+            g = rng.normal(size=p.shape)
+            g[0, :2] = 0.0
+            ps.zero_grads()
+            ps.accumulate("w", g)
+            nnkit.adamw_step(ps, 0.01)
+            # the Adam update with no decay term at all
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * (g * g)
+            p = p - 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            assert ps.values["w"].tobytes() == p.tobytes()
 
     def test_decay_applied_before_update(self):
         ps = self._ps(10.0)

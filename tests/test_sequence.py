@@ -127,6 +127,16 @@ class TestSubsampleOrPad:
         b, _ = subsample_or_pad(raw, 20)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("k", [5, 20, 37])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_result_owns_its_memory(self, k, seeded):
+        raw = self._frames(k)
+        before = raw.copy()
+        out, _ = subsample_or_pad(raw, 20, rng=np.random.default_rng(1) if seeded else None)
+        assert not np.shares_memory(out, raw)
+        out[:] = 7.0
+        assert np.array_equal(raw, before)
+
 
 class _Draws:
     """Stands in for the generator: every uniform draw is 0, so the angle is
