@@ -2,13 +2,13 @@
 
 Exit codes: 0 success, 2 missing/unreadable files, 3 config or format
 errors, 4 usage errors, 5 data consistency errors. Code 3 covers
-out-of-range thresholds, all-zero depth maps (FlatMapError), joints with
-z <= 0 (DegenerateDepthError), truncated checkpoints (FormatError) and
-training that diverges to non-finite values (NumericFaultError). Every
-error ends with a one-line message on stderr. Every command takes all
-randomness from --seed; identical flags and seed produce byte-identical
-CSV/SVG/checkpoint/dmap outputs (the report.json timing fields are the
-one exception).
+out-of-range thresholds and negative seeds, all-zero depth maps (FlatMapError),
+joints with z <= 0 (DegenerateDepthError), truncated checkpoints (FormatError),
+training that diverges to non-finite values (NumericFaultError) and sizes the
+machine cannot allocate (MemoryError). Every error ends with a one-line message
+on stderr. Every command takes all randomness from --seed; identical flags and
+seed produce byte-identical CSV/SVG/checkpoint/dmap outputs (the report.json
+timing fields are the one exception).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .rangeseg import (
 from .sequence import (
     GROUP_SLICES,
     MASK_GROUPS,
+    SPLITS,
     FrameRecord,
     encode_frames,
     export_csv_matrices,
@@ -102,9 +103,9 @@ def _load_tree_meta(data_dir: str) -> tuple[int, synth.SynthParams]:
     with open(path) as f:
         try:
             meta = json.load(f)
-            if not (isinstance(meta, dict) and type(meta.get("master_seed")) is int
+            if not (isinstance(meta, dict) and type(meta.get("master_seed")) is int and meta["master_seed"] >= 0
                     and isinstance(meta.get("params"), dict)):
-                raise DatasetFormatError("expected an integer 'master_seed' and a 'params' object")
+                raise DatasetFormatError("expected a non-negative integer 'master_seed' and a 'params' object")
             return meta["master_seed"], synth.SynthParams.from_dict(meta["params"])
         except (ValueError, EgohandError) as e:
             raise DatasetFormatError(f"{path}: {e}") from e
@@ -286,7 +287,7 @@ def cmd_encode(args) -> None:
 
 
 def _raw_sets(data_dir: str):
-    sets = {"train": [], "val": [], "test": []}
+    sets = {split: [] for split in SPLITS}
     for seq in _load_3d_dataset(data_dir).sequences:
         sets[seq.split].append((encode_frames(seq), seq.action_label))
     return sets
@@ -441,7 +442,7 @@ def build_parser() -> _Parser:
     s.add_argument("--data", required=True)
     s.add_argument("--checkpoint", required=True)
     s.add_argument("--config", default=None)
-    s.add_argument("--split", choices=("train", "val", "test"), default="test")
+    s.add_argument("--split", choices=SPLITS, default="test")
     s.add_argument("--mask-group", choices=MASK_GROUPS, default=None)
     s.add_argument("--set", action="append", default=[])
     s.add_argument("--seed", type=int, default=None)
@@ -464,6 +465,7 @@ _EXIT_CODES = {
     EgohandError: 3,
     ValueError: 3,
     KeyError: 3,
+    MemoryError: 3,
     DataConsistencyError: 5,
     EmptyDatasetError: 5,
     EmptyActionError: 5,

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import RangeError
 from .geometry import HandPose, mpjpe_report
 from .rangeseg import DepthMap, SegMask, desharpen_mask, normalize_depth, range_mask
-from .synth import SynthParams, gen_frame, gen_scene_depth, mask_quality, noisy_pose_oracle
+from .synth import SynthParams, gen_frame, gen_scene_depth, keyed_rng, mask_quality, noisy_pose_oracle
 from .sequence import N_CLASSES
 
 
@@ -35,15 +35,10 @@ def make_eval_scenes(params: SynthParams, seed: int, n_scenes: int) -> list[Eval
         raise RangeError(f"n_scenes must be >= 1, got {n_scenes}")
     scenes = []
     for i in range(n_scenes):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, i))))
-        left, right, _ = gen_frame(i % N_CLASSES, rng, params)
+        left, right, _ = gen_frame(i % N_CLASSES, keyed_rng(seed, 2, i), params)
         pseudo, gt = gen_scene_depth(left, right, params)
         scenes.append(EvalScene(left, right, normalize_depth(pseudo), gt))
     return scenes
-
-
-def _noise_rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(3, *key))))
 
 
 def _sharp_qualities(scenes: list[EvalScene], t_list) -> list[list[tuple[float, float]]]:
@@ -61,7 +56,7 @@ def _paired_mpjpe(params: SynthParams, scenes: list[EvalScene], qualities, seed:
     two calls with the same seed and key see the same noise."""
     preds, gts = [], []
     for si, (scene, (f_bg, f_loss)) in enumerate(zip(scenes, qualities)):
-        rng = _noise_rng(seed, *key, si)
+        rng = keyed_rng(seed, 3, *key, si)
         pred_l = noisy_pose_oracle(scene.left, f_bg, params, rng, arm_loss_fraction=f_loss)
         pred_r = noisy_pose_oracle(scene.right, f_bg, params, rng, arm_loss_fraction=f_loss)
         preds.append((pred_l, pred_r))

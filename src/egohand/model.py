@@ -23,6 +23,7 @@ from .errors import (
     StructuralError,
 )
 from .sequence import FRAME_DIM, SEQ_LEN, augment_sequence, subsample_or_pad
+from .synth import keyed_rng
 
 PREDICT_CHUNK = 256  # sequences per forward pass in ``ActionModel.predict``
 
@@ -184,7 +185,7 @@ class ActionModel:
         return shapes
 
     def _init_params(self) -> nnkit.ParamSet:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.cfg.seed, spawn_key=(0,))))
+        rng = keyed_rng(self.cfg.seed, 0)
         params = nnkit.ParamSet()
         for name, shape in self._param_shapes().items():
             leaf = name.rsplit(".", 1)[-1]
@@ -337,10 +338,6 @@ class ActionModel:
         return np.concatenate(out) if out else np.zeros(0, dtype=np.intp)
 
 
-def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1, epoch))))
-
-
 def prepare_eval_set(raw_set, cfg: ActionModelConfig):
     """Uniform, augmentation-free preparation of (frames, label) pairs."""
     xs, ys = [], []
@@ -419,7 +416,7 @@ def train(
 
     n = len(train_set)
     for epoch in range(start_epoch, end_epoch):
-        rng = _epoch_rng(cfg.seed, epoch)
+        rng = keyed_rng(cfg.seed, 1, epoch)
         order = rng.permutation(n)
         lr = nnkit.lr_at(epoch, cfg.base_lr, cfg.schedule_start, cfg.schedule_every, cfg.schedule_factor)
         loss_sum = 0.0
@@ -430,8 +427,8 @@ def train(
             yb = np.empty(len(idx), dtype=np.intp)
             for row, i in enumerate(idx):
                 frames, label = train_set[i]
-                prepared, valid = subsample_or_pad(frames, cfg.seq_len, rng=rng)
-                xb[row] = augment_sequence(prepared, cfg.aug_rotation, cfg.aug_mask_prob, rng, valid)
+                prepared, _ = subsample_or_pad(frames, cfg.seq_len, rng=rng)
+                xb[row] = augment_sequence(prepared, cfg.aug_rotation, cfg.aug_mask_prob, rng)
                 yb[row] = label
             model.params.zero_grads()
             try:

@@ -203,10 +203,11 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
         bad = labels[(labels < 0) | (labels >= c)][0]
         raise RangeError(f"label {bad} outside [0, {c})")
     m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    loss = float((lse - logits[np.arange(len(labels)), labels]).mean())
-    probs = softmax_rows(logits)
-    return loss, probs
+    e = np.exp(logits - m)  # softmax_rows' numerator; its row sums also give the log-sum-exp
+    total = e.sum(axis=1, keepdims=True)
+    loss = float((m[:, 0] + np.log(total[:, 0]) - logits[np.arange(len(labels)), labels]).mean())
+    e /= total
+    return loss, e
 
 
 def cross_entropy_backward(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -32,11 +32,11 @@ from .errors import (
     StructuralError,
 )
 from .geometry import (
-    JOINT_COUNT,
     CameraIntrinsics,
     HandPose,
     rotate_points_2d,
 )
+from .reports import write_csv
 
 FRAME_DIM = 135
 SEQ_LEN = 20
@@ -48,6 +48,7 @@ BOX_SLICE = slice(126, 134)
 LABEL_INDEX = 134
 
 SPLITS = ("train", "val", "test")
+MANIFEST_HEADER = ("sequence_id", "frame_start", "frame_end", "action_label", "split")
 SPACES = ("2.5d", "3d")
 
 MASK_GROUPS = ("left", "right", "box", "label")
@@ -120,33 +121,31 @@ def subsample_or_pad(frames, n: int = SEQ_LEN, rng=None):
     return frames[idx], n  # integer-array indexing already makes a new array
 
 
-def augment_sequence(frames, rotation_range: float, mask_prob: float, rng, valid_count: int | None = None):
+def augment_sequence(frames, rotation_range: float, mask_prob: float, rng):
     """Training-time augmentation: one shared rotation, one optional group mask.
 
     A single angle drawn from [-rotation_range, rotation_range] rotates every
-    valid frame's (x, y) coordinates (hand joints' X,Y and box corners) about
-    the centroid of those coordinates over the sequence; z values and the
-    label slot are untouched. Groups that are entirely zero in a frame
-    (absent hands, zeroed boxes) stay zero. With probability ``mask_prob``
-    one group from ``MASK_GROUPS`` is zeroed in every frame.
+    frame's (x, y) coordinates (hand joints' X,Y and box corners) about the
+    centroid of those coordinates over the sequence; z values and the label
+    slot are untouched. Groups that are entirely zero in a frame (absent
+    hands, zeroed boxes, the padding rows of ``subsample_or_pad``) stay zero
+    and stay out of the centroid. With probability ``mask_prob`` one group
+    from ``MASK_GROUPS`` is zeroed in every frame.
     """
     frames = np.asarray(frames, dtype=np.float64).copy()
     if frames.ndim != 2 or frames.shape[1] != FRAME_DIM:
         raise StructuralError(f"frames must be (k, {FRAME_DIM}), got {frames.shape}")
     if not (0.0 <= mask_prob <= 1.0):
         raise ValueError(f"mask probability must lie in [0, 1], got {mask_prob}")
-    nv = frames.shape[0] if valid_count is None else valid_count
-    if not (0 <= nv <= frames.shape[0]):
-        raise StructuralError(f"valid_count must lie in [0, {frames.shape[0]}], got {nv}")
 
     angle = rng.uniform(-rotation_range, rotation_range)
     mask_draw = rng.uniform()
 
     if angle != 0.0:
-        live = np.zeros((nv, FRAME_DIM), dtype=bool)  # the columns of non-zero groups
+        live = np.zeros(frames.shape, dtype=bool)  # the columns of non-zero groups
         for group in ("left", "right", "box"):
             sl = GROUP_SLICES[group]
-            live[:, sl] = np.any(frames[:nv, sl], axis=1, keepdims=True)
+            live[:, sl] = np.any(frames[:, sl], axis=1, keepdims=True)
         # frame-major, then pair order: the order the centroid sums in
         rows, pairs = np.nonzero(live[:, _PAIR_X])
         if rows.size:
@@ -195,33 +194,27 @@ _BAD_VALUE = (TypeError, ValueError, OverflowError, StructuralError)
 
 
 def _numbers(rows) -> bool:
-    """Whether every value in the list of lists ``rows`` is a JSON number:
-    not a string, boolean or null, which np.asarray and float() would coerce."""
-    return set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
+    """Whether every value in the rows of ``rows`` is a JSON number, not a string, boolean
+    or null, which np.asarray and float() would coerce; the record types check shapes."""
+    try:
+        return set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
+    except TypeError:  # ``rows`` or one of its rows is not iterable
+        return False
 
 
 def _pose_to_json(pose) -> dict:
     return {"present": bool(pose.present), "joints": pose.joints.tolist()}
 
 
-def _pose_from_json(obj, space: str, line: int):
+def _pose_from_json(obj, line: int):
     if not isinstance(obj, dict) or "present" not in obj or "joints" not in obj:
         raise DatasetFormatError("hand must be an object with 'present' and 'joints'", line)
-    joints = obj["joints"]
-    if not isinstance(joints, list) or len(joints) != JOINT_COUNT:
-        raise DatasetFormatError(
-            f"expected {JOINT_COUNT} joints, got {len(joints) if isinstance(joints, list) else type(joints).__name__}",
-            line,
-        )
-    for row in joints:
-        if not isinstance(row, list) or len(row) != 3:
-            raise DatasetFormatError(f"each joint needs 3 coordinates for space {space!r}", line)
-    if not _numbers(joints):
+    if not _numbers(obj["joints"]):
         raise DatasetFormatError("joint coordinates must be numbers", line)
     if type(obj["present"]) is not bool:
         raise DatasetFormatError("present must be true or false", line)
     try:
-        return HandPose(np.asarray(joints, dtype=np.float64), present=obj["present"])
+        return HandPose(np.asarray(obj["joints"], dtype=np.float64), present=obj["present"])
     except _BAD_VALUE as e:
         raise DatasetFormatError(f"bad joints: {e}", line) from e
 
@@ -249,16 +242,14 @@ def _pose_text(k: CameraIntrinsics, space: str, frames) -> str:
 def save_dataset(path, dataset: Dataset) -> None:
     """Write poses.ndjson + manifest.csv under directory ``path``."""
     os.makedirs(path, exist_ok=True)
-    manifest_lines = ["sequence_id,frame_start,frame_end,action_label,split"]
-    for seq in dataset.sequences:
-        start = seq.frames[0].frame_id
-        end = seq.frames[-1].frame_id + 1
-        manifest_lines.append(f"{seq.sequence_id},{start},{end},{seq.action_label},{seq.split}")
+    rows = [
+        (seq.sequence_id, seq.frames[0].frame_id, seq.frames[-1].frame_id + 1, seq.action_label, seq.split)
+        for seq in dataset.sequences
+    ]
     frames = (fr for seq in dataset.sequences for fr in seq.frames)
     with open(os.path.join(path, "poses.ndjson"), "w") as f:
         f.write(_pose_text(dataset.intrinsics, dataset.space, frames))
-    with open(os.path.join(path, "manifest.csv"), "w") as f:
-        f.write("\n".join(manifest_lines) + "\n")
+    write_csv(os.path.join(path, "manifest.csv"), MANIFEST_HEADER, rows)
 
 
 def save_pose_file(path, intrinsics: CameraIntrinsics, space: str, frames: list) -> None:
@@ -315,28 +306,21 @@ def load_pose_file(path):
         for key in ("frame_id", "obj_label"):
             if type(obj[key]) is not int:
                 raise DatasetFormatError(f"{key} must be an integer", ln)
-        box = obj["obj_box"]
-        if not isinstance(box, list) or len(box) != 4 or any(
-            not isinstance(c, list) or len(c) != 2 for c in box
-        ):
-            raise DatasetFormatError("obj_box must be 4 corner [x, y] pairs", ln)
-        if not _numbers(box):
+        if not _numbers(obj["obj_box"]):
             raise DatasetFormatError("obj_box corners must be numbers", ln)
-        if obj["obj_label"] < 0:
-            raise DatasetFormatError("obj_label must be a non-negative integer", ln)
         fid = obj["frame_id"]
         if last_id is not None and fid <= last_id:
             raise DatasetFormatError(f"frame_id {fid} not strictly increasing", ln)
         last_id = fid
         try:
-            obs = ObjectObs(np.asarray(box, dtype=np.float64), obj["obj_label"])
+            obs = ObjectObs(np.asarray(obj["obj_box"], dtype=np.float64), obj["obj_label"])
         except _BAD_VALUE as e:
-            raise DatasetFormatError(f"bad obj_box: {e}", ln) from e
+            raise DatasetFormatError(f"bad object: {e}", ln) from e
         frames.append(
             FrameRecord(
                 frame_id=fid,
-                left=_pose_from_json(obj["left"], space, ln),
-                right=_pose_from_json(obj["right"], space, ln),
+                left=_pose_from_json(obj["left"], ln),
+                right=_pose_from_json(obj["right"], ln),
                 obj=obs,
                 split=obj["split"],
             )
@@ -347,7 +331,7 @@ def load_pose_file(path):
 def _parse_manifest(path):
     with open(path) as f:
         lines = f.read().splitlines()
-    if not lines or lines[0] != "sequence_id,frame_start,frame_end,action_label,split":
+    if not lines or lines[0] != ",".join(MANIFEST_HEADER):
         raise DatasetFormatError("manifest header missing or malformed", 1)
     rows, seen = [], set()
     for ln, raw in enumerate(lines[1:], start=2):

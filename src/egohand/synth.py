@@ -9,7 +9,8 @@ and any threshold inside the band gap reproduces it exactly.
 The simulated pose estimator degrades with mask quality: keypoint noise
 sigma grows linearly with the unmasked-background fraction (clutter
 confuses the estimator) and with the masked-away arm fraction (lost hand
-pixels starve it). Everything is a pure function of (params, seed).
+pixels starve it). Everything is a pure function of (params, seed):
+``keyed_rng(seed, *key)`` derives every seeded stream but the per-sequence one.
 """
 
 from __future__ import annotations
@@ -117,10 +118,7 @@ class SynthParams:
             value = getattr(self, key)
             if not value >= 0:  # NaN fails too
                 raise RangeError(f"{key} must be non-negative, got {value}")
-
-    @property
-    def intrinsics(self) -> CameraIntrinsics:
-        return CameraIntrinsics(self.fx, self.fy, self.cx, self.cy)
+        self.intrinsics = CameraIntrinsics(self.fx, self.fy, self.cx, self.cy)
 
     @property
     def band_midpoint(self) -> float:
@@ -445,7 +443,18 @@ def mask_quality(mask: SegMask, gt: SegMask) -> tuple[float, float]:
 
 def sequence_seed(master_seed: int, sequence_index: int) -> int:
     """Per-sequence seed derivation; stable under any parallel schedule."""
+    if master_seed < 0:
+        raise RangeError(f"seed must be >= 0, got {master_seed}")
     return master_seed ^ sequence_index
+
+
+def keyed_rng(seed: int, *key: int) -> np.random.Generator:
+    """The PCG64 stream of ``seed`` under spawn key ``key``. Key domains: ``(0,)`` model weight
+    init, ``(1, epoch)`` a training epoch's shuffle, subsampling and augmentation, ``(2, i)``
+    evaluation scene ``i``, ``(3, ...)`` the simulated estimator's noise."""
+    if seed < 0:
+        raise RangeError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def generate_dataset(params: SynthParams, classes: int, per_class: int, master_seed: int):

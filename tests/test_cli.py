@@ -202,6 +202,8 @@ def _bad_params(edit):
           for key, value in (("image_size", -5), ("fx", float("inf")), ("noise_sigma0", -1.0))),
         pytest.param(_bad_params(lambda m: {k: v for k, v in m.items() if k != "master_seed"}),
                      ("params.json", "master_seed"), id="params-missing-master-seed"),
+        pytest.param(_bad_params(lambda m: {**m, "master_seed": -1}),
+                     ("params.json", "non-negative integer 'master_seed'"), id="params-negative-master-seed"),
     ],
 )
 def test_library_errors_exit_3_with_one_line(make_argv, words, tree, tmp_path):
@@ -250,8 +252,9 @@ def test_synth_count_out_of_range_exits_3_and_writes_nothing(flags, message, tmp
     ("infer_damping", 1.5, "infer_damping must lie in [0, 1], got 1.5"),
     ("frames_range", [0, -3], "frames_range must satisfy 1 <= lo <= hi, got (0, -3)"),
     ("frames_range", [0, 0], "frames_range must satisfy 1 <= lo <= hi, got (0, 0)"),
+    ("cx", float("nan"), "principal point must be finite"),
 ], ids=["bone_scale-nan", "bone_scale-negative", "bones-nan", "infer_damping-nan", "infer_damping-negative",
-        "infer_damping-above-1", "frames_range-0-to-minus-3", "frames_range-0-to-0"])
+        "infer_damping-above-1", "frames_range-0-to-minus-3", "frames_range-0-to-0", "cx-nan"])
 def test_impossible_params_exit_3_and_write_nothing(key, value, message, tree, tmp_path):
     def edit(meta):
         params = meta["params"]
@@ -265,6 +268,33 @@ def test_impossible_params_exit_3_and_write_nothing(key, value, message, tree, t
     assert "params.json" in proc.stderr and message in proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
     assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["params.json"]
+
+
+@pytest.mark.parametrize("command", ["train", "synth", "sweep-threshold"])
+def test_negative_seed_exits_3_naming_the_seed(command, tree, tmp_path):
+    out = tmp_path / "o"
+    argv = {
+        "train": ["--data", str(tree), "--epochs", "1", "--out", str(out)],
+        "synth": ["--classes", "2", "--per-class", "3", "--out", str(out)],
+        "sweep-threshold": ["--data", str(tree), "--t-list", "0.47", "--scenes", "2", "--out", str(out)],
+    }[command]
+    proc = subprocess.run([sys.executable, "-m", "egohand", command, *argv, "--seed", "-1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == "format/config error: seed must be >= 0, got -1\n"
+    if command == "synth":
+        assert not out.exists()
+
+
+def test_unallocatable_model_size_exits_3(tree, tmp_path):
+    # 959 PiB of weights: the allocation fails at once, before any page is touched
+    proc = subprocess.run(
+        [sys.executable, "-m", "egohand", *_train_with("d_model=1000000000000000")(tree, tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("format/config error: Unable to allocate")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("scenes", ["0", "-2"])

@@ -362,6 +362,25 @@ class TestTraining:
             )
         assert resumed.history.rows == full.history.rows
 
+    def test_resume_keeps_the_best_found_after_the_resume_point(self, tmp_path):
+        # the data of test_one_snapshot_per_improving_epoch: val_acc improves at epochs 0, 2 and 5
+        cfg = dataclasses.replace(TINY, base_lr=0.01)
+        data = _raw_set(np.random.default_rng(8), cfg)
+        val = _raw_set(np.random.default_rng(9), cfg, n_per_class=2)
+        full = train(data, val, cfg, epochs=8)
+
+        part = train(data, val, cfg, epochs=3)
+        nnkit.save_checkpoint(tmp_path / "resume.bin", part.model.params)
+        loaded = ActionModel(cfg, params=nnkit.load_checkpoint(tmp_path / "resume.bin"))
+        resumed = train(data, val, cfg, model=loaded, start_epoch=3, epochs=8, history=part.history)
+        assert full.history.best_epoch == resumed.history.best_epoch == 5
+        assert resumed.best.step == full.best.step
+        for table in ("values", "m", "v"):
+            want, got = getattr(full.best, table), getattr(resumed.best, table)
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), (table, name)
+
     def test_snapshot_copies_tables_without_aliasing(self, tmp_path):
         data = _raw_set(np.random.default_rng(12), TINY)
         src = train(data, data, TINY, epochs=1).model.params

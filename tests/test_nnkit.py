@@ -241,6 +241,20 @@ class TestCrossEntropy:
         g = nnkit.cross_entropy_backward(probs, labels)
         assert _rel(g, _fd_grad(loss, logits)) < 1e-7
 
+    def test_byte_identical_to_separate_log_sum_exp_and_softmax(self):
+        # reference: a log-sum-exp with its own exp pass, and softmax_rows for the probabilities
+        rng = np.random.default_rng(13)
+        for trial in range(300):
+            b, c = int(rng.integers(1, 40)), int(rng.integers(1, 50))
+            logits = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), (b, c))
+            labels = rng.integers(0, c, b)
+            m = logits.max(axis=1, keepdims=True)
+            lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+            want_loss = float((lse - logits[np.arange(b), labels]).mean())
+            loss, probs = nnkit.cross_entropy(logits, labels)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes(), trial
+            assert probs.tobytes() == nnkit.softmax_rows(logits).tobytes(), trial
+
 
 class TestAdamW:
     def _ps(self, value):

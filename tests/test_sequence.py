@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -210,7 +211,7 @@ class TestAugment:
         rng = np.random.default_rng(8)
         frames = self._seq(rng)
         frames[12:] = 0.0
-        out = augment_sequence(frames, 1.0, 0.0, np.random.default_rng(4), valid_count=12)
+        out = augment_sequence(frames, 1.0, 0.0, np.random.default_rng(4))
         assert np.all(out[12:] == 0.0)
 
     def test_absent_hand_stays_zero_under_rotation(self):
@@ -273,15 +274,30 @@ class TestAugmentMatchesReference:
         return frames
 
     def test_byte_identical_with_zeroed_groups_and_every_valid_count(self):
+        # padding rows are all zero, so the zero-group rule alone keeps them out
         rng = np.random.default_rng(30)
         for trial in range(24):
             k = int(rng.integers(1, SEQ_LEN + 1))
             frames = self._frames(rng, k)
-            for valid in (*range(k + 1), None):
+            for valid in range(k + 1):
+                padded = frames.copy()
+                padded[valid:] = 0.0
                 for cfg in self.CONFIGS:
-                    want = _augment_reference(frames, *cfg, np.random.default_rng(trial), valid)
-                    got = augment_sequence(frames, *cfg, np.random.default_rng(trial), valid)
+                    want = _augment_reference(padded, *cfg, np.random.default_rng(trial), valid)
+                    got = augment_sequence(padded, *cfg, np.random.default_rng(trial))
                     assert got.tobytes() == want.tobytes(), (trial, valid, cfg)
+
+    def test_byte_identical_on_prepared_sequences(self):
+        # the training loop's input: subsample_or_pad with the epoch's generator
+        rng = np.random.default_rng(32)
+        for k in range(1, 2 * SEQ_LEN + 1):
+            raw = self._frames(rng, k)
+            for cfg in self.CONFIGS:
+                want_rng, got_rng = np.random.default_rng(k), np.random.default_rng(k)
+                prepared, valid = subsample_or_pad(raw, rng=want_rng)
+                want = _augment_reference(prepared, *cfg, want_rng, valid)
+                got = augment_sequence(subsample_or_pad(raw, rng=got_rng)[0], *cfg, got_rng)
+                assert got.tobytes() == want.tobytes(), (k, cfg)
 
     def test_byte_identical_when_every_group_is_zero(self):
         frames = np.zeros((SEQ_LEN, FRAME_DIM))
@@ -302,12 +318,6 @@ class TestAugmentMatchesReference:
         assert len(calls) == 1
         augment_sequence(frames, 0.0, 0.0, np.random.default_rng(0))
         assert len(calls) == 1
-
-    @pytest.mark.parametrize("valid", [-1, 21])
-    def test_valid_count_outside_frames_rejected(self, valid):
-        frames = np.ones((SEQ_LEN, FRAME_DIM))
-        with pytest.raises(StructuralError):
-            augment_sequence(frames, 0.5, 0.3, np.random.default_rng(0), valid_count=valid)
 
 
 def _make_dataset(rng, n_seq=3, space="3d"):
@@ -335,6 +345,17 @@ class TestDatasetIO:
         save_dataset(d2, loaded)
         assert (d1 / "poses.ndjson").read_bytes() == (d2 / "poses.ndjson").read_bytes()
         assert (d1 / "manifest.csv").read_bytes() == (d2 / "manifest.csv").read_bytes()
+
+    @pytest.mark.parametrize("n_seq", [0, 1, 3, 12])
+    def test_manifest_bytes_match_hand_built_lines(self, tmp_path, n_seq):
+        # reference: the manifest built line by line
+        ds = _make_dataset(np.random.default_rng(14), n_seq=n_seq)
+        lines = ["sequence_id,frame_start,frame_end,action_label,split"]
+        for seq in ds.sequences:
+            start, end = seq.frames[0].frame_id, seq.frames[-1].frame_id + 1
+            lines.append(f"{seq.sequence_id},{start},{end},{seq.action_label},{seq.split}")
+        save_dataset(tmp_path, ds)
+        assert (tmp_path / "manifest.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_empty_file_empty_dataset(self, tmp_path):
         d = tmp_path / "ds"
@@ -486,6 +507,140 @@ def test_coerced_value_rejected_with_line(pose_records, part, field, value):
     with pytest.raises(DatasetFormatError) as ei:
         load_pose_file(path)
     assert ei.value.line == line
+
+
+# --- the pose reader against a reference with every frame check spelled out -
+
+
+def _ref_numbers(rows):
+    return set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
+
+
+def _ref_pose_from_json(obj, line):
+    if not isinstance(obj, dict) or "present" not in obj or "joints" not in obj:
+        raise DatasetFormatError("hand", line)
+    joints = obj["joints"]
+    if not isinstance(joints, list) or len(joints) != JOINT_COUNT:
+        raise DatasetFormatError("joint count", line)
+    for row in joints:
+        if not isinstance(row, list) or len(row) != 3:
+            raise DatasetFormatError("joint width", line)
+    if not _ref_numbers(joints) or type(obj["present"]) is not bool:
+        raise DatasetFormatError("joint values", line)
+    try:
+        return HandPose(np.asarray(joints, dtype=np.float64), present=obj["present"])
+    except _REF_BAD_VALUE as e:
+        raise DatasetFormatError("joints", line) from e
+
+
+_REF_BAD_VALUE = (TypeError, ValueError, OverflowError, StructuralError)
+
+
+def _ref_load_pose_file(path):
+    """Reference reader: load_pose_file with every shape, sign and type
+    check written out in the frame loop (messages shortened)."""
+    header, *lines = path.read_text().splitlines()
+    k, space = egohand.sequence._parse_header(header)
+    frames, last_id = [], None
+    for ln, raw in enumerate(lines, start=2):
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as e:
+            raise DatasetFormatError("json", ln) from e
+        if not isinstance(obj, dict):
+            raise DatasetFormatError("object", ln)
+        for key in ("frame_id", "left", "right", "obj_box", "obj_label", "split"):
+            if key not in obj:
+                raise DatasetFormatError("missing", ln)
+        if obj["split"] not in ("train", "val", "test"):
+            raise DatasetFormatError("split", ln)
+        if type(obj["frame_id"]) is not int or type(obj["obj_label"]) is not int:
+            raise DatasetFormatError("int", ln)
+        box = obj["obj_box"]
+        if not isinstance(box, list) or len(box) != 4 or any(not isinstance(c, list) or len(c) != 2 for c in box):
+            raise DatasetFormatError("box shape", ln)
+        if not _ref_numbers(box) or obj["obj_label"] < 0:
+            raise DatasetFormatError("box values", ln)
+        fid = obj["frame_id"]
+        if last_id is not None and fid <= last_id:
+            raise DatasetFormatError("order", ln)
+        last_id = fid
+        try:
+            obs = ObjectObs(np.asarray(box, dtype=np.float64), obj["obj_label"])
+        except _REF_BAD_VALUE as e:
+            raise DatasetFormatError("box", ln) from e
+        left, right = _ref_pose_from_json(obj["left"], ln), _ref_pose_from_json(obj["right"], ln)
+        frames.append(FrameRecord(fid, left, right, obs, obj["split"]))
+    return k, space, frames
+
+
+def _reader_outcome(load, path):
+    """What ``load`` makes of ``path``: the error class and line, or every
+    parsed value as bytes."""
+    try:
+        k, space, frames = load(path)
+    except Exception as e:  # the class is what is compared
+        return type(e), getattr(e, "line", None)
+    return k, space, [
+        (fr.frame_id, fr.split, fr.obj.label, fr.obj.box.tobytes(),
+         *((pose.present, pose.joints.tobytes()) for pose in (fr.left, fr.right)))
+        for fr in frames
+    ]
+
+
+_CORPUS_VALUES = (
+    None, True, False, 0, -1, 2.5, 10**400, float("nan"), float("inf"), "x", "1.5", "", [], [1.0], [[]], {},
+    {"a": 1}, [None], [True], ["1"],
+)
+
+
+def _items(record):
+    """(path, value) of every item nested in ``record``, the record itself
+    first; of a hand's 21 joints, only the first and the last."""
+    found = [((), record)]
+    if isinstance(record, (dict, list)):
+        pairs = record.items() if isinstance(record, dict) else enumerate(record)
+        if len(record) == JOINT_COUNT:
+            pairs = [(0, record[0]), (JOINT_COUNT - 1, record[-1])]
+        for key, value in pairs:
+            found += [((key, *path), inner) for path, inner in _items(value)]
+    return found
+
+
+def _reader_corpus(header, first, second):
+    """(name, file text) of a two-frame pose file with one header or
+    second-frame item replaced, or one list cut short or lengthened."""
+    cases = []
+    for part, record in (("header", header), ("frame", second)):
+        for path, value in _items(record):
+            cases += [((part, path, repr(v)), _replaced(record, path, v)) for v in _CORPUS_VALUES]
+            if isinstance(value, list):
+                cases += [((part, path, "short"), _replaced(record, path, value[:-1])),
+                          ((part, path, "long"), _replaced(record, path, value + value[-1:]))]
+    cases += [(("frame", "frame_id", v), _replaced(second, ("frame_id",), v)) for v in (first["frame_id"], 0)]
+    texts = []
+    for name, record in cases:
+        lines = (record, first, second) if name[0] == "header" else (header, first, record)
+        texts.append((name, "".join(json.dumps(obj) + "\n" for obj in lines)))
+    return texts
+
+
+def test_pose_reader_matches_reference_checks_on_mutation_corpus(tmp_path):
+    rng = np.random.default_rng(41)
+    path = tmp_path / "poses.ndjson"
+    frames = [FrameRecord(7, _pose(rng), _pose(rng), _obj(rng), "val"),
+              FrameRecord(8, _pose(rng), absent_pose(), _obj(rng, label=0), "test")]
+    save_pose_file(path, K, "3d", frames)
+    header, first, second = (json.loads(line) for line in path.read_text().splitlines())
+    corpus = _reader_corpus(header, first, second)
+    assert len(corpus) > 900
+    accepted = 0
+    for name, text in corpus:
+        path.write_text(text)
+        want = _reader_outcome(_ref_load_pose_file, path)
+        assert _reader_outcome(load_pose_file, path) == want, name
+        accepted += isinstance(want[0], CameraIntrinsics)
+    assert 0 < accepted < len(corpus)
 
 
 # --- malformed manifest: only the documented errors escape -----------------

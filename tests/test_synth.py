@@ -4,11 +4,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from egohand import _kernels
+from egohand import _kernels, experiments, model
 from egohand.errors import DatasetFormatError, DegenerateDepthError, RangeError, StructuralError
 from egohand.geometry import JOINT_COUNT, JOINT_PARENTS, HandPose, absent_pose, project_to_image
+from egohand.model import ActionModelConfig
 from egohand.rangeseg import SegMask, desharpen_mask, normalize_depth, range_mask, range_mask_metric
-from egohand.sequence import ObjectObs, load_dataset
+from egohand.sequence import FRAME_DIM, ObjectObs, load_dataset
 from egohand.synth import (
     DEFAULT_BONES,
     SynthParams,
@@ -22,6 +23,7 @@ from egohand.synth import (
     gen_scene_depth,
     gen_scene_depth_metric,
     generate_dataset,
+    keyed_rng,
     mask_quality,
     noisy_pose_oracle,
     render_schematic_frame,
@@ -536,6 +538,66 @@ class TestParams:
 
     def test_default_midpoint(self):
         assert abs(P.band_midpoint - 0.475) < 1e-12
+
+    @pytest.mark.parametrize("field", ["cx", "cy"])
+    def test_non_finite_principal_point_rejected(self, field):
+        with pytest.raises(StructuralError, match="principal point must be finite"):
+            SynthParams(**{field: np.nan})
+
+
+def _reference_stream(seed, *key):
+    """Reference: a seeded stream built without keyed_rng."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+class TestKeyedRng:
+    @pytest.mark.parametrize("key", [(0,), (1, 0), (1, 37), (2, 5), (3, 11), (3, 2, 11)])
+    def test_same_draws_as_the_in_place_construction(self, key):
+        for seed in (0, 3, 2**40):
+            assert keyed_rng(seed, *key).random(64).tobytes() == _reference_stream(seed, *key).random(64).tobytes()
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(RangeError, match=r"^seed must be >= 0, got -1$"):
+            keyed_rng(-1, 0)
+        with pytest.raises(RangeError, match=r"^seed must be >= 0, got -2$"):
+            sequence_seed(-2, 0)
+
+    @staticmethod
+    def _spy(monkeypatch, module):
+        keys = []
+        real = module.keyed_rng
+        monkeypatch.setattr(module, "keyed_rng", lambda seed, *key: keys.append((seed, key)) or real(seed, *key))
+        return keys
+
+    def test_model_init_and_epochs_use_domains_0_and_1(self, monkeypatch):
+        cfg = ActionModelConfig(d_model=8, heads=2, ff_width=16, n_classes=2, seed=6, batch_size=4)
+        keys = self._spy(monkeypatch, model)
+        net = model.ActionModel(cfg)
+        rng = _reference_stream(6, 0)
+        for name, shape in net._param_shapes().items():
+            leaf = name.rsplit(".", 1)[-1]
+            want = np.ones(shape) if leaf == "g" else np.zeros(shape) if leaf.startswith("b") else rng.normal(
+                0.0, 0.02, size=shape)
+            assert net.params.values[name].tobytes() == want.tobytes(), name
+        data = [(np.full((5, FRAME_DIM), float(i % 2)), i % 2) for i in range(6)]
+        model.train(data, data, cfg, model=net, start_epoch=1, epochs=3)
+        assert keys == [(6, (0,)), (6, (1, 1)), (6, (1, 2))]
+
+    def test_scenes_and_noise_use_domains_2_and_3(self, monkeypatch):
+        keys = self._spy(monkeypatch, experiments)
+        scenes = experiments.make_eval_scenes(P, 4, 3)
+        assert keys == [(4, (2, i)) for i in range(3)]
+        for i, scene in enumerate(scenes):
+            left, right, _ = gen_frame(i, _reference_stream(4, 2, i), P)
+            assert scene.left.joints.tobytes() == left.joints.tobytes()
+            assert scene.right.joints.tobytes() == right.joints.tobytes()
+        keys.clear()
+        experiments.sweep_threshold(P, [0.4, 0.5], "train", 9, scenes)
+        assert keys == [(9, (3, ti, si)) for ti in range(2) for si in range(3)]
+        keys.clear()
+        experiments.sweep_threshold(P, [0.4, 0.5], "infer", 9, scenes)
+        experiments.ablation_masking(P, [1], scenes)
+        assert keys == [(9, (3, si)) for si in range(3)] * 2 + [(1, (3, si)) for si in range(3)] * 2
 
 
 class TestDatasetGeneration:
