@@ -8,7 +8,8 @@ training that diverges to non-finite values (NumericFaultError) and sizes the
 machine cannot allocate (MemoryError). Every error ends with a one-line message
 on stderr. Every command takes all randomness from --seed; identical flags and
 seed produce byte-identical CSV/SVG/checkpoint/dmap outputs (the report.json
-timing fields are the one exception).
+timing fields are the one exception). train creates --out only after training
+succeeds, so a run that fails in setup or training leaves none.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .rangeseg import (
 from .sequence import (
     GROUP_SLICES,
     MASK_GROUPS,
+    N_CLASSES,
     SPLITS,
     FrameRecord,
     encode_frames,
@@ -296,7 +298,6 @@ def _raw_sets(data_dir: str):
 def cmd_train(args) -> tuple:
     cfg = _resolve_config(args)
     sets = _raw_sets(args.data)
-    os.makedirs(args.out, exist_ok=True)
 
     # per-epoch seconds and training sequences per second; epoch 0 counts from the call
     epoch_s, seqs_per_s = [], []
@@ -313,6 +314,7 @@ def cmd_train(args) -> tuple:
                   f"val acc {row[3]:.4f}  lr {row[4]:g}", flush=True)
 
     result = model.train(sets["train"], sets["val"], cfg, log=log)
+    os.makedirs(args.out, exist_ok=True)
     nnkit.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), result.best)
     nnkit.save_checkpoint(os.path.join(args.out, "last.bin"), result.model.params)
     reports.write_csv(
@@ -382,7 +384,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="generate the synthetic fixture tree")
-    s.add_argument("--classes", type=int, default=36)
+    s.add_argument("--classes", type=int, default=N_CLASSES)
     s.add_argument("--per-class", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--scene-frames", type=int, default=4)

@@ -22,7 +22,7 @@ from .errors import (
     NumericFaultError,
     StructuralError,
 )
-from .sequence import FRAME_DIM, SEQ_LEN, augment_sequence, subsample_or_pad
+from .sequence import FRAME_DIM, N_CLASSES, SEQ_LEN, augment_sequence, subsample_or_pad
 from .synth import keyed_rng
 
 PREDICT_CHUNK = 256  # sequences per forward pass in ``ActionModel.predict``
@@ -34,7 +34,7 @@ class ActionModelConfig:
     heads: int = 4
     ff_width: int = 256
     blocks: int = 2
-    n_classes: int = 36
+    n_classes: int = N_CLASSES
     seq_len: int = SEQ_LEN
     input_dim: int = FRAME_DIM
     seed: int = 0

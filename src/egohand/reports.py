@@ -53,7 +53,8 @@ _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 24, 42, 52
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
+    n = 5
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 

@@ -282,8 +282,29 @@ def test_negative_seed_exits_3_naming_the_seed(command, tree, tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 3
     assert proc.stderr == "format/config error: seed must be >= 0, got -1\n"
-    if command == "synth":
-        assert not out.exists()
+    assert not out.exists()
+
+
+def _two_per_class_tree(tree, tmp):
+    # two sequences per class go to train and test, so the validation split is empty
+    assert main(["synth", "--classes", "2", "--per-class", "2", "--scene-frames", "0",
+                 "--out", str(tmp / "d")]) == 0
+    return _train_with()(tmp / "d", tmp)
+
+
+@pytest.mark.parametrize("make_argv, code, message", [
+    (lambda tree, tmp: [*_train_with()(tree, tmp), "--seed", "-1"], 3, "seed must be >= 0, got -1"),
+    (_train_with("d_model=1000000000000000"), 3, "Unable to allocate"),
+    (_train_with("n_classes=2"), 3, "train label 2 outside [0, 2)"),
+    (_two_per_class_tree, 5, "train and validation sets must be non-empty"),
+], ids=["negative-seed", "unallocatable-model", "labels-beyond-n-classes", "empty-val-split"])
+def test_failed_train_leaves_no_out_directory(make_argv, code, message, tree, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "egohand", *make_argv(tree, tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == code
+    assert proc.stderr.count("\n") == 1 and message in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_unallocatable_model_size_exits_3(tree, tmp_path):
