@@ -6,10 +6,17 @@ out-of-range thresholds and negative seeds, all-zero depth maps (FlatMapError),
 joints with z <= 0 (DegenerateDepthError), truncated checkpoints (FormatError),
 training that diverges to non-finite values (NumericFaultError) and sizes the
 machine cannot allocate (MemoryError). Every error ends with a one-line message
-on stderr. Every command takes all randomness from --seed; identical flags and
+on stderr. Every random draw comes from a command's --seed; identical flags and
 seed produce byte-identical CSV/SVG/checkpoint/dmap outputs (the report.json
-timing fields are the one exception). train creates --out only after training
-succeeds, so a run that fails in setup or training leaves none.
+timing fields are the one exception).
+
+train and eval-action read the model config from one ordered list of
+``key = value`` lines: the --config file's (for eval-action without --config,
+the checkpoint's sibling config.snapshot.cfg), each --set in order, then
+train's --seed and --epochs. A later line naming a key wins, and the config is
+validated once, after the last line. train creates --out only after training
+succeeds, so a run that fails in setup or training leaves none; an --out that
+is, or lies under, an existing non-directory exits 2 before the dataset is read.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from .sequence import (
     GROUP_SLICES,
     MASK_GROUPS,
     N_CLASSES,
+    SEQ_LEN,
     SPLITS,
     FrameRecord,
     encode_frames,
@@ -60,9 +68,6 @@ from .sequence import (
     save_pose_file,
     subsample_or_pad,
 )
-
-CONFIG_ENV = "EGOHAND_CONFIG"
-
 
 class UsageError(Exception):
     pass
@@ -113,18 +118,16 @@ def _load_tree_meta(data_dir: str) -> tuple[int, synth.SynthParams]:
             raise DatasetFormatError(f"{path}: {e}") from e
 
 
-def _resolve_config(args) -> model.ActionModelConfig:
-    cfg = model.ActionModelConfig()
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
+def _resolve_config(path, overrides, **flags) -> model.ActionModelConfig:
+    """The model config of one ordered list of ``key = value`` lines: the
+    config file's at ``path`` (numbered), each ``--set``, then each flag given."""
+    lines = []
     if path:
-        cfg = model.load_config(path)
-    if getattr(args, "set", None):
-        cfg = model.apply_overrides(cfg, args.set)
-    if getattr(args, "seed", None) is not None:
-        cfg = model.apply_overrides(cfg, [f"seed={args.seed}"])
-    if getattr(args, "epochs", None) is not None:
-        cfg = model.apply_overrides(cfg, [f"max_epochs={args.epochs}"])
-    return cfg
+        with open(path) as f:
+            lines += enumerate(f.read().splitlines(), start=1)
+    lines += [(None, pair) for pair in overrides]
+    lines += [(None, f"{key} = {value}") for key, value in flags.items() if value is not None]
+    return model.config_from_lines(lines)
 
 
 # --- commands ------------------------------------------------------------------
@@ -280,8 +283,9 @@ def _load_3d_dataset(data_dir: str):
 def cmd_encode(args) -> None:
     records = []
     for seq in _load_3d_dataset(args.indir).sequences:
-        frames, valid = subsample_or_pad(encode_frames(seq))
-        records.append((seq.sequence_id, seq.split, seq.action_label, valid, frames))
+        raw = encode_frames(seq)
+        valid = min(len(raw), SEQ_LEN)
+        records.append((seq.sequence_id, seq.split, seq.action_label, valid, subsample_or_pad(raw)))
     save_encoded(args.out, records)
     if args.csv_dir:
         export_csv_matrices(args.csv_dir, records)
@@ -296,7 +300,12 @@ def _raw_sets(data_dir: str):
 
 
 def cmd_train(args) -> tuple:
-    cfg = _resolve_config(args)
+    existing = os.path.abspath(args.out)  # the first path on the way up that exists
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise NotADirectoryError(f"--out {args.out}: {existing} is not a directory")
+    cfg = _resolve_config(args.config, args.set, seed=args.seed, max_epochs=args.epochs)
     sets = _raw_sets(args.data)
 
     # per-epoch seconds and training sequences per second; epoch 0 counts from the call
@@ -338,11 +347,8 @@ def cmd_train(args) -> tuple:
 
 
 def cmd_eval_action(args) -> tuple | None:
-    if args.config is None:
-        sibling = os.path.join(os.path.dirname(args.checkpoint), "config.snapshot.cfg")
-        if os.path.isfile(sibling):
-            args.config = sibling
-    cfg = _resolve_config(args)
+    sibling = os.path.join(os.path.dirname(args.checkpoint), "config.snapshot.cfg")
+    cfg = _resolve_config(args.config or (sibling if os.path.isfile(sibling) else None), args.set)
     stage_s, timed = _stage_timer(("load", "prepare", "predict"))
     net = model.ActionModel(cfg, params=timed("load", nnkit.load_checkpoint, args.checkpoint))
     sets = timed("load", _raw_sets, args.data)
@@ -446,8 +452,7 @@ def build_parser() -> _Parser:
     s.add_argument("--config", default=None)
     s.add_argument("--split", choices=SPLITS, default="test")
     s.add_argument("--mask-group", choices=MASK_GROUPS, default=None)
-    s.add_argument("--set", action="append", default=[])
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--set", action="append", default=[], help="config override key=value")
     s.add_argument("--out", default=None, help="confusion CSV path")
     s.set_defaults(func=cmd_eval_action)
 

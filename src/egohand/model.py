@@ -73,54 +73,30 @@ class ActionModelConfig:
 _INT_FIELDS = {f.name for f in dataclasses.fields(ActionModelConfig) if f.type == "int"}
 
 
-def _with_values(cfg: ActionModelConfig, entries) -> ActionModelConfig:
-    """``cfg`` with each ``(key, value text, line or None)`` entry parsed and set."""
-    values = dataclasses.asdict(cfg)
-    for key, val, line in entries:
+def config_from_lines(lines) -> ActionModelConfig:
+    """One config from ``(line number or None, "key = value")`` pairs read in
+    order over the defaults: ``#`` starts a comment, a numbered (file) line
+    left blank is skipped, and a later line naming a key overrides an earlier
+    one. The result is validated once, after the last line; errors carry the
+    line's number."""
+    values = dataclasses.asdict(ActionModelConfig())
+    for ln, raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line and ln is not None:
+            continue
+        key, sep, val = (s.strip() for s in line.partition("="))
+        if not sep:
+            raise ConfigError(f"expected 'key = value', got {raw!r}", ln)
         if key not in values:
-            raise ConfigError(f"unknown config key {key!r}", line)
+            raise ConfigError(f"unknown config key {key!r}", ln)
         try:
             values[key] = int(val) if key in _INT_FIELDS else float(val)
         except ValueError as e:
-            raise ConfigError(f"bad value for {key!r}: {e}", line) from e
+            raise ConfigError(f"bad value for {key!r}: {e}", ln) from e
     try:
         return ActionModelConfig(**values)
     except StructuralError as e:
         raise ConfigError(str(e)) from e
-
-
-def parse_config_text(text: str) -> ActionModelConfig:
-    """Parse ``key = value`` lines (# comments allowed) over the defaults."""
-
-    def entries():
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"expected 'key = value', got {raw!r}", ln)
-            key, _, val = (s.strip() for s in line.partition("="))
-            yield key, val, ln
-
-    return _with_values(ActionModelConfig(), entries())
-
-
-def load_config(path) -> ActionModelConfig:
-    with open(path) as f:
-        return parse_config_text(f.read())
-
-
-def apply_overrides(cfg: ActionModelConfig, pairs) -> ActionModelConfig:
-    """Apply ``key=value`` strings (CLI overrides) on top of a config."""
-
-    def entries():
-        for pair in pairs:
-            key, sep, val = pair.partition("=")
-            if not sep:
-                raise ConfigError(f"bad override {pair!r}")
-            yield key.strip(), val, None
-
-    return _with_values(cfg, entries())
 
 
 def config_to_text(cfg: ActionModelConfig) -> str:
@@ -340,12 +316,8 @@ class ActionModel:
 
 def prepare_eval_set(raw_set, cfg: ActionModelConfig):
     """Uniform, augmentation-free preparation of (frames, label) pairs."""
-    xs, ys = [], []
-    for frames, label in raw_set:
-        prepared, _ = subsample_or_pad(frames, cfg.seq_len)
-        xs.append(prepared)
-        ys.append(label)
-    return np.stack(xs), np.asarray(ys, dtype=np.intp)
+    xs = [subsample_or_pad(frames, cfg.seq_len) for frames, _ in raw_set]
+    return np.stack(xs), np.asarray([label for _, label in raw_set], dtype=np.intp)
 
 
 def evaluate(model: ActionModel, x: np.ndarray, labels: np.ndarray):
@@ -427,7 +399,7 @@ def train(
             yb = np.empty(len(idx), dtype=np.intp)
             for row, i in enumerate(idx):
                 frames, label = train_set[i]
-                prepared, _ = subsample_or_pad(frames, cfg.seq_len, rng=rng)
+                prepared = subsample_or_pad(frames, cfg.seq_len, rng=rng)
                 xb[row] = augment_sequence(prepared, cfg.aug_rotation, cfg.aug_mask_prob, rng)
                 yb[row] = label
             model.params.zero_grads()

@@ -411,16 +411,23 @@ def load_checkpoint(path) -> ParamSet:
         raise FormatError("missing optimizer table")
     (nopt,) = struct.unpack_from("<I", buf, off)
     off += 4
+    seen = set()
     for _ in range(nopt):
         name, arr, off = _read_entry(buf, off)
         kind, _, base = name.partition(":")
         if kind not in ("m", "v") or base not in params.values:
             raise FormatError(f"optimizer entry {name!r} has no matching parameter")
+        if name in seen:
+            raise FormatError(f"duplicate optimizer entry {name!r}")
+        seen.add(name)
         if arr.shape != params.values[base].shape:
             raise CheckpointMismatchError(
                 f"optimizer state {name!r} shape {arr.shape} != parameter shape {params.values[base].shape}"
             )
         (params.m if kind == "m" else params.v)[base] = arr
+    if len(seen) != 2 * len(params.values):
+        missing = next(f"{k}:{n}" for n in params.values for k in "mv" if f"{k}:{n}" not in seen)
+        raise FormatError(f"optimizer table has no entry {missing!r}")
     if len(buf) - off < 8:
         raise FormatError("missing step counter")
     (params.step,) = struct.unpack_from("<Q", buf, off)

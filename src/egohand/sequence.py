@@ -100,7 +100,8 @@ def subsample_or_pad(frames, n: int = SEQ_LEN, rng=None):
     Shorter inputs are zero-padded at the tail; longer inputs are
     sub-sampled at strictly increasing source indices. Without ``rng`` the
     indices are floor(i*len/n); with it, a sorted sample of n distinct
-    indices drawn from ``rng``. Returns (frames [n x 135], valid_count).
+    indices drawn from ``rng``. Returns the (n, 135) frames, a new array;
+    the first min(len, n) rows are source frames, the rest zero padding.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != FRAME_DIM:
@@ -113,12 +114,12 @@ def subsample_or_pad(frames, n: int = SEQ_LEN, rng=None):
     if k < n:
         out = np.zeros((n, FRAME_DIM))
         out[:k] = frames
-        return out, k
+        return out
     if rng is None:
         idx = (np.arange(n) * k) // n
     else:
         idx = np.sort(rng.choice(k, size=n, replace=False))
-    return frames[idx], n  # integer-array indexing already makes a new array
+    return frames[idx]  # integer-array indexing already makes a new array
 
 
 def augment_sequence(frames, rotation_range: float, mask_prob: float, rng):
@@ -281,11 +282,12 @@ def _parse_header(line: str):
 
 
 def load_pose_file(path):
-    """Parse a poses.ndjson file -> (intrinsics, space, [FrameRecord])."""
+    """Parse a poses.ndjson file -> (intrinsics, space, [FrameRecord]); the
+    header line is required, so an empty file fails at line 1."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines:
-        return None, None, []
+        raise DatasetFormatError("missing header line", 1)
     k, space = _parse_header(lines[0])
     frames = []
     last_id = None
@@ -361,8 +363,6 @@ def _parse_manifest(path):
 def load_dataset(path) -> Dataset:
     """Read a dataset directory back into sequence records."""
     k, space, frames = load_pose_file(os.path.join(path, "poses.ndjson"))
-    if k is None:
-        return Dataset(intrinsics=None, space=None, sequences=[])
     by_id = {fr.frame_id: fr for fr in frames}
     sequences = []
     for sid, start, end, label, split in _parse_manifest(os.path.join(path, "manifest.csv")):

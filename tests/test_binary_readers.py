@@ -113,10 +113,10 @@ def test_trailing_bytes_are_format_error(valid_files, name, junk):
         _READERS[name](path)
 
 
-def _checkpoint(*entries: bytes) -> bytes:
-    """A checkpoint holding the packed parameter ``entries``, no optimizer state."""
+def _checkpoint(*entries: bytes, opt: tuple[bytes, ...] = ()) -> bytes:
+    """A checkpoint holding the packed parameter ``entries`` and optimizer entries ``opt``."""
     return (b"SHRP" + struct.pack("<HI", 1, len(entries)) + b"".join(entries)
-            + struct.pack("<I", 0) + struct.pack("<Q", 0))
+            + struct.pack("<I", len(opt)) + b"".join(opt) + struct.pack("<Q", 4))
 
 
 def test_checkpoint_name_not_utf8_is_format_error(tmp_path):
@@ -132,6 +132,21 @@ def test_checkpoint_duplicate_name_is_format_error(tmp_path):
     path = tmp_path / "c.bin"
     path.write_bytes(_checkpoint(entry, entry))
     with pytest.raises(FormatError):
+        nnkit.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("names, message", [
+    (("m:a", "m:b"), "optimizer table has no entry 'v:a'"),
+    (("m:a", "m:b", "v:a"), "optimizer table has no entry 'v:b'"),
+    (("m:a", "m:b", "v:a", "v:a"), "duplicate optimizer entry 'v:a'"),
+    (("m:a", "m:a", "m:b", "v:a", "v:b"), "duplicate optimizer entry 'm:a'"),
+], ids=["only-m", "one-v-missing", "v-repeated", "m-repeated"])
+def test_checkpoint_optimizer_table_needs_one_m_and_one_v_per_parameter(tmp_path, names, message):
+    shapes = {"a": (2, 2), "b": (1, 3)}
+    pack = lambda name: nnkit._pack_entry(name, np.ones(shapes[name[-1]]))
+    path = tmp_path / "c.bin"
+    path.write_bytes(_checkpoint(pack("a"), pack("b"), opt=tuple(map(pack, names))))
+    with pytest.raises(FormatError, match=f"^{message}$"):
         nnkit.load_checkpoint(path)
 
 

@@ -2,17 +2,20 @@ import copy
 import dataclasses
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from egohand.cli import main
+from egohand.cli import build_parser, main
 from egohand.geometry import CameraIntrinsics, HandPose, lift_to_camera, project_to_image
 from egohand.model import ActionModelConfig
 from egohand.rangeseg import DepthMap, load_mask, load_ppm, save_depth, save_ppm
 from egohand.sequence import (
+    SEQ_LEN,
     FrameRecord,
     ObjectObs,
     encode_frames,
@@ -578,7 +581,8 @@ class TestEncode:
 
     @pytest.fixture(scope="class")
     def prepared(self, tree):
-        return [(seq, *subsample_or_pad(encode_frames(seq))) for seq in load_dataset(tree).sequences]
+        return [(seq, subsample_or_pad(encode_frames(seq)), min(len(seq.frames), SEQ_LEN))
+                for seq in load_dataset(tree).sequences]
 
     def test_encoded_shapes_and_manifest_count(self, tree, tmp_path, prepared):
         out = tmp_path / "enc.ndjson"
@@ -662,14 +666,39 @@ class TestTrainEval:
         rc = main(["train", "--data", str(tree), "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 3
 
-    def test_config_env_var(self, tree, tmp_path, monkeypatch):
-        cfg = tmp_path / "env.cfg"
-        cfg.write_text("d_model = 16\nheads = 2\nff_width = 32\nbatch_size = 8\nmax_epochs = 1\n")
-        monkeypatch.setenv("EGOHAND_CONFIG", str(cfg))
-        out = tmp_path / "envrun"
-        assert main(["train", "--data", str(tree), "--seed", "1", "--out", str(out)]) == 0
-        snap = (out / "config.snapshot.cfg").read_text()
-        assert "d_model = 16" in snap
+    def test_config_is_validated_after_its_overrides(self, tree, tmp_path, capsys):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("heads = 3\nd_model = 16\n")
+        argv = ["train", "--data", str(tree), "--config", str(cfg), "--epochs", "1", "--set", "batch_size=16"]
+        assert main([*argv, "--out", str(tmp_path / "alone")]) == 3
+        assert capsys.readouterr().err == "format/config error: d_model 16 not divisible by heads 3\n"
+        assert main([*argv, "--set", "d_model=24", "--out", str(tmp_path / "o")]) == 0
+        snap = (tmp_path / "o" / "config.snapshot.cfg").read_text().splitlines()
+        assert "heads = 3" in snap and "d_model = 24" in snap and "max_epochs = 1" in snap
+
+    def test_seed_and_epochs_flags_follow_the_overrides(self, tree, tmp_path):
+        argv = ["train", "--data", str(tree), "--set", "d_model=16", "--set", "heads=2", "--set", "max_epochs=5",
+                "--set", "seed=9", "--seed", "2", "--epochs", "1", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        snap = (tmp_path / "o" / "config.snapshot.cfg").read_text().splitlines()
+        assert "seed = 2" in snap and "max_epochs = 1" in snap
+
+    def test_eval_action_takes_no_seed(self, tree, trained):
+        argv = ["eval-action", "--data", str(tree), "--checkpoint", str(trained / "checkpoint.bin"), "--seed", "1"]
+        assert main(argv) == 4
+
+    @pytest.mark.parametrize("under", [(), ("run",), ("run", "deeper")])
+    def test_out_at_or_under_a_file_exits_2_before_training(self, tree, tmp_path, capsys, under):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        out = taken.joinpath(*under)
+        argv = ["train", "--data", str(tree), "--epochs", "1", "--out", str(out), "--verbose"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no epoch ran
+        assert captured.err == f"i/o error: --out {out}: {taken} is not a directory\n"
+        assert taken.read_text() == "keep me\n"
+        assert list(tmp_path.iterdir()) == [taken]
 
 
 class TestPlot:
@@ -842,6 +871,22 @@ def _absent25():
     j = np.zeros((JOINT_COUNT, 3))
     j[:, 2] = 1.0  # placeholder depth for absent hands in 2.5d files
     return HandPose(j, present=False)
+
+
+def _readme_cli_commands():
+    """The argv of each ``egohand`` line in README's CLI block, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("egohand ")]
+
+
+def test_readme_cli_lines_parse():
+    commands = _readme_cli_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_console_entry_point_works():

@@ -20,11 +20,9 @@ from egohand.model import (
     ActionModelConfig,
     TrainHistory,
     _snapshot,
-    apply_overrides,
+    config_from_lines,
     config_to_text,
     evaluate,
-    load_config,
-    parse_config_text,
     prepare_eval_set,
     train,
 )
@@ -207,36 +205,63 @@ class TestEndToEndGradients:
         assert err < 1e-4
 
 
+def _file(text):
+    """The numbered lines of a config file's ``text``."""
+    return list(enumerate(text.splitlines(), start=1))
+
+
+def _sets(*pairs):
+    """Unnumbered ``key=value`` lines, as ``--set`` passes them."""
+    return [(None, pair) for pair in pairs]
+
+
 class TestConfig:
     def test_parse_and_overrides(self):
         text = "d_model = 32\nheads=4  # override\n\n# comment line\nbase_lr = 0.01\n"
-        cfg = parse_config_text(text)
+        cfg = config_from_lines(_file(text))
         assert cfg.d_model == 32 and cfg.heads == 4 and cfg.base_lr == 0.01
-        cfg2 = apply_overrides(cfg, ["batch_size=16", "aug_mask_prob=0.5"])
-        assert cfg2.batch_size == 16 and cfg2.aug_mask_prob == 0.5
+        cfg2 = config_from_lines(_file(text) + _sets("batch_size=16", "aug_mask_prob=0.5"))
+        assert cfg2.batch_size == 16 and cfg2.aug_mask_prob == 0.5 and cfg2.d_model == 32
+
+    def test_later_line_wins_and_validation_waits_for_the_last(self):
+        # the file alone fails the divisibility rule; its override mends it
+        lines = _file("heads = 3\nd_model = 16\n")
+        with pytest.raises(ConfigError, match="^d_model 16 not divisible by heads 3$"):
+            config_from_lines(lines)
+        cfg = config_from_lines(lines + _sets("d_model=24"))
+        assert (cfg.heads, cfg.d_model) == (3, 24)
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError) as ei:
-            parse_config_text("d_model = 32\nwidgets = 3\n")
+            config_from_lines(_file("d_model = 32\nwidgets = 3\n"))
         assert ei.value.line == 2
+        with pytest.raises(ConfigError) as ei:
+            config_from_lines(_file("d_model = 32\n") + _sets("widgets=3"))
+        assert ei.value.line is None and str(ei.value) == "unknown config key 'widgets'"
+
+    @pytest.mark.parametrize("pair", ["", "  ", "# d_model=24", "d_model 24"])
+    def test_override_without_key_and_value_is_config_error(self, pair):
+        with pytest.raises(ConfigError, match="^expected 'key = value', got ") as ei:
+            config_from_lines(_file("d_model = 32\n\n# comment\n") + _sets(pair))
+        assert ei.value.line is None
 
     def test_bad_value_reports_line(self):
         with pytest.raises(ConfigError) as ei:
-            parse_config_text("\nd_model = many\n")
+            config_from_lines(_file("\nd_model = many\n"))
         assert ei.value.line == 2
 
     def test_round_trip_through_text(self):
         cfg = ActionModelConfig(d_model=64, heads=4, seed=11, base_lr=0.0005)
-        assert parse_config_text(config_to_text(cfg)) == cfg
+        assert config_from_lines(_file(config_to_text(cfg))) == cfg
 
     def test_head_divisibility_checked(self):
         with pytest.raises(ConfigError):
-            parse_config_text("d_model = 30\nheads = 4\n")
+            config_from_lines(_file("d_model = 30\nheads = 4\n"))
 
     @pytest.mark.parametrize("heads", [0, -1, -4])
     def test_non_positive_heads_is_config_error(self, heads):
         with pytest.raises(ConfigError):
-            parse_config_text(f"heads = {heads}\n")
+            config_from_lines(_file(f"heads = {heads}\n"))
 
     @pytest.mark.parametrize("value", [0, -2])
     @pytest.mark.parametrize(
@@ -244,16 +269,16 @@ class TestConfig:
     )
     def test_non_positive_size_is_config_error_naming_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be >= 1, got {value}$"):
-            parse_config_text(f"{key} = {value}\n")
+            config_from_lines(_file(f"{key} = {value}\n"))
         with pytest.raises(ConfigError, match=f"^{key} must be >= 1"):
-            apply_overrides(ActionModelConfig(), [f"{key}={value}"])
+            config_from_lines(_sets(f"{key}={value}"))
 
 
     @pytest.mark.parametrize("key", ["base_lr", "schedule_factor", "weight_decay", "aug_rotation", "aug_mask_prob"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_float_is_config_error_naming_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
-            apply_overrides(ActionModelConfig(), [f"{key}={value}"])
+            config_from_lines(_sets(f"{key}={value}"))
 
     @pytest.mark.parametrize("key, value, rule", [
         ("base_lr", "0", "> 0"), ("base_lr", "-1", "> 0"),
@@ -266,15 +291,14 @@ class TestConfig:
     ])
     def test_out_of_range_value_is_config_error(self, key, value, rule):
         with pytest.raises(ConfigError, match=f"^{key} must be {re.escape(rule)}, got "):
-            parse_config_text(f"{key} = {value}\n")
+            config_from_lines(_file(f"{key} = {value}\n"))
 
     def test_boundary_values_accepted(self):
-        cfg = apply_overrides(ActionModelConfig(), [
-            "weight_decay=0", "aug_rotation=0", "aug_mask_prob=0", "max_epochs=1", "schedule_factor=2",
-        ])
+        edges = _sets("weight_decay=0", "aug_rotation=0", "aug_mask_prob=0", "max_epochs=1", "schedule_factor=2")
+        cfg = config_from_lines(edges)
         assert (cfg.weight_decay, cfg.aug_rotation, cfg.aug_mask_prob, cfg.max_epochs) == (0.0, 0.0, 0.0, 1)
-        assert apply_overrides(cfg, ["aug_mask_prob=1"]).aug_mask_prob == 1.0
-        assert apply_overrides(cfg, [f"aug_rotation={math.pi!r}"]).aug_rotation == math.pi
+        assert config_from_lines(edges + _sets("aug_mask_prob=1")).aug_mask_prob == 1.0
+        assert config_from_lines(edges + _sets(f"aug_rotation={math.pi!r}")).aug_rotation == math.pi
 
 
 _CONFIG_TEXT = config_to_text(ActionModelConfig())
@@ -297,7 +321,7 @@ def test_config_splices_raise_only_config_error(config_path, at, drop, junk):
     i = int(at * len(_CONFIG_TEXT))
     config_path.write_text(_CONFIG_TEXT[:i] + junk + _CONFIG_TEXT[i + drop:])
     try:
-        load_config(config_path)
+        config_from_lines(_file(config_path.read_text()))
     except ConfigError:
         pass
 

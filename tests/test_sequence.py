@@ -91,28 +91,26 @@ class TestSubsampleOrPad:
 
     def test_padding(self):
         raw = self._frames(5)
-        out, valid = subsample_or_pad(raw, 20)
-        assert valid == 5
+        out = subsample_or_pad(raw, 20)
         assert np.array_equal(out[:5], raw)
         assert np.all(out[5:] == 0.0)
 
     def test_uniform_indices_formula(self):
         raw = self._frames(40)
-        out, valid = subsample_or_pad(raw, 20)
-        assert valid == 20
+        out = subsample_or_pad(raw, 20)
         assert np.array_equal(out, raw[np.arange(0, 40, 2)])
 
     def test_exact_fit_identity_both_modes(self):
         raw = self._frames(20)
-        u, _ = subsample_or_pad(raw, 20)
-        r, _ = subsample_or_pad(raw, 20, rng=np.random.default_rng(0))
+        u = subsample_or_pad(raw, 20)
+        r = subsample_or_pad(raw, 20, rng=np.random.default_rng(0))
         assert np.array_equal(u, raw)
         assert np.array_equal(r, raw)
 
     def test_random_sorted_distinct_and_seed_pure(self):
         raw = self._frames(37)
-        out1, _ = subsample_or_pad(raw, 20, rng=np.random.default_rng(5))
-        out2, _ = subsample_or_pad(raw, 20, rng=np.random.default_rng(5))
+        out1 = subsample_or_pad(raw, 20, rng=np.random.default_rng(5))
+        out2 = subsample_or_pad(raw, 20, rng=np.random.default_rng(5))
         assert np.array_equal(out1, out2)
         # selected rows must appear in strictly increasing source order
         src = [np.flatnonzero((raw == row).all(axis=1))[0] for row in out1]
@@ -124,8 +122,8 @@ class TestSubsampleOrPad:
 
     def test_uniform_pure_function_of_len_n(self):
         raw = self._frames(33)
-        a, _ = subsample_or_pad(raw, 20)
-        b, _ = subsample_or_pad(raw, 20)
+        a = subsample_or_pad(raw, 20)
+        b = subsample_or_pad(raw, 20)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("k", [5, 20, 37])
@@ -133,7 +131,7 @@ class TestSubsampleOrPad:
     def test_result_owns_its_memory(self, k, seeded):
         raw = self._frames(k)
         before = raw.copy()
-        out, _ = subsample_or_pad(raw, 20, rng=np.random.default_rng(1) if seeded else None)
+        out = subsample_or_pad(raw, 20, rng=np.random.default_rng(1) if seeded else None)
         assert not np.shares_memory(out, raw)
         out[:] = 7.0
         assert np.array_equal(raw, before)
@@ -294,9 +292,9 @@ class TestAugmentMatchesReference:
             raw = self._frames(rng, k)
             for cfg in self.CONFIGS:
                 want_rng, got_rng = np.random.default_rng(k), np.random.default_rng(k)
-                prepared, valid = subsample_or_pad(raw, rng=want_rng)
-                want = _augment_reference(prepared, *cfg, want_rng, valid)
-                got = augment_sequence(subsample_or_pad(raw, rng=got_rng)[0], *cfg, got_rng)
+                prepared = subsample_or_pad(raw, rng=want_rng)
+                want = _augment_reference(prepared, *cfg, want_rng, min(k, SEQ_LEN))
+                got = augment_sequence(subsample_or_pad(raw, rng=got_rng), *cfg, got_rng)
                 assert got.tobytes() == want.tobytes(), (k, cfg)
 
     def test_byte_identical_when_every_group_is_zero(self):
@@ -357,12 +355,15 @@ class TestDatasetIO:
         save_dataset(tmp_path, ds)
         assert (tmp_path / "manifest.csv").read_text() == "\n".join(lines) + "\n"
 
-    def test_empty_file_empty_dataset(self, tmp_path):
+    def test_empty_pose_file_is_missing_header_at_line_1(self, tmp_path):
         d = tmp_path / "ds"
         d.mkdir()
         (d / "poses.ndjson").write_text("")
-        loaded = load_dataset(d)
-        assert loaded.sequences == []
+        with pytest.raises(DatasetFormatError, match="^line 1: missing header line$") as ei:
+            load_pose_file(d / "poses.ndjson")
+        assert ei.value.line == 1
+        with pytest.raises(DatasetFormatError, match="missing header line"):
+            load_dataset(d)  # before the manifest, which is absent
 
     def test_wrong_joint_count_is_parse_error_with_line(self, tmp_path):
         ds = _make_dataset(np.random.default_rng(11))
@@ -398,13 +399,16 @@ class TestEncodedIO:
         rng = np.random.default_rng(16)
         for _ in range(10):
             k = int(rng.integers(1, 60))
-            frames, valid = subsample_or_pad(rng.uniform(size=(k, FRAME_DIM)))
+            raw = rng.uniform(0.5, 1.0, size=(k, FRAME_DIM))
+            frames = subsample_or_pad(raw)
             assert frames.shape == (SEQ_LEN, FRAME_DIM)
-            assert valid == min(k, SEQ_LEN)
+            # every source row is non-zero, so the rows past min(k, 20) are the padding
+            assert np.all(frames[: min(k, SEQ_LEN)] > 0.0)
+            assert np.all(frames[min(k, SEQ_LEN) :] == 0.0)
 
     def test_csv_export(self, tmp_path):
-        frames, valid = subsample_or_pad(np.random.default_rng(17).uniform(-1, 1, (12, FRAME_DIM)))
-        export_csv_matrices(tmp_path / "csv", [(3, "train", 0, valid, frames)])
+        frames = subsample_or_pad(np.random.default_rng(17).uniform(-1, 1, (12, FRAME_DIM)))
+        export_csv_matrices(tmp_path / "csv", [(3, "train", 0, 12, frames)])
         txt = (tmp_path / "csv" / "seq00003.csv").read_text().splitlines()
         assert len(txt) == SEQ_LEN
         assert len(txt[0].split(",")) == FRAME_DIM
