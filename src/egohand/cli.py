@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import json
 import os
 import sys
 import time
@@ -33,8 +32,8 @@ import numpy as np
 
 from . import experiments, model, nnkit, reports, synth
 from .errors import (
+    ConfigError,
     DataConsistencyError,
-    DatasetFormatError,
     EgohandError,
     EmptyActionError,
     EmptyDatasetError,
@@ -105,29 +104,22 @@ def _float_list(text: str) -> list[float]:
         raise UsageError(f"bad float list {text!r}: {e}") from e
 
 
-def _load_tree_meta(data_dir: str) -> tuple[int, synth.SynthParams]:
-    path = os.path.join(data_dir, "params.json")
-    with open(path) as f:
-        try:
-            meta = json.load(f)
-            if not (isinstance(meta, dict) and type(meta.get("master_seed")) is int and meta["master_seed"] >= 0
-                    and isinstance(meta.get("params"), dict)):
-                raise DatasetFormatError("expected a non-negative integer 'master_seed' and a 'params' object")
-            return meta["master_seed"], synth.SynthParams.from_dict(meta["params"])
-        except (ValueError, EgohandError) as e:
-            raise DatasetFormatError(f"{path}: {e}") from e
-
-
 def _resolve_config(path, overrides, **flags) -> model.ActionModelConfig:
     """The model config of one ordered list of ``key = value`` lines: the
-    config file's at ``path`` (numbered), each ``--set``, then each flag given."""
+    config file's at ``path`` (numbered), each ``--set``, then each flag given.
+    An error at a numbered line names the file."""
     lines = []
     if path:
         with open(path) as f:
             lines += enumerate(f.read().splitlines(), start=1)
     lines += [(None, pair) for pair in overrides]
     lines += [(None, f"{key} = {value}") for key, value in flags.items() if value is not None]
-    return model.config_from_lines(lines)
+    try:
+        return model.config_from_lines(lines)
+    except ConfigError as e:
+        if e.line is None:
+            raise
+        raise ConfigError(f"{path}: {e}") from e
 
 
 # --- commands ------------------------------------------------------------------
@@ -212,7 +204,7 @@ def cmd_segment(args) -> tuple:
 
 def cmd_sweep_threshold(args) -> tuple:
     t_list = _float_list(args.t_list)
-    master_seed, params = _load_tree_meta(args.data)
+    master_seed, params = synth.read_fixture_params(args.data)
     stage_s, timed = _stage_timer(("scenes", "sweep", "write"))
     scenes = timed("scenes", experiments.make_eval_scenes, params, master_seed, args.scenes)
     rows = timed("sweep", experiments.sweep_threshold, params, t_list, args.mode, args.seed, scenes)
@@ -326,11 +318,7 @@ def cmd_train(args) -> tuple:
     os.makedirs(args.out, exist_ok=True)
     nnkit.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), result.best)
     nnkit.save_checkpoint(os.path.join(args.out, "last.bin"), result.model.params)
-    reports.write_csv(
-        os.path.join(args.out, "history.csv"),
-        ["epoch", "train_loss", "train_acc", "val_acc", "lr"],
-        result.history.rows,
-    )
+    reports.write_csv(os.path.join(args.out, "history.csv"), model.HISTORY_HEADER, result.history.rows)
     with open(os.path.join(args.out, "config.snapshot.cfg"), "w") as f:
         f.write(model.config_to_text(cfg))
     print(
@@ -491,8 +479,7 @@ def main(argv=None) -> int:
             path, config, seed, metrics, timings = record
             doc = {"command": args.command, "config": config, "seed": seed, "metrics": metrics,
                    "wall_time_s": time.perf_counter() - t0, **timings}
-            with open(path, "w") as f:
-                f.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
+            reports.write_json(path, doc)
     except tuple(_EXIT_CODES) as e:
         code = next(_EXIT_CODES[cls] for cls in type(e).__mro__ if cls in _EXIT_CODES)
         print(f"{_EXIT_LABELS[code]}: {e}", file=sys.stderr)

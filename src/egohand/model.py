@@ -104,10 +104,13 @@ def config_to_text(cfg: ActionModelConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+HISTORY_HEADER = ("epoch", "train_loss", "train_acc", "val_acc", "lr")
+
+
 @dataclass
 class TrainHistory:
-    """Per-epoch (epoch, train_loss, train_acc, val_acc, lr) rows. The best epoch
-    is the first row with the highest val_acc; (-1, -1.0) before any row."""
+    """Per-epoch rows laid out as ``HISTORY_HEADER``. The best epoch is the
+    first row with the highest val_acc; (-1, -1.0) before any row."""
 
     rows: list = field(default_factory=list)
 

@@ -15,12 +15,18 @@ u8 (0 = closer-is-smaller, 1 = closer-is-larger, 255 = mask), flag u8
 (normalized for depth maps, binary for masks), width u32 LE, height u32 LE
 -- followed by width*height float32 LE row-major values.
 
-``.ppm``: binary PPM (P6, maxval 255) for RGB frames.
+``.ppm``: binary PPM for RGB frames: ``P6``, then width, height and maxval
+(255), each after ASCII whitespace and ``#`` comment lines and ending at one
+whitespace byte, then width*height RGB byte triples, row-major.
+
+Each format's payload must end the file; a reader's errors lead with the path.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
+import re
 import struct
 from dataclasses import dataclass
 
@@ -39,6 +45,7 @@ _MASK_TAG = 255
 _DMAP_MAGIC = b"DMAP"
 _DMAP_VERSION = 1
 _DMAP_HEADER = struct.Struct("<4sHBBII")
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)*(\S+)\s" * 3)
 
 
 def _as_map(values, dtype=np.float64) -> np.ndarray:
@@ -202,6 +209,27 @@ def mask_stats(mask: SegMask) -> tuple[float, float]:
     return float(mask.values.mean()), float(mask.values.sum())
 
 
+def _names_file(read):
+    """``read(path)`` with the path leading the message of each error it raises."""
+
+    @functools.wraps(read)
+    def read_file(path):
+        try:
+            return read(path)
+        except (FormatError, StructuralError) as e:
+            raise type(e)(f"{path}: {e}") from e
+
+    return read_file
+
+
+def _payload(buf: bytes, start: int, size: int) -> memoryview:
+    """The ``size`` bytes of ``buf`` from ``start``, which must end the file."""
+    if len(buf) - start != size:
+        raise FormatError(f"payload of {len(buf) - start} bytes where the header gives {size}: "
+                          "the file is truncated or has trailing bytes")
+    return memoryview(buf)[start:]
+
+
 # --- .dmap format ---------------------------------------------------------
 
 
@@ -229,13 +257,9 @@ def _read_dmap(path) -> tuple[np.ndarray, int, int]:
         raise FormatError(f"flag byte must be 0 or 1, got {flag}")
     if w == 0 or h == 0:
         raise FormatError("zero-sized .dmap")
-    end = _DMAP_HEADER.size + 4 * w * h
-    if len(buf) < end:
-        raise FormatError(f"payload truncated: expected {4 * w * h} value bytes")
-    if end != len(buf):
-        raise FormatError(f"{len(buf) - end} trailing bytes after .dmap payload")
+    payload = _payload(buf, _DMAP_HEADER.size, 4 * w * h)
     with np.errstate(invalid="ignore"):  # a signalling NaN; DepthMap and SegMask reject it
-        values = np.frombuffer(buf, dtype="<f4", offset=_DMAP_HEADER.size).astype(np.float64).reshape(h, w)
+        values = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(h, w)
     return values, tag, flag
 
 
@@ -243,6 +267,7 @@ def save_depth(path, dm: DepthMap) -> None:
     _write_dmap(path, dm.values, _ORDER_TAGS[dm.order], int(dm.normalized))
 
 
+@_names_file
 def load_depth(path) -> DepthMap:
     values, tag, flag = _read_dmap(path)
     if tag == _MASK_TAG:
@@ -254,6 +279,7 @@ def save_mask(path, mask: SegMask) -> None:
     _write_dmap(path, mask.values, _MASK_TAG, int(mask.binary))
 
 
+@_names_file
 def load_mask(path) -> SegMask:
     values, tag, flag = _read_dmap(path)
     if tag != _MASK_TAG:
@@ -278,36 +304,17 @@ def save_ppm(path, frame: np.ndarray) -> None:
         f.write(np.ascontiguousarray(frame))
 
 
+@_names_file
 def load_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
         buf = f.read()
-    if not buf.startswith(b"P6"):
-        raise FormatError("not a binary PPM (P6) file")
-    fields, pos = [], 2
-    while len(fields) < 3:
-        while pos < len(buf) and buf[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(buf) and buf[pos : pos + 1] == b"#":
-            while pos < len(buf) and buf[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(buf) and not buf[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError("truncated PPM header")
-        fields.append(buf[start:pos])
-    pos += 1  # single whitespace after maxval
+    header = _PPM_HEADER.match(buf)
+    if header is None:
+        raise FormatError("bad PPM header: expected P6, width, height and maxval")
     try:
-        w, h, maxval = (int(x) for x in fields)
+        w, h, maxval = map(int, header.groups())
     except ValueError as e:
         raise FormatError(f"bad PPM header field: {e}") from e
     if maxval != 255 or w < 1 or h < 1:
         raise FormatError(f"need a positive PPM size and maxval 255, got {w}x{h}, maxval {maxval}")
-    need = w * h * 3
-    got = max(len(buf) - pos, 0)
-    if got < need:
-        raise FormatError(f"PPM payload truncated: expected {need} bytes, got {got}")
-    if got != need:
-        raise FormatError(f"{got - need} trailing bytes after PPM payload")
-    return np.frombuffer(buf, dtype=np.uint8, count=need, offset=pos).reshape(h, w, 3).copy()
+    return np.frombuffer(_payload(buf, header.end(), 3 * w * h), np.uint8).reshape(h, w, 3).copy()

@@ -1,4 +1,4 @@
-"""Deterministic CSV and SVG emission for experiment reports.
+"""Deterministic CSV, JSON and SVG emission for experiment reports.
 
 Floats serialize via ``repr`` (shortest exact round trip) so identical
 values always produce identical bytes; the SVG writer uses fixed geometry
@@ -7,6 +7,7 @@ and formatting with no timestamps or generated ids.
 
 from __future__ import annotations
 
+import json
 import math
 
 from .errors import FormatError
@@ -24,6 +25,12 @@ def write_csv(path, header, rows) -> None:
         lines.append(",".join(fmt(v) for v in row))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def write_json(path, doc) -> None:
+    """``doc`` as one compact JSON line with sorted keys."""
+    with open(path, "w") as f:
+        f.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
 
 
 def read_csv(path):

@@ -261,11 +261,17 @@ def save_pose_file(path, intrinsics: CameraIntrinsics, space: str, frames: list)
         f.write(_pose_text(intrinsics, space, frames))
 
 
-def _parse_header(line: str):
+def _json_line(text: str, ln: int):
+    """The JSON value on line ``ln``. Text the decoder rejects, an integer
+    past Python's digit limit among it, raises DatasetFormatError."""
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise DatasetFormatError(f"invalid JSON: {e.msg}", 1) from e
+        return json.loads(text)
+    except ValueError as e:  # a JSONDecodeError (its msg has no position) or the digit limit's
+        raise DatasetFormatError(f"invalid JSON: {getattr(e, 'msg', e)}", ln) from e
+
+
+def _parse_header(line: str):
+    obj = _json_line(line, 1)
     if not isinstance(obj, dict) or "intrinsics" not in obj or "space" not in obj:
         raise DatasetFormatError("header must carry 'intrinsics' and 'space'", 1)
     if obj["space"] not in SPACES:
@@ -294,10 +300,7 @@ def load_pose_file(path):
     for ln, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise DatasetFormatError(f"invalid JSON: {e.msg}", ln) from e
+        obj = _json_line(raw, ln)
         if not isinstance(obj, dict):
             raise DatasetFormatError(f"expected a JSON object, got {type(obj).__name__}", ln)
         for key in ("frame_id", "left", "right", "obj_box", "obj_label", "split"):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import _kernels
-from .errors import DatasetFormatError, RangeError, StructuralError
+from .errors import DatasetFormatError, EgohandError, RangeError, StructuralError
 from .geometry import (
     JOINT_COUNT,
     JOINT_PARENTS,
@@ -33,6 +33,7 @@ from .geometry import (
     rotate_points_2d,
 )
 from .rangeseg import CLOSER_IS_LARGER, CLOSER_IS_SMALLER, DepthMap, SegMask, save_depth, save_mask, save_ppm
+from .reports import write_json
 from .sequence import N_CLASSES, Dataset, FrameRecord, ObjectObs, SequenceRecord, save_dataset
 
 N_OBJECT_LABELS = 8
@@ -506,8 +507,7 @@ def write_fixture_tree(
         "per_class": per_class,
         "params": asdict(params),
     }
-    with open(os.path.join(out_dir, "params.json"), "w") as f:
-        f.write(json.dumps(meta, separators=(",", ":"), sort_keys=True) + "\n")
+    write_json(os.path.join(out_dir, "params.json"), meta)
 
     scenes_dir = os.path.join(out_dir, "scenes")
     os.makedirs(scenes_dir, exist_ok=True)
@@ -526,3 +526,18 @@ def write_fixture_tree(
             save_mask(stem + ".gtmask.dmap", gt)
             save_ppm(stem + ".ppm", render_schematic_frame(gt))
             emitted += 1
+
+
+def read_fixture_params(data_dir) -> tuple[int, SynthParams]:
+    """(master seed, params) from the ``params.json`` of a fixture tree; a
+    malformed file raises DatasetFormatError naming it and the bad field."""
+    path = os.path.join(data_dir, "params.json")
+    with open(path) as f:
+        try:
+            meta = json.load(f)
+            if not (isinstance(meta, dict) and type(meta.get("master_seed")) is int and meta["master_seed"] >= 0
+                    and isinstance(meta.get("params"), dict)):
+                raise DatasetFormatError("expected a non-negative integer 'master_seed' and a 'params' object")
+            return meta["master_seed"], SynthParams.from_dict(meta["params"])
+        except (ValueError, EgohandError) as e:
+            raise DatasetFormatError(f"{path}: {e}") from e

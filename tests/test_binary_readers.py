@@ -5,6 +5,7 @@ The property tests splice a random byte run into a valid checkpoint,
 stretch of it, and check which exception escapes the reader.
 """
 
+import random
 import struct
 import subprocess
 import sys
@@ -148,6 +149,77 @@ def test_checkpoint_optimizer_table_needs_one_m_and_one_v_per_parameter(tmp_path
     path.write_bytes(_checkpoint(pack("a"), pack("b"), opt=tuple(map(pack, names))))
     with pytest.raises(FormatError, match=f"^{message}$"):
         nnkit.load_checkpoint(path)
+
+
+def _load_ppm_tokenizer(buf: bytes) -> np.ndarray:
+    """Reference PPM reader: the header read by a byte-by-byte tokenizer."""
+    if not buf.startswith(b"P6"):
+        raise FormatError("not a binary PPM (P6) file")
+    fields, pos = [], 2
+    while len(fields) < 3:
+        while pos < len(buf) and buf[pos : pos + 1].isspace():
+            pos += 1
+        if pos < len(buf) and buf[pos : pos + 1] == b"#":
+            while pos < len(buf) and buf[pos] != 0x0A:
+                pos += 1
+            continue
+        start = pos
+        while pos < len(buf) and not buf[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise FormatError("truncated PPM header")
+        fields.append(buf[start:pos])
+    pos += 1  # single whitespace after maxval
+    try:
+        w, h, maxval = (int(x) for x in fields)
+    except ValueError as e:
+        raise FormatError(f"bad PPM header field: {e}") from e
+    if maxval != 255 or w < 1 or h < 1:
+        raise FormatError(f"need a positive PPM size and maxval 255, got {w}x{h}, maxval {maxval}")
+    need = w * h * 3
+    got = max(len(buf) - pos, 0)
+    if got < need:
+        raise FormatError(f"PPM payload truncated: expected {need} bytes, got {got}")
+    if got != need:
+        raise FormatError(f"{got - need} trailing bytes after PPM payload")
+    return np.frombuffer(buf, dtype=np.uint8, count=need, offset=pos).reshape(h, w, 3).copy()
+
+
+_HEADER_ALPHABET = [b"P6", *(bytes([c]) for c in b"0123456789# \t\n\r\x0b\x0c-+\x00\xff")]
+
+
+def _mutated_ppm(rng: random.Random) -> bytes:
+    """A small PPM whose header took one to three random edits, each putting
+    an ``_HEADER_ALPHABET`` item in place of zero to two bytes; the payload
+    fits the header before the edits, or is one byte off."""
+    w, h = rng.randint(1, 3), rng.randint(1, 3)
+    header = bytearray(b"P6\n%d %d\n255\n" % (w, h))
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(header) + 1)
+        header[at : at + rng.randrange(3)] = rng.choice(_HEADER_ALPHABET)
+    return bytes(header) + bytes(range(max(3 * w * h + rng.choice((-1, 0, 0, 0, 1)), 0)))
+
+
+def _outcome(load, arg):
+    try:
+        frame = load(arg)
+    except FormatError:
+        return FormatError
+    return frame.shape, frame.tobytes()
+
+
+def test_ppm_header_pattern_matches_the_tokenizer(tmp_path):
+    """20,000 mutated headers: load_ppm gives the reference reader's frame or error class."""
+    rng = random.Random(23)
+    path = tmp_path / "f.ppm"
+    loaded = 0
+    for _ in range(20_000):
+        buf = _mutated_ppm(rng)
+        path.write_bytes(buf)
+        want = _outcome(_load_ppm_tokenizer, buf)
+        assert _outcome(load_ppm, path) == want, buf
+        loaded += want is not FormatError
+    assert loaded > 500  # the corpus reaches the accepting path too
 
 
 @pytest.mark.parametrize("size", [b"-1 -1", b"0 2", b"-2 3"])

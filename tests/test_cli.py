@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -152,6 +153,21 @@ def _non_object_pose_line(tree, tmp):
     return ["encode", "--in", str(tmp / "d"), "--out", str(tmp / "e.ndjson")]
 
 
+def _long_integer_pose_line(line):
+    """encode on the tree with a 5000-digit number on pose line ``line`` (the header's fx, or a frame_id)."""
+
+    def make_argv(tree, tmp):
+        lines = (tree / "poses.ndjson").read_text().splitlines()
+        key = '"fx":' if line == 1 else '"frame_id":'
+        lines[line - 1] = re.sub(key + "[0-9.]+", key + "1" * 5000, lines[line - 1], count=1)
+        (tmp / "d").mkdir()
+        (tmp / "d" / "poses.ndjson").write_text("\n".join(lines) + "\n")
+        (tmp / "d" / "manifest.csv").write_bytes((tree / "manifest.csv").read_bytes())
+        return ["encode", "--in", str(tmp / "d"), "--out", str(tmp / "e.ndjson")]
+
+    return make_argv
+
+
 def _repeated_sequence_id(tree, tmp):
     # the second manifest row takes the first row's sequence_id
     header, first, second, *rest = (tree / "manifest.csv").read_text().splitlines()
@@ -195,6 +211,10 @@ def _bad_params(edit):
         pytest.param(_two_d_pose_file, ("line 1", "unknown space tag '2d'"), id="two-d-pose-file"),
         pytest.param(_short_checkpoint, (), id="short-checkpoint"),
         pytest.param(_non_object_pose_line, (), id="non-object-pose-line"),
+        pytest.param(_long_integer_pose_line(1), ("line 1: invalid JSON: Exceeds the limit",),
+                     id="long-integer-header"),
+        pytest.param(_long_integer_pose_line(5), ("line 5: invalid JSON: Exceeds the limit",),
+                     id="long-integer-frame"),
         pytest.param(_bad_params(lambda m: {**m, "params": {**m["params"], "zoom": 2}}),
                      ("params.json", "unknown params field 'zoom'"), id="params-unknown-key"),
         pytest.param(_bad_params(lambda m: {**m, "params": {**m["params"], "arm_band": 5}}),
@@ -419,6 +439,21 @@ class TestSegment:
         assert [p.name for p in one.glob("*.mask.dmap")] == [f"{stem}.mask.dmap"]
         for name in (f"{stem}.mask.dmap", f"{stem}.seg.ppm"):
             assert (one / name).read_bytes() == (every / name).read_bytes()
+
+    def test_bad_map_is_named(self, tree, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        for p in (tree / "scenes").glob("*"):
+            (scenes / p.name).write_bytes(p.read_bytes())
+        second = sorted(scenes.glob("*.gtmask.dmap"))[1].name.replace(".gtmask", "")
+        (scenes / second).write_bytes((scenes / second).read_bytes()[:100])
+        argv = ["segment", "--depth", str(scenes), "--frames", str(scenes), "--t", "0.475",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"format/config error: {scenes / second}: payload of 84 bytes where the header gives 1048576: "
+            "the file is truncated or has trailing bytes\n"
+        )
 
     def test_desharpen_emits_soft_mask(self, tree, tmp_path):
         out = tmp_path / "soft"
@@ -660,11 +695,43 @@ class TestTrainEval:
         )
         assert rc == 3
 
-    def test_config_file_line_error_is_3(self, tree, tmp_path):
+    def test_config_file_line_error_is_3(self, tree, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("d_model = 16\nnot a config line\n")
         rc = main(["train", "--data", str(tree), "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 3
+        assert capsys.readouterr().err == (
+            f"format/config error: {bad}: line 2: expected 'key = value', got 'not a config line'\n"
+        )
+
+    def test_sibling_snapshot_line_error_names_the_snapshot(self, tree, trained, tmp_path, capsys):
+        (tmp_path / "checkpoint.bin").write_bytes((trained / "checkpoint.bin").read_bytes())
+        snapshot = tmp_path / "config.snapshot.cfg"
+        snapshot.write_text("d_model = 16\nheads 2\n")
+        rc = main(["eval-action", "--data", str(tree), "--checkpoint", str(tmp_path / "checkpoint.bin")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"format/config error: {snapshot}: line 2: expected 'key = value', got 'heads 2'\n"
+        )
+
+    @pytest.mark.parametrize("blocks, message", [
+        ("3", "missing parameter 'block2.ln1.g'"),
+        ("1", "unexpected parameters ['block1."),
+    ], ids=["deeper", "shallower"])
+    def test_checkpoint_of_another_depth_exits_3(self, tree, trained, capsys, blocks, message):
+        argv = ["eval-action", "--data", str(tree), "--checkpoint", str(trained / "checkpoint.bin"),
+                "--set", f"blocks={blocks}"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"format/config error: {message}") and err.count("\n") == 1
+
+    def test_diverging_train_exits_3_and_leaves_no_out(self, tree, tmp_path, capsys):
+        # the first step's huge learning rate makes the validation logits non-finite
+        argv = ["train", "--data", str(tree), "--epochs", "1", "--set", "d_model=16", "--set", "heads=2",
+                "--set", "base_lr=1e200", "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "format/config error: non-finite logits: the weights have diverged\n"
+        assert not (tmp_path / "o").exists()
 
     def test_config_is_validated_after_its_overrides(self, tree, tmp_path, capsys):
         cfg = tmp_path / "f.cfg"

@@ -361,6 +361,40 @@ class TestDmapFormat:
             load_mask(p)
 
 
+# a file of each format whose payload is 24 bytes
+_WRITERS = {
+    load_depth: lambda path: save_depth(path, _dm(np.ones((3, 2)))),
+    load_mask: lambda path: save_mask(path, SegMask(np.ones((3, 2), bool))),
+    load_ppm: lambda path: save_ppm(path, np.ones((2, 4, 3), np.uint8)),
+}
+
+
+@pytest.mark.parametrize("load", list(_WRITERS), ids=lambda load: load.__name__)
+@pytest.mark.parametrize("edit, got", [(lambda raw: raw[:-5], 19), (lambda raw: raw + b"\0", 25)],
+                         ids=["truncated", "trailing"])
+def test_payload_must_end_the_file(tmp_path, load, edit, got):
+    path = tmp_path / "f.bin"
+    _WRITERS[load](path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(FormatError) as ei:
+        load(path)
+    assert str(ei.value) == (f"{path}: payload of {got} bytes where the header gives 24: "
+                             "the file is truncated or has trailing bytes")
+
+
+def test_reader_errors_name_the_file(tmp_path):
+    path = tmp_path / "f.dmap"
+    save_depth(path, _dm(np.ones((1, 2))))
+    path.write_bytes(path.read_bytes()[:-4] + np.float32(-1.0).tobytes())
+    with pytest.raises(StructuralError, match=f"^{re.escape(str(path))}: depth values must be finite and >= 0$"):
+        load_depth(path)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: file holds a depth map, not a mask$"):
+        load_mask(path)
+    path.write_bytes(b"P5\n1 1\n255\n\0")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: bad PPM header"):
+        load_ppm(path)
+
+
 class TestPpm:
     def test_round_trip(self, tmp_path):
         f = np.random.default_rng(10).integers(0, 256, (5, 7, 3), dtype=np.uint8)

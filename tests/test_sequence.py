@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -509,6 +510,20 @@ def test_coerced_value_rejected_with_line(pose_records, part, field, value):
         line, lines = 2, [header, _replaced(frame, field, value)]
     path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
     with pytest.raises(DatasetFormatError) as ei:
+        load_pose_file(path)
+    assert ei.value.line == line
+
+
+@pytest.mark.parametrize("line", [1, 3], ids=["header", "frame"])
+def test_integer_past_the_digit_limit_is_format_error_with_line(tmp_path, line):
+    path = tmp_path / "poses.ndjson"
+    rng = np.random.default_rng(43)
+    save_pose_file(path, K, "3d", [FrameRecord(i, _pose(rng), _pose(rng), _obj(rng), "val") for i in (7, 8)])
+    lines = path.read_text().splitlines()
+    key = '"fx":' if line == 1 else '"frame_id":'
+    lines[line - 1] = re.sub(key + "[0-9.]+", key + "1" * 5000, lines[line - 1], count=1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match="Exceeds the limit") as ei:
         load_pose_file(path)
     assert ei.value.line == line
 
