@@ -22,9 +22,11 @@ is, or lies under, an existing non-directory exits 2 before the dataset is read.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import os
+import resource
 import sys
 import time
 
@@ -172,29 +174,44 @@ def _stage_timer(stages):
 
 
 def cmd_segment(args) -> tuple:
+    made_out = not os.path.isdir(args.out)
     os.makedirs(args.out, exist_ok=True)
+    written = []  # every file this run opens for writing; a failed run removes them
     stats_rows = []
     stage_s, timed = _stage_timer(("load", "mask", "desharpen", "apply", "save"))
-    for stem, depth_path in _depth_files(args.depth, args.metric_mm is not None):
-        frame_path = os.path.join(args.frames, stem + ".ppm")
-        if not os.path.isfile(frame_path):
-            raise FileNotFoundError(f"missing frame for {stem!r}: {frame_path}")
-        dm = timed("load", load_depth, depth_path)
-        if args.metric_mm is not None:
-            mask = timed("mask", range_mask_metric, dm, args.metric_mm)
-        else:
-            norm = dm if dm.normalized else timed("mask", normalize_depth, dm)
-            mask = timed("mask", range_mask, norm, args.t)
-        if args.desharpen is not None:
-            mask = timed("desharpen", desharpen_mask, mask, args.desharpen)
-        frame = timed("load", load_ppm, frame_path)
-        seg = timed("apply", apply_mask, frame, mask, args.fill)
-        timed("save", save_ppm, os.path.join(args.out, stem + ".seg.ppm"), seg)
-        timed("save", save_mask, os.path.join(args.out, stem + ".mask.dmap"), mask)
-        kept_fraction, kept_pixels = mask_stats(mask)
-        stats_rows.append((stem, kept_fraction, kept_pixels))
-    header = ["frame", "kept_fraction", "kept_pixels"]
-    reports.write_csv(os.path.join(args.out, "mask_stats.csv"), header, stats_rows)
+
+    def save(fn, name, *values):
+        written.append(os.path.join(args.out, name))
+        timed("save", fn, written[-1], *values)
+
+    try:
+        for stem, depth_path in _depth_files(args.depth, args.metric_mm is not None):
+            frame_path = os.path.join(args.frames, stem + ".ppm")
+            if not os.path.isfile(frame_path):
+                raise FileNotFoundError(f"missing frame for {stem!r}: {frame_path}")
+            dm = timed("load", load_depth, depth_path)
+            if args.metric_mm is not None:
+                mask = timed("mask", range_mask_metric, dm, args.metric_mm)
+            else:
+                norm = dm if dm.normalized else timed("mask", normalize_depth, dm)
+                mask = timed("mask", range_mask, norm, args.t)
+            if args.desharpen is not None:
+                mask = timed("desharpen", desharpen_mask, mask, args.desharpen)
+            frame = timed("load", load_ppm, frame_path)
+            seg = timed("apply", apply_mask, frame, mask, args.fill)
+            save(save_ppm, stem + ".seg.ppm", seg)
+            save(save_mask, stem + ".mask.dmap", mask)
+            kept_fraction, kept_pixels = mask_stats(mask)
+            stats_rows.append((stem, kept_fraction, kept_pixels))
+        save(reports.write_csv, "mask_stats.csv", ["frame", "kept_fraction", "kept_pixels"], stats_rows)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        if made_out:
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out)
+        raise
     print(f"segmented {len(stats_rows)} frames -> {args.out}")
     config = {"t": args.t, "metric_mm": args.metric_mm, "desharpen": args.desharpen, "fill": list(args.fill)}
     metrics = {"frames": len(stats_rows),
@@ -300,16 +317,20 @@ def cmd_train(args) -> tuple:
     cfg = _resolve_config(args.config, args.set, seed=args.seed, max_epochs=args.epochs)
     sets = _raw_sets(args.data)
 
-    # per-epoch seconds and training sequences per second; epoch 0 counts from the call
-    epoch_s, seqs_per_s = [], []
+    # per-epoch seconds, training sequences per second and minor page faults (memory
+    # the kernel mapped in fresh); epoch 0 counts from the call
+    epoch_s, seqs_per_s, epoch_minor_faults = [], [], []
     epoch_start = time.perf_counter()
+    faults_start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
     def log(row):
-        nonlocal epoch_start
+        nonlocal epoch_start, faults_start
         now = time.perf_counter()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         epoch_s.append(now - epoch_start)
         seqs_per_s.append(len(sets["train"]) / epoch_s[-1])
-        epoch_start = now
+        epoch_minor_faults.append(faults - faults_start)
+        epoch_start, faults_start = now, faults
         if args.verbose:
             print(f"epoch {row[0]:4d}  loss {row[1]:.4f}  train acc {row[2]:.4f}  "
                   f"val acc {row[3]:.4f}  lr {row[4]:g}", flush=True)
@@ -330,7 +351,7 @@ def cmd_train(args) -> tuple:
         "best_val_acc": result.history.best_val_acc,
         "epochs_run": len(result.history.rows),
     }
-    timings = {"epoch_s": epoch_s, "seqs_per_s": seqs_per_s}
+    timings = {"epoch_s": epoch_s, "seqs_per_s": seqs_per_s, "epoch_minor_faults": epoch_minor_faults}
     return os.path.join(args.out, "report.json"), dataclasses.asdict(cfg), cfg.seed, metrics, timings
 
 

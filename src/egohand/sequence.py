@@ -263,10 +263,11 @@ def save_pose_file(path, intrinsics: CameraIntrinsics, space: str, frames: list)
 
 def _json_line(text: str, ln: int):
     """The JSON value on line ``ln``. Text the decoder rejects, an integer
-    past Python's digit limit among it, raises DatasetFormatError."""
+    past Python's digit limit among it or nesting past its recursion limit,
+    raises DatasetFormatError."""
     try:
         return json.loads(text)
-    except ValueError as e:  # a JSONDecodeError (its msg has no position) or the digit limit's
+    except (ValueError, RecursionError) as e:  # a JSONDecodeError (its msg has no position) or a limit's
         raise DatasetFormatError(f"invalid JSON: {getattr(e, 'msg', e)}", ln) from e
 
 

@@ -539,5 +539,5 @@ def read_fixture_params(data_dir) -> tuple[int, SynthParams]:
                     and isinstance(meta.get("params"), dict)):
                 raise DatasetFormatError("expected a non-negative integer 'master_seed' and a 'params' object")
             return meta["master_seed"], SynthParams.from_dict(meta["params"])
-        except (ValueError, EgohandError) as e:
+        except (ValueError, RecursionError, EgohandError) as e:  # RecursionError: nesting too deep
             raise DatasetFormatError(f"{path}: {e}") from e

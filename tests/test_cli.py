@@ -13,7 +13,7 @@ import pytest
 
 from egohand.cli import build_parser, main
 from egohand.geometry import CameraIntrinsics, HandPose, lift_to_camera, project_to_image
-from egohand.model import ActionModelConfig
+from egohand.model import HISTORY_HEADER, ActionModelConfig
 from egohand.rangeseg import DepthMap, load_mask, load_ppm, save_depth, save_ppm
 from egohand.sequence import (
     SEQ_LEN,
@@ -168,6 +168,25 @@ def _long_integer_pose_line(line):
     return make_argv
 
 
+_NESTED = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder's recursion limit
+
+
+def _nested_pose_line(tree, tmp):
+    lines = (tree / "poses.ndjson").read_text().splitlines()
+    lines[4] = _NESTED
+    (tmp / "d").mkdir()
+    (tmp / "d" / "poses.ndjson").write_text("\n".join(lines) + "\n")
+    (tmp / "d" / "manifest.csv").write_bytes((tree / "manifest.csv").read_bytes())
+    return ["encode", "--in", str(tmp / "d"), "--out", str(tmp / "e.ndjson")]
+
+
+def _nested_params(tree, tmp):
+    (tmp / "d").mkdir()
+    (tmp / "d" / "params.json").write_text('{"master_seed": ' + _NESTED + ', "params": {}}')
+    return ["sweep-threshold", "--data", str(tmp / "d"), "--t-list", "0.47", "--scenes", "2",
+            "--out", str(tmp / "r.csv")]
+
+
 def _repeated_sequence_id(tree, tmp):
     # the second manifest row takes the first row's sequence_id
     header, first, second, *rest = (tree / "manifest.csv").read_text().splitlines()
@@ -215,6 +234,8 @@ def _bad_params(edit):
                      id="long-integer-header"),
         pytest.param(_long_integer_pose_line(5), ("line 5: invalid JSON: Exceeds the limit",),
                      id="long-integer-frame"),
+        pytest.param(_nested_pose_line, ("line 5: invalid JSON", "recursion"), id="nested-pose-line"),
+        pytest.param(_nested_params, ("params.json", "recursion"), id="params-nested"),
         pytest.param(_bad_params(lambda m: {**m, "params": {**m["params"], "zoom": 2}}),
                      ("params.json", "unknown params field 'zoom'"), id="params-unknown-key"),
         pytest.param(_bad_params(lambda m: {**m, "params": {**m["params"], "arm_band": 5}}),
@@ -354,6 +375,32 @@ def test_sweep_scene_count_out_of_range_exits_3_and_writes_nothing(scenes, tree,
 
 
 class TestSegment:
+    @pytest.mark.parametrize("out_exists", [False, True])
+    def test_failure_leaves_no_partial_output(self, out_exists, tree, tmp_path):
+        # the second map is cut short: the first frame's outputs were written before it is read
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        stems = sorted(p.name[: -len(".dmap")] for p in (tree / "scenes").glob("*.dmap") if p.name.count(".") == 1)
+        for stem in stems:
+            (scenes / f"{stem}.dmap").write_bytes((tree / "scenes" / f"{stem}.dmap").read_bytes())
+            (scenes / f"{stem}.ppm").write_bytes((tree / "scenes" / f"{stem}.ppm").read_bytes())
+        (scenes / f"{stems[1]}.dmap").write_bytes((scenes / f"{stems[1]}.dmap").read_bytes()[:100])
+        out = tmp_path / "seg"
+        if out_exists:
+            out.mkdir()
+            (out / "keep.txt").write_text("not this run's")
+        proc = subprocess.run(
+            [sys.executable, "-m", "egohand", "segment", "--depth", str(scenes), "--frames", str(scenes),
+             "--t", "0.475", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3 and proc.stderr.count("\n") == 1
+        assert stems[1] in proc.stderr
+        if out_exists:
+            assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        else:
+            assert not out.exists()
+
     def test_outputs_and_stats(self, tree, tmp_path):
         out = tmp_path / "seg"
         rc = main(
@@ -886,7 +933,7 @@ def test_run_report_contents(command, run, tree, trained, tmp_path):
     path, seed, config_keys, metric_keys = run(tree, trained, tmp_path)
     doc = json.loads(path.read_text())
     timed = {"stage_s"} if command in _STAGES else set()
-    per_epoch = {"epoch_s", "seqs_per_s"} if command == "train" else set()
+    per_epoch = {"epoch_s", "seqs_per_s", "epoch_minor_faults"} if command == "train" else set()
     assert set(doc) == {"command", "config", "seed", "metrics", "wall_time_s"} | timed | per_epoch
     assert doc["command"] == command
     assert doc["seed"] == seed
@@ -903,11 +950,15 @@ def test_run_report_contents(command, run, tree, trained, tmp_path):
             assert all(v > 0.0 for v in stage_s.values())
         assert sum(stage_s.values()) <= doc["wall_time_s"]
     if per_epoch:
-        # one entry per epoch run, each finite and positive
+        # one entry per epoch run: finite positive timings and a non-negative fault count
         for key in per_epoch:
             assert len(doc[key]) == doc["metrics"]["epochs_run"]
+        for key in ("epoch_s", "seqs_per_s"):
             assert all(isinstance(v, float) and math.isfinite(v) and v > 0.0 for v in doc[key])
+        assert all(type(v) is int and v >= 0 for v in doc["epoch_minor_faults"])
         assert sum(doc["epoch_s"]) <= doc["wall_time_s"]
+        history = (trained / "history.csv").read_text()
+        assert history.splitlines()[0] == ",".join(HISTORY_HEADER) and "fault" not in history
 
 
 def test_commands_without_a_report(tree, trained, tmp_path):

@@ -124,7 +124,7 @@ def _full_row_forward(m: ActionModel, x: np.ndarray):
 
 
 class TestClsRowInference:
-    """Without a cache the last block's feed-forward half runs on the CLS row only."""
+    """The last block's feed-forward half runs on the CLS row only."""
 
     def _model(self, seed=0):
         m = ActionModel(ActionModelConfig(seed=seed))
@@ -156,13 +156,13 @@ class TestClsRowInference:
         assert np.min(top2[:, 1] - top2[:, 0]) > 1e-9  # no near-tie the last chunk's rounding could flip
         np.testing.assert_array_equal(m.predict(x), logits_ref.argmax(axis=1))
 
-    def test_last_block_gelu_sees_one_row_only_without_cache(self, monkeypatch):
+    def test_last_block_gelu_sees_one_row_only(self, monkeypatch):
         shapes = []
         gelu = nnkit.gelu
 
-        def probe(x, need_cache=False):
+        def probe(x, need_cache=False, **buffers):
             shapes.append(x.shape)
-            return gelu(x, need_cache)
+            return gelu(x, need_cache, **buffers)
 
         monkeypatch.setattr(nnkit, "gelu", probe)
         m = ActionModel(TINY)
@@ -172,7 +172,129 @@ class TestClsRowInference:
         assert shapes[last] == (3, 1, TINY.ff_width)
         shapes.clear()
         m.loss_and_grads(x, np.array([0, 1, 2]))
-        assert shapes[last] == (3, SEQ_LEN + 1, TINY.ff_width)
+        assert shapes[last] == (3, 1, TINY.ff_width)
+
+
+def _full_row_step(m: ActionModel, x: np.ndarray, labels: np.ndarray):
+    """(loss, logits, gradients) of one training step with every block run over
+    all seq_len + 1 rows in fresh arrays, as loss_and_grads did before the last
+    block's feed-forward half kept only the CLS row and the step held its buffers."""
+    c, pv = m.cfg, m.params.values
+    grads = {name: np.zeros_like(v) for name, v in pv.items()}
+
+    def acc(name, g):
+        grads[name] += g.reshape(grads[name].shape)
+
+    h = np.concatenate([np.broadcast_to(pv["cls"], (len(x), 1, c.d_model)),
+                        nnkit.linear(x, pv["embed.w"], pv["embed.b"])], axis=1)
+    h += pv["pos"]
+    caches = []
+    for i in range(c.blocks):
+        p = f"block{i}."
+        a1, c_ln1 = nnkit.layer_norm(h, pv[p + "ln1.g"], pv[p + "ln1.b"])
+        attn_p = {nm: pv[p + "attn." + nm] for nm in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")}
+        h2, c_attn = nnkit.multi_head_attention(a1, attn_p, c.heads)
+        h2 += h
+        a2, c_ln2 = nnkit.layer_norm(h2, pv[p + "ln2.g"], pv[p + "ln2.b"])
+        f1g, c_gelu = nnkit.gelu(nnkit.linear(a2, pv[p + "ff1.w"], pv[p + "ff1.b"]), True)
+        h = nnkit.linear(f1g, pv[p + "ff2.w"], pv[p + "ff2.b"])
+        h += h2
+        caches.append((c_ln1, c_attn, a2, c_ln2, c_gelu, f1g))
+    cls_vec, c_lnf = nnkit.layer_norm(h[:, 0, :], pv["final_ln.g"], pv["final_ln.b"])
+    h1g, c_head = nnkit.gelu(nnkit.linear(cls_vec, pv["head1.w"], pv["head1.b"]), True)
+    logits = nnkit.linear(h1g, pv["head2.w"], pv["head2.b"])
+    loss, probs = nnkit.cross_entropy(logits, labels)
+
+    def lin(name, g, inp):
+        g, gw, gb = nnkit.linear_backward(g, inp, pv[name + ".w"])
+        acc(name + ".w", gw)
+        acc(name + ".b", gb)
+        return g
+
+    def norm(name, g, cache):
+        g, gg, gb = nnkit.layer_norm_backward(g, cache)
+        acc(name + ".g", gg)
+        acc(name + ".b", gb)
+        return g
+
+    g = nnkit.gelu_backward(lin("head2", nnkit.cross_entropy_backward(probs, labels), h1g), c_head)
+    gh = np.zeros((len(x), c.seq_len + 1, c.d_model))
+    gh[:, 0, :] = norm("final_ln", lin("head1", g, cls_vec), c_lnf)
+    for i in reversed(range(c.blocks)):
+        p = f"block{i}."
+        c_ln1, c_attn, a2, c_ln2, c_gelu, f1g = caches[i]
+        gh2 = norm(p + "ln2", lin(p + "ff1", nnkit.gelu_backward(lin(p + "ff2", gh, f1g), c_gelu), a2), c_ln2)
+        gh2 += gh
+        ga1, attn_grads = nnkit.multi_head_attention_backward(gh2, c_attn)
+        for nm, arr in attn_grads.items():
+            acc(p + "attn." + nm, arr)
+        gh = norm(p + "ln1", ga1, c_ln1)
+        gh += gh2
+    acc("pos", gh.sum(axis=0))
+    acc("cls", gh[:, 0, :].sum(axis=0, keepdims=True))
+    gemb = gh[:, 1:, :].reshape(-1, c.d_model)
+    acc("embed.w", x.reshape(-1, c.input_dim).T @ gemb)
+    acc("embed.b", gemb.sum(axis=0, keepdims=True))
+    return loss, logits, grads
+
+
+class TestClsRowTraining:
+    """A training step computes the rows the loss reads, in held buffers, with the
+    bytes of the full-row step."""
+
+    def _step(self, m, b, seed=None):
+        x = np.random.default_rng(b if seed is None else seed).normal(0, 30, (b, SEQ_LEN, FRAME_DIM))
+        labels = np.arange(b) % m.cfg.n_classes
+        m.params.zero_grads()
+        loss, logits = m.loss_and_grads(x, labels)
+        return (loss, logits, m.params.grads), _full_row_step(m, x, labels)
+
+    def test_bytes_match_full_rows(self):
+        m = ActionModel(ActionModelConfig(seed=3))
+        scale_weights(m, 5.0)
+        # larger, smaller, then larger again: smaller batches run in leading rows of the held buffers
+        for b in (2, 3, 16, 64, 65, 3, 16, 64):
+            (loss, logits, grads), (loss_ref, logits_ref, grads_ref) = self._step(m, b)
+            assert loss == loss_ref, b
+            assert logits.tobytes() == logits_ref.tobytes(), b
+            assert list(grads) == list(grads_ref)
+            for name, g in grads.items():
+                assert g.tobytes() == grads_ref[name].tobytes(), (b, name)
+
+    def test_single_sequence_within_rounding(self):
+        # one CLS row: numpy runs the last block's feed-forward GEMMs as vector-matrix products
+        m = ActionModel(ActionModelConfig(seed=3))
+        scale_weights(m, 5.0)
+        (loss, logits, grads), (loss_ref, logits_ref, grads_ref) = self._step(m, 1)
+        assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
+        for got, want in ((logits, logits_ref), *((grads[n], grads_ref[n]) for n in grads)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_steps_at_seen_shapes_allocate_no_buffers(self):
+        m = ActionModel(TINY)
+
+        def held_arrays(d):
+            return [a for v in d.values() for a in (held_arrays(v) if isinstance(v, dict) else [v])]
+
+        for b in (8, 3):
+            self._step(m, b)
+        held = {id(a): a for a in held_arrays(m._held)}
+        for b in (8, 3, 8):
+            self._step(m, b, seed=b + 1)
+            assert {id(a) for a in held_arrays(m._held)} == set(held)
+
+    def test_returned_logits_are_fresh(self):
+        m = ActionModel(TINY)
+        (_, first, _), _ = self._step(m, 4)
+        kept = first.copy()
+        self._step(m, 4, seed=9)
+        assert first.tobytes() == kept.tobytes()
+
+    def test_train_releases_its_buffers(self):
+        data = _raw_set(np.random.default_rng(12), TINY)
+        m = ActionModel(TINY)
+        train(data, data, TINY, model=m, epochs=1)
+        assert m._held == {}
 
 
 def scale_weights(m: ActionModel, factor: float) -> None:
@@ -451,7 +573,8 @@ class TestTraining:
         val = _raw_set(np.random.default_rng(9), cfg, n_per_class=2)
         calls = []
         real = model_module._snapshot
-        monkeypatch.setattr(model_module, "_snapshot", lambda params: calls.append(params.step) or real(params))
+        monkeypatch.setattr(model_module, "_snapshot",
+                            lambda params, **into: calls.append(params.step) or real(params, **into))
         res = train(data, val, cfg, epochs=8)
         accs = [row[3] for row in res.history.rows]
         improving = [e for e, acc in enumerate(accs) if acc > max(accs[:e], default=-1.0)]
