@@ -1,13 +1,39 @@
-"""Hot per-pixel kernels, vectorized with numpy.
+"""Hot per-pixel kernels, vectorized with numpy, and the allocator policy of
+the loops that make and free arrays of one size per step.
 
-``tests/test_rangeseg.py`` checks each against a plain-loop reference.
+``tests/test_rangeseg.py`` checks each kernel against a plain-loop reference.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
-from .errors import StructuralError
+# glibc's mallopt parameter numbers
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_freed_memory() -> None:
+    """Keep freed memory in the process for the next array of its size.
+
+    A training step or a per-scene blur makes and frees arrays of the same
+    sizes again and again. By default glibc unmaps a large freed block and
+    trims free heap back to the kernel, which then zero-fills the next such
+    array a page at a time (a minor fault per 4 KiB). This sets, through
+    ``mallopt``, blocks up to 32 MiB to come from the heap and up to 256 MiB
+    of free heap to stay mapped, for the rest of the process.
+    ``model.train`` and ``experiments.ablation_desharpen`` call it first. Off
+    glibc, where the C library has no ``mallopt``, it does nothing: results
+    keep their bytes, only the faults differ.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
 def _window_means(c: np.ndarray, radius: int, out: np.ndarray) -> None:
@@ -28,36 +54,15 @@ def _window_means(c: np.ndarray, radius: int, out: np.ndarray) -> None:
     out /= np.minimum(j + radius, n - 1) - np.maximum(j - radius, 0) + 1
 
 
-def _map_buffer(name: str, buf: np.ndarray | None, values, *others: np.ndarray) -> np.ndarray:
-    """``buf`` once checked to fit ``values``, or a fresh float64 map of its shape."""
-    shape = np.shape(values)
-    if buf is None:
-        return np.empty(shape, np.float64)
-    if not (isinstance(buf, np.ndarray) and buf.dtype == np.float64 and buf.shape == shape
-            and buf.flags.c_contiguous and buf.flags.writeable):
-        got = (f"{buf.dtype} {buf.shape}, C-contiguous {buf.flags.c_contiguous}, writeable {buf.flags.writeable}"
-               if isinstance(buf, np.ndarray) else type(buf).__name__)
-        raise StructuralError(f"{name} must be a writeable C-contiguous float64 map of shape {shape}, got {got}")
-    if any(np.shares_memory(buf, other) for other in (values, *others)):
-        raise StructuralError(f"{name} shares memory with the input map or the other buffer")
-    return buf
-
-
-def box_blur(values: np.ndarray, radius: int, out: np.ndarray | None = None,
-             work: np.ndarray | None = None) -> np.ndarray:
+def box_blur(values: np.ndarray, radius: int) -> np.ndarray:
     """Border-renormalized separable box average (cumulative-sum path).
 
     Rows first, then columns; each pass takes its sequential float64
-    cumulative sum along the axis and differences it. The result goes into
-    ``out`` and the cumulative sums into ``work``. Each, when given, must be
-    a writeable C-contiguous float64 map of the input's shape that shares no
-    memory with the input or the other (``StructuralError`` otherwise); when
-    not given, it is allocated afresh. Returns ``out``.
+    cumulative sum along the axis and differences it. Returns a fresh
+    C-contiguous float64 map.
     """
-    out = _map_buffer("out", out, values)
-    work = _map_buffer("work", work, values, out)
-    np.copyto(out, values)
-    np.cumsum(out, axis=1, out=work)
+    out = np.array(values, dtype=np.float64, order="C")
+    work = np.cumsum(out, axis=1)
     _window_means(work, radius, out)
     # the column sums row by row: contiguous adds, the same sequence as cumsum(axis=0)
     work[0] = out[0]

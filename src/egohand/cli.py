@@ -220,13 +220,15 @@ def cmd_segment(args) -> tuple:
 
 
 def cmd_sweep_threshold(args) -> tuple:
+    svg_path = args.svg or (os.path.splitext(args.out)[0] + ".svg")
+    if os.path.realpath(svg_path) == os.path.realpath(args.out):
+        raise UsageError(f"the chart {svg_path} would overwrite the --out CSV {args.out}: give --svg another path")
     t_list = _float_list(args.t_list)
     master_seed, params = synth.read_fixture_params(args.data)
     stage_s, timed = _stage_timer(("scenes", "sweep", "write"))
     scenes = timed("scenes", experiments.make_eval_scenes, params, master_seed, args.scenes)
     rows = timed("sweep", experiments.sweep_threshold, params, t_list, args.mode, args.seed, scenes)
     timed("write", reports.write_csv, args.out, ["t", "mpjpe_left", "mpjpe_right", "mpjpe_both"], rows)
-    svg_path = args.svg or (os.path.splitext(args.out)[0] + ".svg")
     timed(
         "write",
         reports.svg_line_chart,

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._kernels import keep_freed_memory
 from .errors import RangeError
 from .geometry import HandPose, mpjpe_report
 from .rangeseg import DepthMap, SegMask, desharpen_mask, normalize_depth, range_mask
@@ -110,17 +109,15 @@ def ablation_masking(params: SynthParams, seeds, scenes: list[EvalScene]):
 def ablation_desharpen(params: SynthParams, radius: int, seeds, scenes: list[EvalScene]):
     """Paired per-seed MPJPE(both): sharp band-midpoint mask vs its blur.
 
-    Every scene is blurred into one held pair of maps (result and work),
-    scored before the next scene overwrites it; a scene of another shape
-    gets a new pair. Two fresh maps per scene would be handed back to the
-    kernel when the scene ends and page-faulted in again by the next one.
+    Each scene's blur makes two fresh maps the size of the scene, freed when
+    the scene is scored; the allocator policy set first
+    (``_kernels.keep_freed_memory``) keeps their memory for the next scene
+    instead of returning it to the kernel and faulting it in again.
     """
+    keep_freed_memory()
     sharp, blurred = [], []
-    out = work = None
     for scene in scenes:
         mask = range_mask(scene.norm, params.band_midpoint)
         sharp.append(mask_quality(mask, scene.gt))
-        if out is None or out.shape != mask.values.shape:
-            out, work = np.empty(mask.values.shape), np.empty(mask.values.shape)
-        blurred.append(mask_quality(desharpen_mask(mask, radius, out=out, work=work), scene.gt))
+        blurred.append(mask_quality(desharpen_mask(mask, radius), scene.gt))
     return _paired_arms(params, scenes, (sharp, blurred), seeds)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nnkit
+from ._kernels import keep_freed_memory
 from .errors import (
     CheckpointMismatchError,
     ConfigError,
@@ -130,7 +131,6 @@ class ActionModel:
         self.cfg = cfg
         self.params = params if params is not None else self._init_params()
         self._validate_shapes()
-        self.release_buffers()
 
     # parameter construction -------------------------------------------------
 
@@ -209,74 +209,44 @@ class ActionModel:
         bytes; at B = 1 numpy runs the one-row GEMMs as vector-matrix products,
         which round differently in the last bits. With a cache, the CLS rows of
         that block's feed-forward inputs (LN2's output and the GELU's) are
-        copied into zero-filled (B, seq_len + 1, .) buffers: the backward's
-        weight-gradient GEMMs then reduce over as many rows as before, and zero
-        rows meet zero gradient rows, so every product and sum is unchanged.
+        copied into fresh zero-filled (B, seq_len + 1, .) arrays: the
+        backward's weight-gradient GEMMs then reduce over as many rows as
+        before, and zero rows meet zero gradient rows, so every product and
+        sum is unchanged.
         """
         c = self.cfg
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1:] != (c.seq_len, c.input_dim):
             raise StructuralError(f"expected (B, {c.seq_len}, {c.input_dim}) input, got {x.shape}")
         pv = self.params.values
-        if need_cache:
-            self._held_rows = max(self._held_rows, len(x))
-        held = self._held if len(x) <= self._held_rows else None
-        work = nnkit.within(held, "work")
-        tokens = (len(x), c.seq_len + 1)
-
-        def scratch(name, width, rows=tokens[1]):
-            """The first ``rows`` token rows of a (B, seq_len + 1, width) work buffer;
-            None without held buffers, where each layer makes its own result."""
-            return None if work is None else nnkit.held(work, name, (*tokens, width))[:, :rows]
-
-        emb_out = None if work is None else nnkit.held(work, "emb", (len(x), c.seq_len, c.d_model))
-        emb = nnkit.linear(x, pv["embed.w"], pv["embed.b"], out=emb_out)
-        h = nnkit.held(work, "tokens", (*tokens, c.d_model))
-        h[:, :1] = pv["cls"]
-        h[:, 1:] = emb
+        emb = nnkit.linear(x, pv["embed.w"], pv["embed.b"])
+        h = np.concatenate([np.broadcast_to(pv["cls"], (len(x), 1, c.d_model)), emb], axis=1)
         h += pv["pos"]
 
         blocks_cache = []
         for i in range(c.blocks):
             p = f"block{i}."
             last = i == c.blocks - 1
-            site = lambda name: nnkit.within(held, p + name)
-            a1, c_ln1 = nnkit.layer_norm(h, pv[p + "ln1.g"], pv[p + "ln1.b"], buffers=site("ln1"))
+            a1, c_ln1 = nnkit.layer_norm(h, pv[p + "ln1.g"], pv[p + "ln1.b"])
             attn_p = {nm: pv[p + "attn." + nm] for nm in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")}
-            rows = 1 if last else tokens[1]  # only the CLS row is read past the last attention
-            h2, c_attn = nnkit.multi_head_attention(a1, attn_p, c.heads, rows,
-                                                    out=scratch("attn_out", c.d_model, rows), buffers=site("attn"))
+            rows = 1 if last else None  # only the CLS row is read past the last attention
+            h2, c_attn = nnkit.multi_head_attention(a1, attn_p, c.heads, rows)
             h2 += h[:, :rows]
-            a2, c_ln2 = nnkit.layer_norm(h2, pv[p + "ln2.g"], pv[p + "ln2.b"], buffers=site("ln2"))
-            f1 = nnkit.linear(a2, pv[p + "ff1.w"], pv[p + "ff1.b"], out=scratch("ff", c.ff_width, rows))
-            f1g, c_gelu = nnkit.gelu(f1, need_cache, buffers=site("gelu"))
-            h = nnkit.linear(f1g, pv[p + "ff2.w"], pv[p + "ff2.b"], out=scratch("tokens", c.d_model, rows))
+            a2, c_ln2 = nnkit.layer_norm(h2, pv[p + "ln2.g"], pv[p + "ln2.b"])
+            f1g, c_gelu = nnkit.gelu(nnkit.linear(a2, pv[p + "ff1.w"], pv[p + "ff1.b"]), need_cache)
+            h = nnkit.linear(f1g, pv[p + "ff2.w"], pv[p + "ff2.b"])
             h += h2
             if need_cache and last:  # the weight-gradient GEMMs' operands, zero-padded
-                a2, f1g = self._cls_padded(a2=a2, f1g=f1g)
+                a2, f1g = (np.concatenate([a, np.zeros((len(x), c.seq_len, a.shape[-1]))], axis=1)
+                           for a in (a2, f1g))
             if need_cache:
                 blocks_cache.append((c_ln1, c_attn, a2, c_ln2, c_gelu, f1g))
 
-        cls_vec, c_lnf = nnkit.layer_norm(h[:, 0, :], pv["final_ln.g"], pv["final_ln.b"],
-                                          buffers=nnkit.within(held, "final_ln"))
+        cls_vec, c_lnf = nnkit.layer_norm(h[:, 0, :], pv["final_ln.g"], pv["final_ln.b"])
         return x, cls_vec, blocks_cache, c_lnf
 
-    def _cls_padded(self, **rows):
-        """Each (B, 1, n) array copied into the CLS row of a held (B, seq_len + 1, n)
-        buffer whose other rows stay zero: only CLS rows are ever written there."""
-        padded = nnkit.within(self._held, "cls_padded")
-        out = []
-        for name, a in rows.items():
-            full = nnkit.held(padded, name, (len(a), self.cfg.seq_len + 1, a.shape[-1]))
-            full[:, :1] = a
-            out.append(full)
-        return out
-
     def forward_batch(self, x: np.ndarray, need_cache: bool = False):
-        """Logits for a (B, seq_len, input_dim) batch; optionally keep a cache.
-
-        The logits are a fresh array. The cache lives in the model's held
-        buffers, which the next forward pass that fits them overwrites."""
+        """Logits for a (B, seq_len, input_dim) batch; optionally keep a cache."""
         pv = self.params.values
         x, cls_vec, blocks_cache, c_lnf = self._trunk(x, need_cache)
         h1 = nnkit.linear(cls_vec, pv["head1.w"], pv["head1.b"])
@@ -288,88 +258,59 @@ class ActionModel:
 
     def cls_output(self, x: np.ndarray) -> np.ndarray:
         """(B, d_model) final-layer-norm CLS states of a (B, seq_len, input_dim) batch."""
-        return self._trunk(x)[1].copy()
+        return self._trunk(x)[1]
 
     def backward_batch(self, glogits: np.ndarray, cache) -> None:
-        """Accumulate parameter gradients from upstream logits gradient.
-
-        Every block's backward writes into one set of held buffers, named by
-        layer (``ff2``, ``ln1``, ...), since each block's gradients are read
-        only until the next block's replace them."""
+        """Accumulate parameter gradients from upstream logits gradient."""
         c = self.cfg
         pv = self.params.values
         acc = self.params.accumulate
         x, blocks_cache, c_lnf, cls_vec, c_gelu, h1g = cache
-        tokens = (len(x), c.seq_len + 1)
-        work = nnkit.within(self._held, "work")
-        grad_held = nnkit.within(self._held, "grad")
 
         # each step accumulates its layer's parameter gradients and returns the input gradient
-        def lin(name, g, inp, out=None):
-            site = nnkit.within(grad_held, name.rpartition(".")[2])
-            g, gw, gb = nnkit.linear_backward(g, inp, pv[name + ".w"], out=out, buffers=site)
+        def lin(name, g, inp):
+            g, gw, gb = nnkit.linear_backward(g, inp, pv[name + ".w"])
             acc(name + ".w", gw)
             acc(name + ".b", gb)
             return g
 
-        def norm(name, g, ln_cache, site):  # in place: every caller's g is its own buffer
-            g, gg, gb = nnkit.layer_norm_backward(g, ln_cache, out=g, buffers=nnkit.within(grad_held, site))
+        def norm(name, g, ln_cache):
+            g, gg, gb = nnkit.layer_norm_backward(g, ln_cache)
             acc(name + ".g", gg)
             acc(name + ".b", gb)
             return g
 
-        g = lin("head2", glogits, h1g)
-        g = norm("final_ln", lin("head1", nnkit.gelu_backward(g, c_gelu, out=g), cls_vec), c_lnf, "final_ln")
-        gh = nnkit.held(nnkit.within(self._held, "cls_padded"), "grad", (*tokens, c.d_model))
-        gh[:, 0, :] = g
+        g = nnkit.gelu_backward(lin("head2", glogits, h1g), c_gelu)
+        gh = np.zeros((len(x), c.seq_len + 1, c.d_model))
+        gh[:, 0, :] = norm("final_ln", lin("head1", g, cls_vec), c_lnf)
 
-        # the work buffers the forward pass left are free: "ff" holds the feed-forward
-        # gradients, "attn_out" the attention output's (gh2) and "tokens" the block input's (gh)
         for i in reversed(range(c.blocks)):
             p = f"block{i}."
             c_ln1, c_attn, a2, c_ln2, c_gelu, f1g = blocks_cache[i]
             # feed-forward residual; in the last block the GELU and LN2 steps see the CLS
             # rows alone, and the GEMMs' zero rows stay zero
-            rows = 1 if i == c.blocks - 1 else tokens[1]
-            g = lin(p + "ff2", gh, f1g, out=nnkit.held(work, "ff", (*tokens, c.ff_width)))
-            nnkit.gelu_backward(g[:, :rows], c_gelu, out=g[:, :rows])
-            gh2 = lin(p + "ff1", g, a2, out=nnkit.held(work, "attn_out", (*tokens, c.d_model)))
-            norm(p + "ln2", gh2[:, :rows], c_ln2, "ln" if rows > 1 else "ln_cls")
+            rows = 1 if i == c.blocks - 1 else None
+            g = lin(p + "ff2", gh, f1g)
+            g[:, :rows] = nnkit.gelu_backward(g[:, :rows], c_gelu)
+            gh2 = lin(p + "ff1", g, a2)
+            gh2[:, :rows] = norm(p + "ln2", gh2[:, :rows], c_ln2)
             gh2 += gh
             # attention residual
-            ga1, attn_grads = nnkit.multi_head_attention_backward(
-                gh2, c_attn, out=nnkit.held(work, "tokens", (*tokens, c.d_model)),
-                buffers=nnkit.within(grad_held, "attn"))
+            ga1, attn_grads = nnkit.multi_head_attention_backward(gh2, c_attn)
             for nm, arr in attn_grads.items():
                 acc(p + "attn." + nm, arr)
-            gh = norm(p + "ln1", ga1, c_ln1, "ln")
+            gh = norm(p + "ln1", ga1, c_ln1)
             gh += gh2
 
         acc("pos", gh.sum(axis=0))
         acc("cls", gh[:, 0, :].sum(axis=0, keepdims=True))
         # the input needs no gradient, so only the weight GEMM runs
-        gemb = nnkit.held(work, "emb", (len(x), c.seq_len, c.d_model))
-        gemb[...] = gh[:, 1:, :]
-        gemb = gemb.reshape(-1, c.d_model)
-        gw = nnkit.held(nnkit.within(grad_held, "embed"), "gw", (c.input_dim, c.d_model))
-        acc("embed.w", np.matmul(x.reshape(-1, c.input_dim).T, gemb, out=gw))
+        gemb = gh[:, 1:, :].reshape(-1, c.d_model)
+        acc("embed.w", x.reshape(-1, c.input_dim).T @ gemb)
         acc("embed.b", gemb.sum(axis=0, keepdims=True))
 
-    def release_buffers(self) -> None:
-        """Drop the held buffers; the next training step makes them again.
-
-        A training step's buffers are one mapping per call site (``nnkit.held``),
-        sized for the largest batch trained on since; any forward pass whose
-        batch fits them runs in them."""
-        self._held = {}
-        self._held_rows = 0
-
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        """Forward + cross-entropy + backward; grads accumulate into params.
-
-        The step runs in the model's held buffers, sized for the largest batch
-        it has trained on (a smaller batch uses their leading rows); the
-        returned logits are a fresh array."""
+        """Forward + cross-entropy + backward; grads accumulate into params."""
         logits, cache = self.forward_batch(x, need_cache=True)
         loss, probs = nnkit.cross_entropy(logits, labels)
         self.backward_batch(nnkit.cross_entropy_backward(probs, labels), cache)
@@ -377,12 +318,11 @@ class ActionModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Argmax class per sequence, over chunks of at most ``PREDICT_CHUNK``
-        sequences, or of the largest training batch once the model has held
-        buffers, so that each chunk runs in them. The chunks differ in size by
-        at most one, so none has one row unless ``x`` has: each row's logits
-        then keep their bytes whatever the chunking."""
+        sequences. The chunks differ in size by at most one, so none has one
+        row unless ``x`` has: each row's logits then keep their bytes whatever
+        the chunking."""
         out = []
-        n_chunks = -(-len(x) // (self._held_rows or PREDICT_CHUNK))
+        n_chunks = -(-len(x) // PREDICT_CHUNK)
         for chunk in np.array_split(x, n_chunks) if len(x) else ():
             # diverged weights overflow on the way; the check below reports it
             with np.errstate(over="ignore", invalid="ignore"):
@@ -421,17 +361,12 @@ class TrainResult:
     history: TrainHistory
 
 
-def _snapshot(params: nnkit.ParamSet, into: nnkit.ParamSet | None = None) -> nnkit.ParamSet:
-    """Copy of the values, AdamW moments and step, written into the tables of
-    ``into`` (an earlier snapshot of the same parameters) when given. It has no
-    gradient tables: a snapshot is only saved or used for prediction."""
-    snap = nnkit.ParamSet() if into is None else into
+def _snapshot(params: nnkit.ParamSet) -> nnkit.ParamSet:
+    """Copy of the values, AdamW moments and step. It has no gradient tables:
+    a snapshot is only saved or used for prediction."""
+    snap = nnkit.ParamSet()
     for dst, src in ((snap.values, params.values), (snap.m, params.m), (snap.v, params.v)):
-        for name, arr in src.items():
-            if name in dst:
-                np.copyto(dst[name], arr)
-            else:
-                dst[name] = arr.copy()
+        dst.update((name, arr.copy()) for name, arr in src.items())
     snap.step = params.step
     return snap
 
@@ -456,6 +391,11 @@ def train(
     To resume, pass an earlier call's ``model``, ``start_epoch`` and ``history``:
     epoch e behaves identically whether or not the run restarted. ``best`` is a
     snapshot at the call's last epoch that beat every earlier row, else None.
+
+    Every step makes fresh arrays of the sizes the last step freed, so the
+    call first sets the process's allocator policy
+    (``_kernels.keep_freed_memory``): the freed memory stays mapped and the
+    next step reuses it instead of faulting in zero-filled pages.
     """
     if not train_set or not val_set:
         raise EmptyDatasetError("train and validation sets must be non-empty")
@@ -463,6 +403,7 @@ def train(
         for _, label in labelled:
             if not (0 <= label < cfg.n_classes):
                 raise StructuralError(f"{name} label {label} outside [0, {cfg.n_classes})")
+    keep_freed_memory()
     model = model if model is not None else ActionModel(cfg)
     history = history if history is not None else TrainHistory()
     end_epoch = cfg.max_epochs if epochs is None else epochs
@@ -479,7 +420,7 @@ def train(
         correct = 0
         for bstart in range(0, n, cfg.batch_size):
             idx = order[bstart : bstart + cfg.batch_size]
-            xb = nnkit.held(nnkit.within(model._held, "batch"), "x", (len(idx), cfg.seq_len, cfg.input_dim))
+            xb = np.empty((len(idx), cfg.seq_len, cfg.input_dim))
             yb = np.empty(len(idx), dtype=np.intp)
             for row, i in enumerate(idx):
                 frames, label = train_set[i]
@@ -492,8 +433,7 @@ def train(
                     loss, logits = model.loss_and_grads(xb, yb)
                 if not np.isfinite(loss):
                     raise NumericFaultError("non-finite loss")
-                nnkit.adamw_step(model.params, lr, weight_decay=cfg.weight_decay,
-                                 buffers=nnkit.within(model._held, "adamw"))
+                nnkit.adamw_step(model.params, lr, weight_decay=cfg.weight_decay)
             except NumericFaultError as e:
                 raise NumericFaultError(
                     f"epoch {epoch}, batch {bstart // cfg.batch_size}: {e}"
@@ -502,11 +442,9 @@ def train(
             correct += int((logits.argmax(axis=1) == yb).sum())
         val_acc, _ = evaluate(model, x_val, y_val)
         if val_acc > history.best_val_acc:
-            best = _snapshot(model.params, into=best)
+            best = _snapshot(model.params)
         row = (epoch, loss_sum / n, correct / n, val_acc, lr)
         history.rows.append(row)
         if log is not None:
             log(row)
-    # the step buffers live for this call: a model outside training holds no step memory
-    model.release_buffers()
     return TrainResult(model=model, best=best, history=history)

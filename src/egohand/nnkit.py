@@ -4,22 +4,13 @@ Everything is float64. Layers broadcast over leading axes (attention takes
 (B, T, D) batches). Gradients are verified against central finite
 differences in the test suite; ``grad_check`` is the harness.
 
-Layers reuse their own temporaries (in-place operators) and, called without
-caller-owned buffers, never write into their arguments or into a cache they
-returned, so a caller may pass one array to several layers. Each rewrite
-keeps the operation order of the plain expression, so results are
-bit-identical to it.
-
-Caller-owned buffers: a layer may take ``out=``, the array its main result
-is written into (``layer_norm_backward`` and ``gelu_backward`` may be given
-their upstream gradient there, to work in place), and ``buffers=``, a dict
-its caller keeps for that one call site, in which ``held`` keeps one array
-per name for the layer's cached state and scratch. Both belong to the
-caller: what a layer writes there lives until the caller's next call with
-the same ``out`` or mapping, and a mapping's arrays live as long as the
-caller keeps the dict. A held array is made zero-filled for the largest
-batch seen; a smaller batch uses its leading rows. Without them every array
-a layer returns is fresh.
+Layers reuse their own temporaries (in-place operators) but never write
+into their arguments, and every array they return is fresh, so a caller
+may pass one array to several layers and keep what a layer returned. Each
+rewrite keeps the operation order of the plain expression, so results are
+bit-identical to it. The memory of freed temporaries is kept for the next
+step by the allocator policy that ``model.train`` sets
+(``_kernels.keep_freed_memory``).
 
 Checkpoint format (all little-endian): magic ``SHRP``, version u16 (=1),
 parameter count u32, then per tensor: name length u16, name bytes (utf-8),
@@ -52,68 +43,34 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW's moment decays and
 # --- layers -----------------------------------------------------------------
 
 
-def held(buffers: dict | None, name: str, shape: tuple) -> np.ndarray:
-    """The float64 array of ``shape`` a layer writes its result or scratch into.
-
-    Without ``buffers`` it is a fresh array. Otherwise ``buffers`` keeps one
-    array per name across calls: the leading rows of the one held under
-    ``name`` when it has ``shape[1:]`` and at least ``shape[0]`` rows, else a
-    zero-filled array of ``shape`` that is held in its place.
-    """
-    if buffers is None:
-        return np.empty(shape)
-    buf = buffers.get(name)
-    if buf is None or buf.shape[1:] != tuple(shape[1:]) or len(buf) < shape[0]:
-        buf = buffers[name] = np.zeros(shape)
-    return buf[: shape[0]]
-
-
-def within(buffers: dict | None, name: str) -> dict | None:
-    """The mapping ``buffers`` keeps under ``name`` for one call site, or None."""
-    return None if buffers is None else buffers.setdefault(name, {})
-
-
-def _rows(a: np.ndarray, width: int) -> np.ndarray:
-    """An output array as a (rows, width) view; raises instead of copying
-    (inputs may be reshaped into copies, outputs must be written in place)."""
-    return np.reshape(a, (-1, width), copy=False)
-
-
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     if x.shape[-1] != w.shape[0]:
         raise StructuralError(f"linear: x feature dim {x.shape[-1]} != w rows {w.shape[0]}")
-    y = np.empty((*x.shape[:-1], w.shape[1])) if out is None else out
     # flatten leading axes so BLAS sees one large GEMM instead of a stack
-    y2 = _rows(y, w.shape[1])
-    np.matmul(x.reshape(-1, w.shape[0]), w, out=y2)
-    y2 += b
-    return y
+    y = x.reshape(-1, w.shape[0]) @ w
+    y += b
+    return y.reshape(*x.shape[:-1], w.shape[1])
 
 
-def linear_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
-                    buffers: dict | None = None):
-    """Returns (dx, dw, db) for y = x @ w + b given upstream gradient g;
-    dx is ``out`` when given, dw and db come from ``buffers``."""
+def linear_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Returns (dx, dw, db) for y = x @ w + b given upstream gradient g."""
     d_in, d_out = w.shape
     g2 = g.reshape(-1, d_out)
-    gx = np.empty(x.shape) if out is None else out
-    np.matmul(g2, w.T, out=_rows(gx, d_in))
-    gw = np.matmul(x.reshape(-1, d_in).T, g2, out=held(buffers, "gw", w.shape))
-    gb = np.sum(g2, axis=0, keepdims=True, out=held(buffers, "gb", (1, d_out)))
+    gx = (g2 @ w.T).reshape(x.shape)
+    gw = x.reshape(-1, d_in).T @ g2
+    gb = g2.sum(axis=0, keepdims=True)
     return gx, gw, gb
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5,
-               buffers: dict | None = None):
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
     """Normalize the last axis with population variance, then scale-shift.
 
-    Returns (y, cache) where cache feeds layer_norm_backward; y, xhat and
-    inv come from ``buffers``.
+    Returns (y, cache) where cache feeds layer_norm_backward.
     """
     mu = x.mean(axis=-1, keepdims=True)
-    xhat = np.subtract(x, mu, out=held(buffers, "xhat", x.shape))
-    y = np.multiply(xhat, xhat, out=held(buffers, "y", x.shape))
-    inv = np.mean(y, axis=-1, keepdims=True, out=held(buffers, "inv", (*x.shape[:-1], 1)))
+    xhat = x - mu
+    y = xhat * xhat
+    inv = y.mean(axis=-1, keepdims=True)
     inv += eps
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -123,16 +80,14 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
     return y, (xhat, inv, gamma)
 
 
-def layer_norm_backward(g: np.ndarray, cache, out: np.ndarray | None = None,
-                        buffers: dict | None = None):
-    """Returns (dx, dgamma, dbeta); dx is ``out`` when given, which may be
-    ``g`` itself."""
+def layer_norm_backward(g: np.ndarray, cache):
+    """Returns (dx, dgamma, dbeta)."""
     xhat, inv, gamma = cache
     lead = tuple(range(g.ndim - 1))
-    t = np.multiply(g, xhat, out=held(buffers, "t", g.shape))
+    t = g * xhat
     ggamma = t.sum(axis=lead).reshape(1, -1)
     gbeta = g.sum(axis=lead).reshape(1, -1)
-    gx = np.multiply(g, gamma, out=out)
+    gx = g * gamma
     np.multiply(gx, xhat, out=t)
     m2 = t.mean(axis=-1, keepdims=True)
     gx -= gx.mean(axis=-1, keepdims=True)
@@ -142,37 +97,41 @@ def layer_norm_backward(g: np.ndarray, cache, out: np.ndarray | None = None,
     return gx, ggamma, gbeta
 
 
-def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row softmax along the last axis, computed with max subtraction.
-    ``out`` may be ``x`` itself."""
-    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+def _softmax_in_place(e: np.ndarray) -> np.ndarray:
+    """Row softmax along the last axis of ``e``, with max subtraction, written over ``e``."""
+    e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def softmax_backward(g: np.ndarray, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    t = np.multiply(g, p, out=out)
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row softmax along the last axis, computed with max subtraction."""
+    return _softmax_in_place(x.copy())
+
+
+def softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    t = g * p
     np.subtract(g, t.sum(axis=-1, keepdims=True), out=t)
     t *= p
     return t
 
 
-def gelu(x: np.ndarray, need_cache: bool = False, buffers: dict | None = None):
+def gelu(x: np.ndarray, need_cache: bool = False):
     """Exact Gaussian-error linear unit x * Phi(x).
 
     Returns (y, cache). With ``need_cache`` the cache is the derivative
     Phi(x) + x * phi(x), built from the forward's ``1 + erf(x / sqrt 2)``,
     which is all ``gelu_backward`` needs; otherwise it is None.
     """
-    s = np.divide(x, _SQRT2, out=held(buffers, "s", x.shape))
+    s = x / _SQRT2
     erf(s, out=s)
     s += 1.0
-    y = np.multiply(x, 0.5, out=held(buffers, "y", x.shape))
+    y = x * 0.5
     y *= s
     if not need_cache:
         return y, None
-    phi = np.multiply(x, -0.5, out=held(buffers, "phi", x.shape))
+    phi = x * -0.5
     phi *= x
     np.exp(phi, out=phi)
     phi *= _INV_SQRT_2PI
@@ -182,13 +141,11 @@ def gelu(x: np.ndarray, need_cache: bool = False, buffers: dict | None = None):
     return y, s
 
 
-def gelu_backward(g: np.ndarray, cache: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``out`` may be ``g`` itself."""
-    return np.multiply(g, cache, out=out)
+def gelu_backward(g: np.ndarray, cache: np.ndarray) -> np.ndarray:
+    return g * cache
 
 
-def multi_head_attention(x: np.ndarray, p: dict, heads: int, rows: int | None = None,
-                         out: np.ndarray | None = None, buffers: dict | None = None):
+def multi_head_attention(x: np.ndarray, p: dict, heads: int, rows: int | None = None):
     """Scaled dot-product self-attention over tokens.
 
     ``x`` is (B, T, D); ``p`` maps wq,bq,wk,wv,bv,wo,bo to arrays.
@@ -199,8 +156,7 @@ def multi_head_attention(x: np.ndarray, p: dict, heads: int, rows: int | None = 
     separate GEMMs. With ``rows`` only the first ``rows`` tokens are
     projected to the output, y being (B, rows, D); every token is still
     attended to, and the backward takes a (B, T, D) gradient, zero on the rows
-    left out. Returns (y, cache); y is ``out`` when given, the cached arrays
-    come from ``buffers``.
+    left out. Returns (y, cache).
     """
     b, t, d = x.shape
     if d % heads != 0:
@@ -208,28 +164,23 @@ def multi_head_attention(x: np.ndarray, p: dict, heads: int, rows: int | None = 
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
 
-    w = np.concatenate((p["wq"], p["wk"], p["wv"]), axis=1, out=held(buffers, "wqkv", (d, 3 * d)))
-    qkv = held(buffers, "qkv", (b, t, 3 * d))
-    qkv2 = _rows(qkv, 3 * d)
-    np.matmul(x.reshape(-1, d), w, out=qkv2)
-    qkv2[:, :d] += p["bq"]
-    qkv2[:, 2 * d :] += p["bv"]
+    qkv = x.reshape(-1, d) @ np.concatenate((p["wq"], p["wk"], p["wv"]), axis=1)
+    qkv[:, :d] += p["bq"]
+    qkv[:, 2 * d :] += p["bv"]
     # (B, heads, T, dh) views of the q, k and v columns
     q, k, v = qkv.reshape(b, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2), out=held(buffers, "attn", (b, heads, t, t)))
+    scores = q @ k.transpose(0, 1, 3, 2)
     scores *= scale
-    attn = softmax_rows(scores, out=scores)
+    attn = _softmax_in_place(scores)
     # each head's context lands in its columns of the merged (B, T, D) rows
-    merged = held(buffers, "merged", (b, t, d))
+    merged = np.empty((b, t, d))
     np.matmul(attn, v, out=merged.reshape(b, t, heads, dh).transpose(0, 2, 1, 3))
-    y = linear(merged[:, :rows], p["wo"], p["bo"], out=out)
+    y = linear(merged[:, :rows], p["wo"], p["bo"])
     return y, (x, q, k, v, attn, merged, p, heads, scale)
 
 
-def multi_head_attention_backward(g: np.ndarray, cache, out: np.ndarray | None = None,
-                                  buffers: dict | None = None):
-    """Returns (dx, dparams) matching multi_head_attention's inputs; dx is
-    ``out`` when given, the rest come from ``buffers``.
+def multi_head_attention_backward(g: np.ndarray, cache):
+    """Returns (dx, dparams) matching multi_head_attention's inputs.
 
     The q, k and v weight gradients come from one ``x.T @ [gq|gk|gv]`` GEMM;
     the input gradient sums three GEMMs, q then v then k."""
@@ -237,33 +188,29 @@ def multi_head_attention_backward(g: np.ndarray, cache, out: np.ndarray | None =
     b, t, d = x.shape
     dh = d // heads
 
-    gmerged, gwo, gbo = linear_backward(g, merged, p["wo"], out=held(buffers, "gmerged", x.shape),
-                                        buffers=within(buffers, "wo"))
+    gmerged, gwo, gbo = linear_backward(g, merged, p["wo"])
     gctx = gmerged.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
-    gattn = np.matmul(gctx, v.transpose(0, 1, 3, 2), out=held(buffers, "gattn", (b, heads, t, t)))
-    gqkv = held(buffers, "gqkv", (b, t, 3 * d))
-    gq, gk, gv = gqkv.reshape(b, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    gattn = gctx @ v.transpose(0, 1, 3, 2)
+    g2 = np.empty((b * t, 3 * d))
+    gq, gk, gv = g2.reshape(b, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)
     np.matmul(attn.transpose(0, 1, 3, 2), gctx, out=gv)
-    gscores = softmax_backward(gattn, attn, out=held(buffers, "gscores", (b, heads, t, t)))
+    gscores = softmax_backward(gattn, attn)
     gscores *= scale
     np.matmul(gscores, k, out=gq)
     np.matmul(gscores.transpose(0, 1, 3, 2), q, out=gk)
 
-    g2 = _rows(gqkv, 3 * d)
-    gw = np.matmul(x.reshape(-1, d).T, g2, out=held(buffers, "gw", (d, 3 * d)))
-    gb = np.sum(g2, axis=0, keepdims=True, out=held(buffers, "gb", (1, 3 * d)))
+    gw = x.reshape(-1, d).T @ g2
+    gb = g2.sum(axis=0, keepdims=True)
     cols = {"q": slice(0, d), "k": slice(d, 2 * d), "v": slice(2 * d, 3 * d)}
-    gx = np.empty(x.shape) if out is None else out
-    gi = gmerged  # read for the last time above
+    gx = g2[:, cols["q"]] @ p["wq"].T
+    gx += g2[:, cols["v"]] @ p["wv"].T
+    gx += g2[:, cols["k"]] @ p["wk"].T
     grads = {"wo": gwo, "bo": gbo}
     for name in ("q", "v", "k"):
-        np.matmul(g2[:, cols[name]], p["w" + name].T, out=_rows(gx if name == "q" else gi, d))
-        if name != "q":
-            gx += gi
         grads["w" + name] = gw[:, cols[name]]
         if name != "k":  # the key projection has no bias
             grads["b" + name] = gb[:, cols[name]]
-    return gx, grads
+    return gx.reshape(x.shape), grads
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -324,10 +271,8 @@ class ParamSet:
         self.grads[name] += grad.reshape(self.grads[name].shape)
 
 
-def adamw_step(params: ParamSet, lr: float, weight_decay: float = 0.0,
-               buffers: dict | None = None) -> None:
-    """Decoupled weight decay followed by a bias-corrected Adam update; its
-    two scratch vectors come from ``buffers``."""
+def adamw_step(params: ParamSet, lr: float, weight_decay: float = 0.0) -> None:
+    """Decoupled weight decay followed by a bias-corrected Adam update."""
     for name, g in params.grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericFaultError(f"non-finite gradient in {name!r}")
@@ -337,7 +282,7 @@ def adamw_step(params: ParamSet, lr: float, weight_decay: float = 0.0,
     c2 = 1.0 - ADAM_BETA2**t
     # two scratch buffers serve every tensor, which stays in cache while updated
     size = max((p.size for p in params.values.values()), default=0)
-    scratch_a, scratch_b = held(buffers, "a", (size,)), held(buffers, "b", (size,))
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in params.values.items():
         g = params.grads[name]
         p *= 1.0 - lr * weight_decay

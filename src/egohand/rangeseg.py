@@ -182,16 +182,12 @@ def apply_mask(frame: np.ndarray, mask: SegMask, fill=(0, 0, 0)) -> np.ndarray:
     return out
 
 
-def desharpen_mask(mask: SegMask, radius: int, out: np.ndarray | None = None,
-                   work: np.ndarray | None = None) -> SegMask:
+def desharpen_mask(mask: SegMask, radius: int) -> SegMask:
     """Box-blur a mask with a (2r+1)-wide window, renormalized at borders.
 
     The output is soft; every pixel equals the mean of the input over the
     intersection of its window with the image, so a constant mask blurs to
-    itself. ``out`` and ``work`` follow ``_kernels.box_blur``: given, the
-    blur is written into ``out`` (which the returned mask then holds) with
-    ``work`` as its scratch map; a caller blurring many same-shaped masks
-    can hold one pair instead of allocating two maps per call.
+    itself.
     """
     if radius < 1:
         raise RangeError(f"blur radius must be >= 1, got {radius}")
@@ -199,7 +195,7 @@ def desharpen_mask(mask: SegMask, radius: int, out: np.ndarray | None = None,
         raise RangeError(
             f"blur radius {radius} must be smaller than min(width, height) = {min(mask.values.shape)}"
         )
-    blurred = _kernels.box_blur(mask.values, radius, out=out, work=work)
+    blurred = _kernels.box_blur(mask.values, radius)
     # guard float round-off at the [0,1] boundary
     return SegMask(np.clip(blurred, 0.0, 1.0, out=blurred))
 

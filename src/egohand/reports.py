@@ -20,8 +20,16 @@ def fmt(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
+    """The header and rows as comma-separated lines, fields unquoted.
+
+    A text field holding a comma, CR or LF would split its row on reading, so
+    it raises FormatError before the file is opened.
+    """
+    lines = []
+    for row in (header, *rows):
+        for v in row:
+            if isinstance(v, str) and any(c in v for c in ",\r\n"):
+                raise FormatError(f"{path}: CSV field {v!r} holds a comma or a line break")
         lines.append(",".join(fmt(v) for v in row))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

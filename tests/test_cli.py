@@ -514,6 +514,21 @@ class TestSegment:
         assert m.values.min() >= 0.0 and m.values.max() <= 1.0
         assert np.any((m.values > 0) & (m.values < 1))
 
+    @pytest.mark.parametrize("stem", ["a,b", "a\nb", "a\rb"])
+    def test_frame_name_that_would_split_a_csv_row_exits_3(self, stem, tree, tmp_path, capsys):
+        # mask_stats.csv writes the stem unquoted; its maps and frame were written first
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        src = sorted((tree / "scenes").glob("*.gtmask.dmap"))[0].name[: -len(".gtmask.dmap")]
+        for ext in (".dmap", ".ppm"):
+            (scenes / (stem + ext)).write_bytes((tree / "scenes" / (src + ext)).read_bytes())
+        out = tmp_path / "seg"
+        argv = ["segment", "--depth", str(scenes), "--frames", str(scenes), "--t", "0.475", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("format/config error: ") and err.count("\n") == 1 and repr(stem) in err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_csv_and_svg(self, tree, tmp_path):
@@ -537,6 +552,16 @@ class TestSweep:
         assert main([*argv, "--out", str(tmp_path / "b.csv"), "--svg", str(chart)]) == 0
         assert chart.read_bytes() == (tmp_path / "a.svg").read_bytes()
         assert not (tmp_path / "b.svg").exists()
+
+    @pytest.mark.parametrize("flags", [["--out", "r.svg"], ["--out", "r.csv", "--svg", "{tmp}/./r.csv"]])
+    def test_chart_over_the_csv_exits_4_and_writes_nothing(self, flags, tree, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        flags = [f.format(tmp=tmp_path) for f in flags]
+        argv = ["sweep-threshold", "--data", str(tree), "--t-list", "0.35,0.47", "--scenes", "4", *flags]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: the chart ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_single_element_list(self, tree, tmp_path):
         out = tmp_path / "one.csv"

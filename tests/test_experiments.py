@@ -171,7 +171,7 @@ def test_bad_threshold_rejected_before_any_mask(scenes, monkeypatch):
 
 
 def test_desharpen_ablation_across_map_shapes():
-    """Scenes of differing map shapes each get a blur pair of their own shape."""
+    """Scenes of differing map shapes each blur at their own shape."""
     bank = make_eval_scenes(SWEEP_PARAMS, seed=13, n_scenes=5)
 
     def subsampled(sc):
@@ -182,6 +182,17 @@ def test_desharpen_ablation_across_map_shapes():
     mixed = [bank[0], subsampled(bank[1]), subsampled(bank[2]), bank[3], bank[4]]
     assert repr(ablation_desharpen(SWEEP_PARAMS, 2, [0, 9], mixed)) == repr(
         _ablation_desharpen_by_hand(SWEEP_PARAMS, 2, [0, 9], mixed))
+
+
+def test_repeated_desharpen_ablation_faults_in_no_fresh_pages(fresh_process_faults):
+    # each scene's two 2 MiB blur maps reuse the pages the last scene freed, also across calls
+    faults = fresh_process_faults("""
+        from egohand.experiments import ablation_desharpen, make_eval_scenes
+        from egohand.synth import SynthParams
+        params = SynthParams()
+        scenes = make_eval_scenes(params, seed=7, n_scenes=8)
+    """, ["ablation_desharpen(params, 2, [0], scenes)"] * 2)
+    assert faults[1] < 200, faults
 
 
 def test_desharpen_ablation_of_no_scenes_is_empty_dataset():

@@ -160,9 +160,9 @@ class TestClsRowInference:
         shapes = []
         gelu = nnkit.gelu
 
-        def probe(x, need_cache=False, **buffers):
+        def probe(x, need_cache=False):
             shapes.append(x.shape)
-            return gelu(x, need_cache, **buffers)
+            return gelu(x, need_cache)
 
         monkeypatch.setattr(nnkit, "gelu", probe)
         m = ActionModel(TINY)
@@ -177,8 +177,8 @@ class TestClsRowInference:
 
 def _full_row_step(m: ActionModel, x: np.ndarray, labels: np.ndarray):
     """(loss, logits, gradients) of one training step with every block run over
-    all seq_len + 1 rows in fresh arrays, as loss_and_grads did before the last
-    block's feed-forward half kept only the CLS row and the step held its buffers."""
+    all seq_len + 1 rows, as loss_and_grads did before the last block's
+    feed-forward half kept only the CLS row."""
     c, pv = m.cfg, m.params.values
     grads = {name: np.zeros_like(v) for name, v in pv.items()}
 
@@ -239,8 +239,8 @@ def _full_row_step(m: ActionModel, x: np.ndarray, labels: np.ndarray):
 
 
 class TestClsRowTraining:
-    """A training step computes the rows the loss reads, in held buffers, with the
-    bytes of the full-row step."""
+    """A training step computes the rows the loss reads, with the bytes of the
+    full-row step."""
 
     def _step(self, m, b, seed=None):
         x = np.random.default_rng(b if seed is None else seed).normal(0, 30, (b, SEQ_LEN, FRAME_DIM))
@@ -252,7 +252,7 @@ class TestClsRowTraining:
     def test_bytes_match_full_rows(self):
         m = ActionModel(ActionModelConfig(seed=3))
         scale_weights(m, 5.0)
-        # larger, smaller, then larger again: smaller batches run in leading rows of the held buffers
+        # larger, smaller, then larger again
         for b in (2, 3, 16, 64, 65, 3, 16, 64):
             (loss, logits, grads), (loss_ref, logits_ref, grads_ref) = self._step(m, b)
             assert loss == loss_ref, b
@@ -270,19 +270,6 @@ class TestClsRowTraining:
         for got, want in ((logits, logits_ref), *((grads[n], grads_ref[n]) for n in grads)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_steps_at_seen_shapes_allocate_no_buffers(self):
-        m = ActionModel(TINY)
-
-        def held_arrays(d):
-            return [a for v in d.values() for a in (held_arrays(v) if isinstance(v, dict) else [v])]
-
-        for b in (8, 3):
-            self._step(m, b)
-        held = {id(a): a for a in held_arrays(m._held)}
-        for b in (8, 3, 8):
-            self._step(m, b, seed=b + 1)
-            assert {id(a) for a in held_arrays(m._held)} == set(held)
-
     def test_returned_logits_are_fresh(self):
         m = ActionModel(TINY)
         (_, first, _), _ = self._step(m, 4)
@@ -290,11 +277,21 @@ class TestClsRowTraining:
         self._step(m, 4, seed=9)
         assert first.tobytes() == kept.tobytes()
 
-    def test_train_releases_its_buffers(self):
-        data = _raw_set(np.random.default_rng(12), TINY)
-        m = ActionModel(TINY)
-        train(data, data, TINY, model=m, epochs=1)
-        assert m._held == {}
+
+def test_per_epoch_train_calls_fault_in_no_fresh_pages(fresh_process_faults):
+    # each step's fresh arrays reuse the pages the last step freed, also across train calls
+    faults = fresh_process_faults("""
+        from egohand.model import ActionModel, ActionModelConfig, TrainHistory, train
+        from egohand.sequence import encode_frames
+        from egohand.synth import SynthParams, generate_dataset
+        sets = {"train": [], "val": [], "test": []}
+        for seq in generate_dataset(SynthParams(), classes=36, per_class=6, master_seed=3).sequences:
+            sets[seq.split].append((encode_frames(seq), seq.action_label))
+        cfg = ActionModelConfig(seed=1, max_epochs=4)
+        m, history = ActionModel(cfg), TrainHistory()
+    """, [f"train(sets['train'], sets['val'], cfg, model=m, start_epoch={e}, epochs={e + 1}, history=history)"
+          for e in range(4)])
+    assert max(faults[1:]) < 1000, faults
 
 
 def scale_weights(m: ActionModel, factor: float) -> None:

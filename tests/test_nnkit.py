@@ -231,56 +231,16 @@ def test_fused_qkv_bytes_match_three_gemms(b):
     rng = np.random.default_rng(b)
     p = TestAttention()._params(rng, 128)
     x, g = rng.normal(size=(b, 21, 128)), rng.normal(size=(b, 21, 128))
-    y, cache = nnkit.multi_head_attention(x, p, 4, buffers={})
+    y, cache = nnkit.multi_head_attention(x, p, 4)
     y_ref, cache_ref = _ref_attention_stacked_keys(x, p, 4)
     assert y.tobytes() == y_ref.tobytes()
     for got, want in zip(cache[1:4], cache_ref[1:4]):  # q, k, v
         assert got.tobytes() == want.tobytes()
-    gx, grads = nnkit.multi_head_attention_backward(g, cache, buffers={})
+    gx, grads = nnkit.multi_head_attention_backward(g, cache)
     gx_ref, grads_ref = _ref_attention_backward(g, cache_ref)
     assert gx.tobytes() == gx_ref.tobytes()
     for name in ("wq", "bq", "wk", "wv", "bv"):
         assert grads[name].tobytes() == grads_ref[name].tobytes(), name
-
-
-class TestHeldBuffers:
-    """Layers given a buffer mapping write into arrays it keeps across calls."""
-
-    def test_leading_rows_then_growth(self):
-        buffers = {}
-        big = nnkit.held(buffers, "y", (8, 3, 4))
-        assert big.shape == (8, 3, 4) and not big.any()
-        small = nnkit.held(buffers, "y", (5, 3, 4))
-        assert small.shape == (5, 3, 4) and np.shares_memory(small, buffers["y"])
-        grown = nnkit.held(buffers, "y", (9, 3, 4))
-        assert grown.base is buffers["y"] or grown is buffers["y"]
-        assert buffers["y"].shape == (9, 3, 4) and not np.shares_memory(grown, big)
-        assert nnkit.held(None, "y", (2, 3)).shape == (2, 3)
-
-    def test_layers_reuse_their_buffers(self):
-        rng = np.random.default_rng(6)
-        x, gamma, beta = rng.normal(size=(4, 5, 8)), rng.normal(size=(1, 8)), rng.normal(size=(1, 8))
-        buffers = {}
-        y1, cache1 = nnkit.layer_norm(x, gamma, beta, buffers=buffers)
-        y2, cache2 = nnkit.layer_norm(x[:2], gamma, beta, buffers=buffers)
-        assert np.shares_memory(y1, y2) and np.shares_memory(cache1[0], cache2[0])
-        assert np.array_equal(y2, nnkit.layer_norm(x[:2], gamma, beta)[0])
-        out = np.empty((4, 5, 3))
-        assert nnkit.linear(x, rng.normal(size=(8, 3)), np.zeros((1, 3)), out=out) is out
-
-    def test_in_place_backwards_keep_their_bytes(self):
-        rng = np.random.default_rng(7)
-        x, g, d = rng.normal(size=(3, 5, 8)), rng.normal(size=(3, 5, 8)), rng.normal(size=(3, 5, 8))
-        _, cache = nnkit.layer_norm(x, rng.normal(size=(1, 8)), rng.normal(size=(1, 8)))
-        want = nnkit.layer_norm_backward(g, cache)
-        got = nnkit.layer_norm_backward(g.copy(), cache)  # a copy the call may overwrite
-        g_in = g.copy()
-        got_in = nnkit.layer_norm_backward(g_in, cache, out=g_in)
-        assert got_in[0] is g_in
-        for a, b, c in zip(want, got, got_in):
-            assert a.tobytes() == b.tobytes() == c.tobytes()
-        g_in = g.copy()
-        assert nnkit.gelu_backward(g_in, d, out=g_in).tobytes() == nnkit.gelu_backward(g, d).tobytes()
 
 
 class TestCrossEntropy:
