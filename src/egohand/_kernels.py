@@ -1,39 +1,11 @@
-"""Hot per-pixel kernels, vectorized with numpy, and the allocator policy of
-the loops that make and free arrays of one size per step.
+"""Hot per-pixel kernels, vectorized with numpy.
 
 ``tests/test_rangeseg.py`` checks each kernel against a plain-loop reference.
 """
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
-
-# glibc's mallopt parameter numbers
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def keep_freed_memory() -> None:
-    """Keep freed memory in the process for the next array of its size.
-
-    A training step or a per-scene blur makes and frees arrays of the same
-    sizes again and again. By default glibc unmaps a large freed block and
-    trims free heap back to the kernel, which then zero-fills the next such
-    array a page at a time (a minor fault per 4 KiB). This sets, through
-    ``mallopt``, blocks up to 32 MiB to come from the heap and up to 256 MiB
-    of free heap to stay mapped, for the rest of the process.
-    ``model.train`` and ``experiments.ablation_desharpen`` call it first. Off
-    glibc, where the C library has no ``mallopt``, it does nothing: results
-    keep their bytes, only the faults differ.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
 def _window_means(c: np.ndarray, radius: int, out: np.ndarray) -> None:

@@ -221,8 +221,10 @@ def cmd_segment(args) -> tuple:
 
 def cmd_sweep_threshold(args) -> tuple:
     svg_path = args.svg or (os.path.splitext(args.out)[0] + ".svg")
-    if os.path.realpath(svg_path) == os.path.realpath(args.out):
-        raise UsageError(f"the chart {svg_path} would overwrite the --out CSV {args.out}: give --svg another path")
+    report_path = args.out + ".report.json"
+    for path, what in ((args.out, "the --out CSV"), (report_path, "the run report")):
+        if os.path.realpath(svg_path) == os.path.realpath(path):
+            raise UsageError(f"the chart {svg_path} would overwrite {what} {path}: give --svg another path")
     t_list = _float_list(args.t_list)
     master_seed, params = synth.read_fixture_params(args.data)
     stage_s, timed = _stage_timer(("scenes", "sweep", "write"))
@@ -243,7 +245,7 @@ def cmd_sweep_threshold(args) -> tuple:
     print(f"sweep ({args.mode}): best t = {best[0]:g} with MPJPE both = {best[3]:.3f} mm")
     config = {"t_list": t_list, "mode": args.mode, "scenes": args.scenes,
               "data": os.path.abspath(args.data), "params": dataclasses.asdict(params)}
-    return args.out + ".report.json", config, args.seed, {"rows": [list(r) for r in rows]}, {"stage_s": stage_s}
+    return report_path, config, args.seed, {"rows": [list(r) for r in rows]}, {"stage_s": stage_s}
 
 
 def cmd_lift(args) -> None:

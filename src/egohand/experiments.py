@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._kernels import keep_freed_memory
 from .errors import RangeError
 from .geometry import HandPose, mpjpe_report
 from .rangeseg import DepthMap, SegMask, desharpen_mask, normalize_depth, range_mask
@@ -107,14 +106,7 @@ def ablation_masking(params: SynthParams, seeds, scenes: list[EvalScene]):
 
 
 def ablation_desharpen(params: SynthParams, radius: int, seeds, scenes: list[EvalScene]):
-    """Paired per-seed MPJPE(both): sharp band-midpoint mask vs its blur.
-
-    Each scene's blur makes two fresh maps the size of the scene, freed when
-    the scene is scored; the allocator policy set first
-    (``_kernels.keep_freed_memory``) keeps their memory for the next scene
-    instead of returning it to the kernel and faulting it in again.
-    """
-    keep_freed_memory()
+    """Paired per-seed MPJPE(both): sharp band-midpoint mask vs its blur."""
     sharp, blurred = [], []
     for scene in scenes:
         mask = range_mask(scene.norm, params.band_midpoint)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nnkit
-from ._kernels import keep_freed_memory
 from .errors import (
     CheckpointMismatchError,
     ConfigError,
@@ -391,11 +390,6 @@ def train(
     To resume, pass an earlier call's ``model``, ``start_epoch`` and ``history``:
     epoch e behaves identically whether or not the run restarted. ``best`` is a
     snapshot at the call's last epoch that beat every earlier row, else None.
-
-    Every step makes fresh arrays of the sizes the last step freed, so the
-    call first sets the process's allocator policy
-    (``_kernels.keep_freed_memory``): the freed memory stays mapped and the
-    next step reuses it instead of faulting in zero-filled pages.
     """
     if not train_set or not val_set:
         raise EmptyDatasetError("train and validation sets must be non-empty")
@@ -403,7 +397,6 @@ def train(
         for _, label in labelled:
             if not (0 <= label < cfg.n_classes):
                 raise StructuralError(f"{name} label {label} outside [0, {cfg.n_classes})")
-    keep_freed_memory()
     model = model if model is not None else ActionModel(cfg)
     history = history if history is not None else TrainHistory()
     end_epoch = cfg.max_epochs if epochs is None else epochs

@@ -9,8 +9,7 @@ into their arguments, and every array they return is fresh, so a caller
 may pass one array to several layers and keep what a layer returned. Each
 rewrite keeps the operation order of the plain expression, so results are
 bit-identical to it. The memory of freed temporaries is kept for the next
-step by the allocator policy that ``model.train`` sets
-(``_kernels.keep_freed_memory``).
+step by the allocator policy the package sets when it loads.
 
 Checkpoint format (all little-endian): magic ``SHRP``, version u16 (=1),
 parameter count u32, then per tensor: name length u16, name bytes (utf-8),
@@ -280,31 +279,14 @@ def adamw_step(params: ParamSet, lr: float, weight_decay: float = 0.0) -> None:
     t = params.step
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    # two scratch buffers serve every tensor, which stays in cache while updated
-    size = max((p.size for p in params.values.values()), default=0)
-    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in params.values.items():
-        g = params.grads[name]
+        g, m, v = params.grads[name], params.m[name], params.v[name]
         p *= 1.0 - lr * weight_decay
-        m = params.m[name]
-        v = params.v[name]
-        a = scratch_a[: p.size].reshape(p.shape)
-        b = scratch_b[: p.size].reshape(p.shape)
         m *= ADAM_BETA1
-        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-        m += a
+        m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
-        np.multiply(g, g, out=b)
-        b *= 1.0 - ADAM_BETA2
-        v += b
-        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
-        np.divide(m, c1, out=a)
-        a *= lr
-        np.divide(v, c2, out=b)
-        np.sqrt(b, out=b)
-        b += ADAM_EPS
-        a /= b
-        p -= a
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def lr_at(epoch: int, base: float, start: int, every: int, factor: float) -> float:

@@ -9,6 +9,10 @@ import pytest
 
 import egohand
 
+# interpreters the tests start (``python -m egohand``, ``python -c``) find the package being tested
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(egohand.__file__)), os.environ.get("PYTHONPATH")]))
+
 
 def _has_mallopt() -> bool:
     try:
@@ -35,9 +39,7 @@ def fresh_process_faults():
             lines += ["before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt", call,
                       "faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"]
         lines.append("print(faults)")
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(egohand.__file__))}
-        proc = subprocess.run([sys.executable, "-c", "\n".join(lines)], capture_output=True, text=True,
-                              env=env, check=True)
+        proc = subprocess.run([sys.executable, "-c", "\n".join(lines)], capture_output=True, text=True, check=True)
         return json.loads(proc.stdout.splitlines()[-1])
 
     return run

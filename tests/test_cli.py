@@ -514,6 +514,17 @@ class TestSegment:
         assert m.values.min() >= 0.0 and m.values.max() <= 1.0
         assert np.any((m.values > 0) & (m.values < 1))
 
+    def test_repeated_desharpened_segment_faults_in_no_fresh_pages(self, tmp_path, fresh_process_faults):
+        # each frame's maps and blur reuse the pages the last frame freed, also across calls
+        data, seg = tmp_path / "data", tmp_path / "seg"
+        faults = fresh_process_faults(f"""
+            from egohand.cli import main
+            main(["synth", "--classes", "1", "--per-class", "3", "--scene-frames", "8", "--out", {str(data)!r}])
+            argv = ["segment", "--depth", {str(data / "scenes")!r}, "--frames", {str(data / "scenes")!r},
+                    "--t", "0.475", "--desharpen", "2", "--out"]
+        """, [f"main(argv + [{str(seg) + str(i)!r}])" for i in range(3)])
+        assert max(faults[1:]) < 1000, faults
+
     @pytest.mark.parametrize("stem", ["a,b", "a\nb", "a\rb"])
     def test_frame_name_that_would_split_a_csv_row_exits_3(self, stem, tree, tmp_path, capsys):
         # mask_stats.csv writes the stem unquoted; its maps and frame were written first
@@ -553,7 +564,9 @@ class TestSweep:
         assert chart.read_bytes() == (tmp_path / "a.svg").read_bytes()
         assert not (tmp_path / "b.svg").exists()
 
-    @pytest.mark.parametrize("flags", [["--out", "r.svg"], ["--out", "r.csv", "--svg", "{tmp}/./r.csv"]])
+    @pytest.mark.parametrize("flags", [["--out", "r.svg"], ["--out", "r.csv", "--svg", "{tmp}/./r.csv"],
+                                       pytest.param(["--out", "r.csv", "--svg", "r.csv.report.json"],
+                                                    id="over-the-run-report")])
     def test_chart_over_the_csv_exits_4_and_writes_nothing(self, flags, tree, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         flags = [f.format(tmp=tmp_path) for f in flags]
