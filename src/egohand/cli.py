@@ -16,7 +16,9 @@ the checkpoint's sibling config.snapshot.cfg), each --set in order, then
 train's --seed and --epochs. A later line naming a key wins, and the config is
 validated once, after the last line. train creates --out only after training
 succeeds, so a run that fails in setup or training leaves none; an --out that
-is, or lies under, an existing non-directory exits 2 before the dataset is read.
+is, or lies under, an existing non-directory exits 2 before the dataset is read,
+and so does such an encode --csv-dir. A sweep-threshold CSV or chart path whose
+directory does not exist exits 2 before the sweep.
 """
 
 from __future__ import annotations
@@ -159,6 +161,15 @@ def _depth_files(path: str, metric: bool) -> list[tuple[str, str]]:
     raise FileNotFoundError(f"no .dmap files under {path}")
 
 
+def _check_dir_path(flag: str, path: str) -> None:
+    """NotADirectoryError unless the first of ``path`` and its parents that exists is a directory."""
+    existing = os.path.abspath(path)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise NotADirectoryError(f"{flag} {path}: {existing} is not a directory")
+
+
 def _stage_timer(stages):
     """(stage_s, timed): ``timed(stage, fn, *fn_args)`` calls ``fn`` and adds
     its seconds to ``stage_s[stage]``; each stage starts at 0.0."""
@@ -203,7 +214,7 @@ def cmd_segment(args) -> tuple:
             save(save_mask, stem + ".mask.dmap", mask)
             kept_fraction, kept_pixels = mask_stats(mask)
             stats_rows.append((stem, kept_fraction, kept_pixels))
-        save(reports.write_csv, "mask_stats.csv", ["frame", "kept_fraction", "kept_pixels"], stats_rows)
+        save(reports.write_csv, "mask_stats.csv", [("frame", "kept_fraction", "kept_pixels"), *stats_rows])
     except BaseException:
         for path in written:
             with contextlib.suppress(FileNotFoundError):
@@ -225,12 +236,15 @@ def cmd_sweep_threshold(args) -> tuple:
     for path, what in ((args.out, "the --out CSV"), (report_path, "the run report")):
         if os.path.realpath(svg_path) == os.path.realpath(path):
             raise UsageError(f"the chart {svg_path} would overwrite {what} {path}: give --svg another path")
+    for flag, path in (("--out", args.out), ("--svg", svg_path)):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"{flag} {path}: no directory {os.path.dirname(path)}")
     t_list = _float_list(args.t_list)
     master_seed, params = synth.read_fixture_params(args.data)
     stage_s, timed = _stage_timer(("scenes", "sweep", "write"))
     scenes = timed("scenes", experiments.make_eval_scenes, params, master_seed, args.scenes)
     rows = timed("sweep", experiments.sweep_threshold, params, t_list, args.mode, args.seed, scenes)
-    timed("write", reports.write_csv, args.out, ["t", "mpjpe_left", "mpjpe_right", "mpjpe_both"], rows)
+    timed("write", reports.write_csv, args.out, [("t", "mpjpe_left", "mpjpe_right", "mpjpe_both"), *rows])
     timed(
         "write",
         reports.svg_line_chart,
@@ -280,7 +294,7 @@ def cmd_eval_pose(args) -> tuple | None:
     )
     print(f"MPJPE left = {left:.4f} mm, right = {right:.4f} mm, both = {both:.4f} mm")
     if args.out:
-        reports.write_csv(args.out, ["mpjpe_left", "mpjpe_right", "mpjpe_both"], [(left, right, both)])
+        reports.write_csv(args.out, [("mpjpe_left", "mpjpe_right", "mpjpe_both"), (left, right, both)])
         config = {"pred": os.path.abspath(args.pred), "gt": os.path.abspath(args.gt)}
         metrics = {"mpjpe_left": left, "mpjpe_right": right, "mpjpe_both": both}
         return args.out + ".report.json", config, None, metrics, {}
@@ -294,6 +308,8 @@ def _load_3d_dataset(data_dir: str):
 
 
 def cmd_encode(args) -> None:
+    if args.csv_dir:
+        _check_dir_path("--csv-dir", args.csv_dir)
     records = []
     for seq in _load_3d_dataset(args.indir).sequences:
         raw = encode_frames(seq)
@@ -313,11 +329,7 @@ def _raw_sets(data_dir: str):
 
 
 def cmd_train(args) -> tuple:
-    existing = os.path.abspath(args.out)  # the first path on the way up that exists
-    while not os.path.lexists(existing):
-        existing = os.path.dirname(existing)
-    if not os.path.isdir(existing):
-        raise NotADirectoryError(f"--out {args.out}: {existing} is not a directory")
+    _check_dir_path("--out", args.out)
     cfg = _resolve_config(args.config, args.set, seed=args.seed, max_epochs=args.epochs)
     sets = _raw_sets(args.data)
 
@@ -343,7 +355,7 @@ def cmd_train(args) -> tuple:
     os.makedirs(args.out, exist_ok=True)
     nnkit.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), result.best)
     nnkit.save_checkpoint(os.path.join(args.out, "last.bin"), result.model.params)
-    reports.write_csv(os.path.join(args.out, "history.csv"), model.HISTORY_HEADER, result.history.rows)
+    reports.write_csv(os.path.join(args.out, "history.csv"), [model.HISTORY_HEADER, *result.history.rows])
     with open(os.path.join(args.out, "config.snapshot.cfg"), "w") as f:
         f.write(model.config_to_text(cfg))
     print(
@@ -374,11 +386,7 @@ def cmd_eval_action(args) -> tuple | None:
     top1, confusion = timed("predict", model.evaluate, net, x, y)
     print(f"top-1 accuracy on {args.split}: {top1:.4f} ({len(y)} sequences)")
     if args.out:
-        reports.write_csv(
-            args.out,
-            [f"pred_{i}" for i in range(cfg.n_classes)],
-            [tuple(int(v) for v in row) for row in confusion],
-        )
+        reports.write_csv(args.out, [[f"pred_{i}" for i in range(cfg.n_classes)], *confusion.tolist()])
         metrics = {"split": args.split, "top1": top1, "mask_group": args.mask_group}
         return args.out + ".report.json", dataclasses.asdict(cfg), cfg.seed, metrics, {"stage_s": stage_s}
 

@@ -65,6 +65,7 @@ class ActionModelConfig:
             ("aug_rotation", self.aug_rotation <= math.pi, "<= pi"),
             ("aug_mask_prob", 0 <= self.aug_mask_prob <= 1, "in [0, 1]"),
             ("schedule_factor", self.schedule_factor > 0, "> 0"),
+            ("input_dim", self.input_dim == FRAME_DIM, f"{FRAME_DIM}, the frame vector's width"),
         ):
             if not ok:
                 raise StructuralError(f"{name} must be {rule}, got {getattr(self, name)}")

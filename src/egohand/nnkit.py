@@ -110,10 +110,7 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
-    t = g * p
-    np.subtract(g, t.sum(axis=-1, keepdims=True), out=t)
-    t *= p
-    return t
+    return (g - (g * p).sum(axis=-1, keepdims=True)) * p
 
 
 def gelu(x: np.ndarray, need_cache: bool = False):
@@ -353,6 +350,11 @@ def _pack_entry(name: str, arr: np.ndarray) -> bytes:
     )
 
 
+def _pack_table(table: dict) -> bytes:
+    """A tensor table: the entry count, then each ``name: array`` entry."""
+    return struct.pack("<I", len(table)) + b"".join(_pack_entry(n, arr) for n, arr in table.items())
+
+
 def _read_entry(buf: bytes, off: int):
     if len(buf) - off < 2:
         raise FormatError("truncated checkpoint entry")
@@ -374,21 +376,29 @@ def _read_entry(buf: bytes, off: int):
     return name, arr, off + nbytes
 
 
+def _read_table(buf: bytes, off: int, what: str):
+    """(``{name: array}``, offset past it) of the ``what`` table at ``off``.
+    A name repeated within the table is a FormatError."""
+    if len(buf) - off < 4:
+        raise FormatError(f"missing {what} table")
+    (n,) = struct.unpack_from("<I", buf, off)
+    off += 4
+    table = {}
+    for _ in range(n):
+        name, arr, off = _read_entry(buf, off)
+        if name in table:
+            raise FormatError(f"duplicate {what} entry {name!r}")
+        table[name] = arr
+    return table, off
+
+
 def save_checkpoint(path, params: ParamSet) -> None:
     """Atomic (write-temp-then-rename) binary dump of params + AdamW state."""
-    parts = [_CKPT_MAGIC, struct.pack("<H", _CKPT_VERSION), struct.pack("<I", len(params.values))]
-    for name, arr in params.values.items():
-        parts.append(_pack_entry(name, arr))
-    opt = [("m:" + n, params.m[n]) for n in params.values] + [
-        ("v:" + n, params.v[n]) for n in params.values
-    ]
-    parts.append(struct.pack("<I", len(opt)))
-    for name, arr in opt:
-        parts.append(_pack_entry(name, arr))
-    parts.append(struct.pack("<Q", params.step))
+    opt = {f"{kind}:{n}": getattr(params, kind)[n] for kind in "mv" for n in params.values}
     tmp = str(path) + ".tmp"
+    tables = _pack_table(params.values) + _pack_table(opt)
     with open(tmp, "wb") as f:
-        f.write(b"".join(parts))
+        f.write(_CKPT_MAGIC + struct.pack("<H", _CKPT_VERSION) + tables + struct.pack("<Q", params.step))
     os.replace(tmp, path)
 
 
@@ -402,34 +412,22 @@ def load_checkpoint(path) -> ParamSet:
     (version,) = struct.unpack_from("<H", buf, 4)
     if version != _CKPT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    (n,) = struct.unpack_from("<I", buf, 6)
-    off = 10
+    values, off = _read_table(buf, 6, "parameter")
     params = ParamSet()
-    for _ in range(n):
-        name, arr, off = _read_entry(buf, off)
-        if name in params.values:
-            raise FormatError(f"duplicate tensor name {name!r}")
+    for name, arr in values.items():
         params.add(name, arr)
-    if len(buf) - off < 4:
-        raise FormatError("missing optimizer table")
-    (nopt,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    seen = set()
-    for _ in range(nopt):
-        name, arr, off = _read_entry(buf, off)
+    opt, off = _read_table(buf, off, "optimizer")
+    for name, arr in opt.items():
         kind, _, base = name.partition(":")
-        if kind not in ("m", "v") or base not in params.values:
+        if kind not in ("m", "v") or base not in values:
             raise FormatError(f"optimizer entry {name!r} has no matching parameter")
-        if name in seen:
-            raise FormatError(f"duplicate optimizer entry {name!r}")
-        seen.add(name)
-        if arr.shape != params.values[base].shape:
+        if arr.shape != values[base].shape:
             raise CheckpointMismatchError(
-                f"optimizer state {name!r} shape {arr.shape} != parameter shape {params.values[base].shape}"
+                f"optimizer state {name!r} shape {arr.shape} != parameter shape {values[base].shape}"
             )
-        (params.m if kind == "m" else params.v)[base] = arr
-    if len(seen) != 2 * len(params.values):
-        missing = next(f"{k}:{n}" for n in params.values for k in "mv" if f"{k}:{n}" not in seen)
+        getattr(params, kind)[base] = arr
+    if len(opt) != 2 * len(values):
+        missing = next(f"{k}:{n}" for n in values for k in "mv" if f"{k}:{n}" not in opt)
         raise FormatError(f"optimizer table has no entry {missing!r}")
     if len(buf) - off < 8:
         raise FormatError("missing step counter")

@@ -19,14 +19,12 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
-def write_csv(path, header, rows) -> None:
-    """The header and rows as comma-separated lines, fields unquoted.
-
-    A text field holding a comma, CR or LF would split its row on reading, so
-    it raises FormatError before the file is opened.
-    """
+def write_csv(path, rows) -> None:
+    """The one CSV writer: each row as a line of unquoted ``fmt`` fields; a
+    header is the first row. A text field holding a comma, CR or LF would split
+    its row on reading, so it raises FormatError before the file is opened."""
     lines = []
-    for row in (header, *rows):
+    for row in rows:
         for v in row:
             if isinstance(v, str) and any(c in v for c in ",\r\n"):
                 raise FormatError(f"{path}: CSV field {v!r} holds a comma or a line break")
@@ -41,24 +39,31 @@ def write_json(path, doc) -> None:
         f.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
 
 
+def csv_lines(path) -> list:
+    """The one CSV reader: ``(line number in the file, fields split at every
+    comma)`` of each non-blank line. Lines end at LF, CR or CRLF, the breaks
+    ``write_csv`` keeps out of its fields."""
+    with open(path) as f:  # universal newlines: CR and CRLF read as LF
+        return [(n, line.split(",")) for n, line in enumerate(f.read().split("\n"), start=1) if line.strip()]
+
+
 def read_csv(path):
-    """(header, rows of finite float values). Raises FormatError on ragged/bad data."""
-    with open(path) as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip()]
+    """(header, rows of finite float values). Raises FormatError on
+    ragged/bad data, naming the line of the file."""
+    lines = csv_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty CSV")
-    header = lines[0].split(",")
+    header = lines[0][1]
     rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
+    for n, parts in lines[1:]:
         if len(parts) != len(header):
-            raise FormatError(f"{path}: line {i} has {len(parts)} fields, header has {len(header)}")
+            raise FormatError(f"{path}: line {n} has {len(parts)} fields, header has {len(header)}")
         try:
             row = [float(x) for x in parts]
         except ValueError as e:
-            raise FormatError(f"{path}: line {i}: {e}") from e
+            raise FormatError(f"{path}: line {n}: {e}") from e
         if not all(map(math.isfinite, row)):
-            raise FormatError(f"{path}: line {i}: values must be finite")
+            raise FormatError(f"{path}: line {n}: values must be finite")
         rows.append(row)
     return header, rows
 

@@ -36,7 +36,7 @@ from .geometry import (
     HandPose,
     rotate_points_2d,
 )
-from .reports import write_csv
+from .reports import csv_lines, write_csv
 
 FRAME_DIM = 135
 SEQ_LEN = 20
@@ -220,15 +220,19 @@ def _pose_from_json(obj, line: int):
         raise DatasetFormatError(f"bad joints: {e}", line) from e
 
 
-def _canon(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+def _write_ndjson(path, docs) -> None:
+    """One compact JSON line per document of ``docs``: the one NDJSON writer. A
+    document JSON cannot hold (a NaN, say) raises before the file is opened."""
+    text = "".join(json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n" for doc in docs)
+    with open(path, "w") as f:
+        f.write(text)
 
 
-def _pose_text(k: CameraIntrinsics, space: str, frames) -> str:
-    """poses.ndjson text: the header line, then one line per frame record."""
-    lines = [_canon({"intrinsics": {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy}, "space": space})]
+def _pose_docs(k: CameraIntrinsics, space: str, frames):
+    """poses.ndjson documents: the header, then one per frame record."""
+    yield {"intrinsics": {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy}, "space": space}
     for fr in frames:
-        rec = {
+        yield {
             "frame_id": fr.frame_id,
             "left": _pose_to_json(fr.left),
             "right": _pose_to_json(fr.right),
@@ -236,8 +240,6 @@ def _pose_text(k: CameraIntrinsics, space: str, frames) -> str:
             "obj_label": fr.obj.label,
             "split": fr.split,
         }
-        lines.append(_canon(rec))
-    return "\n".join(lines) + "\n"
 
 
 def save_dataset(path, dataset: Dataset) -> None:
@@ -248,17 +250,15 @@ def save_dataset(path, dataset: Dataset) -> None:
         for seq in dataset.sequences
     ]
     frames = (fr for seq in dataset.sequences for fr in seq.frames)
-    with open(os.path.join(path, "poses.ndjson"), "w") as f:
-        f.write(_pose_text(dataset.intrinsics, dataset.space, frames))
-    write_csv(os.path.join(path, "manifest.csv"), MANIFEST_HEADER, rows)
+    _write_ndjson(os.path.join(path, "poses.ndjson"), _pose_docs(dataset.intrinsics, dataset.space, frames))
+    write_csv(os.path.join(path, "manifest.csv"), [MANIFEST_HEADER, *rows])
 
 
 def save_pose_file(path, intrinsics: CameraIntrinsics, space: str, frames: list) -> None:
     """Write a standalone poses.ndjson-style file (header + frame lines)."""
     if space not in SPACES:
         raise ValueError(f"unknown space tag {space!r}")
-    with open(path, "w") as f:
-        f.write(_pose_text(intrinsics, space, frames))
+    _write_ndjson(path, _pose_docs(intrinsics, space, frames))
 
 
 def _json_line(text: str, ln: int):
@@ -335,15 +335,11 @@ def load_pose_file(path):
 
 
 def _parse_manifest(path):
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0] != ",".join(MANIFEST_HEADER):
+    lines = csv_lines(path)
+    if not lines or lines[0] != (1, list(MANIFEST_HEADER)):
         raise DatasetFormatError("manifest header missing or malformed", 1)
     rows, seen = [], set()
-    for ln, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
+    for ln, parts in lines[1:]:
         if len(parts) != 5:
             raise DatasetFormatError(f"expected 5 manifest columns, got {len(parts)}", ln)
         try:
@@ -395,24 +391,15 @@ def encode_frames(seq: SequenceRecord) -> np.ndarray:
 def save_encoded(path, records) -> None:
     """Write prepared sequences, one NDJSON line per ``(sequence_id, split,
     action_label, valid_count, frames)`` record."""
-    lines = []
-    for sid, split, label, valid, frames in records:
-        rec = {
-            "sequence_id": sid,
-            "action_label": label,
-            "split": split,
-            "valid_count": valid,
-            "frames": frames.tolist(),
-        }
-        lines.append(_canon(rec))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + ("\n" if lines else ""))
+    _write_ndjson(path, (
+        {"sequence_id": sid, "action_label": label, "split": split, "valid_count": valid,
+         "frames": frames.tolist()}
+        for sid, split, label, valid, frames in records
+    ))
 
 
 def export_csv_matrices(dirpath, records) -> None:
     """One CSV per ``save_encoded`` record, 20 rows x 135 columns, for inspection."""
     os.makedirs(dirpath, exist_ok=True)
     for sid, _, _, _, frames in records:
-        lines = [",".join(map(repr, row)) for row in frames.tolist()]
-        with open(os.path.join(dirpath, f"seq{sid:05d}.csv"), "w") as f:
-            f.write("\n".join(lines) + "\n")
+        write_csv(os.path.join(dirpath, f"seq{sid:05d}.csv"), frames.tolist())

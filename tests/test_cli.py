@@ -197,6 +197,44 @@ def _repeated_sequence_id(tree, tmp):
     return ["encode", "--in", str(tmp / "d"), "--out", str(tmp / "e.ndjson"), "--csv-dir", str(tmp / "m")]
 
 
+def _as_space(tree, tmp, space):
+    """The tree's pose file with the header's space tag set to ``space``, at ``tmp/p.ndjson``."""
+    header, rest = (tree / "poses.ndjson").read_text().split("\n", 1)
+    (tmp / "p.ndjson").write_text(json.dumps({**json.loads(header), "space": space}) + "\n" + rest)
+    return tmp / "p.ndjson"
+
+
+def _edited_dataset(edit_manifest=lambda rows: rows, space="3d"):
+    """encode on a copy of the tree whose manifest data rows (lists of fields)
+    went through ``edit_manifest`` and whose pose file has space ``space``."""
+
+    def make_argv(tree, tmp):
+        (tmp / "d").mkdir()
+        _as_space(tree, tmp, space).rename(tmp / "d" / "poses.ndjson")
+        header, *rows = (tree / "manifest.csv").read_text().splitlines()
+        rows = edit_manifest([row.split(",") for row in rows])
+        (tmp / "d" / "manifest.csv").write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+        return ["encode", "--in", str(tmp / "d"), "--out", str(tmp / "e.ndjson")]
+
+    return make_argv
+
+
+def _first_row(**fields):
+    """A manifest edit that sets the named fields of the first data row."""
+    columns = ("sequence_id", "frame_start", "frame_end", "action_label", "split")
+
+    def edit(rows):
+        rows[0] = [fields.get(name, value) for name, value in zip(columns, rows[0])]
+        return rows
+
+    return edit
+
+
+def _one_column_csv(tree, tmp):
+    (tmp / "c.csv").write_text("x\n1\n2\n")
+    return ["plot", "--csv", str(tmp / "c.csv"), "--out", str(tmp / "c.svg")]
+
+
 def _bad_params(edit):
     """sweep-threshold on a tree whose params.json is the fixture's after ``edit``."""
 
@@ -226,7 +264,18 @@ def _bad_params(edit):
         pytest.param(_train_with("base_lr=-1"), ("base_lr must be > 0, got -1.0",), id="negative-base-lr"),
         pytest.param(_train_with("aug_rotation=1e308"), ("aug_rotation must be <= pi, got 1e+308",),
                      id="huge-aug-rotation"),
+        pytest.param(_train_with("input_dim=10"), ("input_dim must be 135", "got 10"), id="input-dim"),
         pytest.param(_repeated_sequence_id, ("line 3", "repeated sequence_id 0"), id="repeated-sequence-id"),
+        pytest.param(_edited_dataset(_first_row(frame_end="0")), ("line 2", "empty frame range [0, 0)"),
+                     id="empty-frame-range"),
+        pytest.param(_edited_dataset(space="2.5d"), ("expected a 3d dataset, got space '2.5d'",),
+                     id="encode-2.5d-dataset"),
+        pytest.param(lambda tree, tmp: ["lift", "--in", str(tree / "poses.ndjson"), "--out", str(tmp / "o")],
+                     ("lift expects a 2.5d pose file, got space '3d'",), id="lift-3d-file"),
+        pytest.param(lambda tree, tmp: ["eval-pose", "--pred", str(_as_space(tree, tmp, "2.5d")),
+                                        "--gt", str(tree / "poses.ndjson")],
+                     ("eval-pose expects 3d pose files, got '2.5d' and '3d'",), id="eval-pose-2.5d-file"),
+        pytest.param(_one_column_csv, ("need at least one y column",), id="plot-one-column"),
         pytest.param(_two_d_pose_file, ("line 1", "unknown space tag '2d'"), id="two-d-pose-file"),
         pytest.param(_short_checkpoint, (), id="short-checkpoint"),
         pytest.param(_non_object_pose_line, (), id="non-object-pose-line"),
@@ -259,6 +308,38 @@ def test_library_errors_exit_3_with_one_line(make_argv, words, tree, tmp_path):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     for word in words:
         assert word in proc.stderr
+
+
+def _segment(depth, frames):
+    return lambda tree, tmp: ["segment", "--depth", str(depth(tree, tmp)), "--frames", str(frames(tree, tmp)),
+                              "--t", "0.5", "--out", str(tmp / "o")]
+
+
+def _lone_map(tree, tmp):
+    """A copy of the tree's first depth map, alone in ``tmp/maps``."""
+    (tmp / "maps").mkdir()
+    first = min((tree / "scenes").glob("*[0-9].dmap"))
+    (tmp / "maps" / first.name).write_bytes(first.read_bytes())
+    return tmp / "maps" / first.name
+
+
+@pytest.mark.parametrize("make_argv, code, words", [
+    pytest.param(_segment(lambda tree, tmp: tmp, lambda tree, tmp: tree / "scenes"), 2,
+                 ("i/o error: ", "no .dmap files under"), id="segment-no-maps"),
+    pytest.param(_segment(_lone_map, lambda tree, tmp: tmp / "maps"), 2,
+                 ("i/o error: ", "missing frame for '000000'"), id="segment-map-without-frame"),
+    pytest.param(_edited_dataset(_first_row(frame_start="1000000", frame_end="1000001")), 5,
+                 ("data consistency error: ", "frame 1000000 missing from poses.ndjson"), id="manifest-frame-missing"),
+    pytest.param(_edited_dataset(lambda rows: _first_row(split="val" if rows[0][4] != "val" else "test")(rows)), 5,
+                 ("data consistency error: ", "!= manifest split"), id="manifest-split-mismatch"),
+])
+def test_io_and_consistency_errors_exit_with_one_line(make_argv, code, words, tree, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "egohand", *make_argv(tree, tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(words[0]) and all(word in proc.stderr for word in words[1:])
 
 
 @pytest.mark.parametrize("epochs", ["0", "-3"])
@@ -576,6 +657,21 @@ class TestSweep:
         assert err.startswith("usage error: the chart ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [["--out", "r.csv", "--svg", "nodir/r.svg"], ["--out", "nodir/r.csv"]],
+                             ids=["chart", "csv"])
+    def test_path_in_a_missing_directory_exits_2_before_the_sweep(self, flags, tree, tmp_path, monkeypatch,
+                                                                   capsys):
+        def no_scenes(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("egohand.experiments.make_eval_scenes", no_scenes)
+        argv = ["sweep-threshold", "--data", str(tree), "--t-list", "0.35,0.47", "--scenes", "4", *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "no directory nodir" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_element_list(self, tree, tmp_path):
         out = tmp_path / "one.csv"
         rc = main(
@@ -725,6 +821,17 @@ class TestEncode:
             text = (csv_dir / f"seq{seq.sequence_id:05d}.csv").read_text()
             assert np.array_equal(np.array([row.split(",") for row in text.splitlines()], dtype=float), frames)
 
+    @pytest.mark.parametrize("under", [(), ("mats",)], ids=["at-a-file", "under-a-file"])
+    def test_csv_dir_at_or_under_a_file_exits_2_and_writes_nothing(self, tree, tmp_path, capsys, under):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        csv_dir = taken.joinpath(*under)
+        argv = ["encode", "--in", str(tree), "--out", str(tmp_path / "e.ndjson"), "--csv-dir", str(csv_dir)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"i/o error: --csv-dir {csv_dir}: {taken} is not a directory\n"
+        assert taken.read_text() == "keep me\n"
+        assert list(tmp_path.iterdir()) == [taken]
+
 
 @pytest.fixture(scope="module")
 def trained(tree, tmp_path_factory):
@@ -871,6 +978,18 @@ class TestPlot:
         csv = tmp_path / "m.csv"
         csv.write_text("x,y\n1.0\n")
         assert main(["plot", "--csv", str(csv), "--out", str(tmp_path / "m.svg")]) == 3
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n\n1,2\nbad,3\n", "line 4: could not convert string to float: 'bad'"),
+        ("x,y\n\n\n1,2\n1,2,3\n", "line 5 has 3 fields, header has 2"),
+        ("x,y\n0,1\x0c\nbad,3\n", "line 3: could not convert string to float: 'bad'"),
+        ("x,y\n0,1\x1c2,3\n", "line 2 has 3 fields, header has 2"),
+    ], ids=["bad-value", "ragged-row", "form-feed-ends-no-line", "separator-ends-no-line"])
+    def test_error_names_the_line_of_the_file_past_blank_lines(self, tmp_path, capsys, text, message):
+        csv = tmp_path / "b.csv"
+        csv.write_text(text)
+        assert main(["plot", "--csv", str(csv), "--out", str(tmp_path / "b.svg")]) == 3
+        assert capsys.readouterr().err == f"format/config error: {csv}: {message}\n"
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_is_3(self, tmp_path, capsys, cell):

@@ -356,6 +356,19 @@ class TestDatasetIO:
         save_dataset(tmp_path, ds)
         assert (tmp_path / "manifest.csv").read_text() == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize("before_header, line", [(0, 5), (1, 1)], ids=["blank-rows", "blank-first-line"])
+    def test_manifest_error_names_the_line_of_the_file(self, tmp_path, before_header, line):
+        # two blank lines ahead of a row with an empty range; a blank first line is a missing header
+        ds = _make_dataset(np.random.default_rng(15), n_seq=2)
+        save_dataset(tmp_path, ds)
+        header, first, second = (tmp_path / "manifest.csv").read_text().splitlines()
+        empty = ",".join([*second.split(",")[:2], second.split(",")[1], *second.split(",")[3:]])
+        text = "\n" * before_header + "\n".join([header, first, "", " ", empty]) + "\n"
+        (tmp_path / "manifest.csv").write_text(text)
+        with pytest.raises(DatasetFormatError) as ei:
+            load_dataset(tmp_path)
+        assert ei.value.line == line
+
     def test_empty_pose_file_is_missing_header_at_line_1(self, tmp_path):
         d = tmp_path / "ds"
         d.mkdir()
