@@ -6,19 +6,25 @@ out-of-range thresholds and negative seeds, all-zero depth maps (FlatMapError),
 joints with z <= 0 (DegenerateDepthError), truncated checkpoints (FormatError),
 training that diverges to non-finite values (NumericFaultError) and sizes the
 machine cannot allocate (MemoryError). Every error ends with a one-line message
-on stderr. Every random draw comes from a command's --seed; identical flags and
-seed produce byte-identical CSV/SVG/checkpoint/dmap outputs (the report.json
-timing fields are the one exception).
+on stderr; a reader's error leads with the file it read. Every random draw
+comes from a command's --seed; identical flags and seed produce byte-identical
+CSV/SVG/checkpoint/dmap outputs (the report.json timing fields are the one
+exception).
+
+One rule, checked before any work, covers every path a run writes: --out,
+--svg (or the chart beside the sweep CSV), --csv-dir and the run report
+(``<out>/report.json`` beside a directory --out, ``<out>.report.json`` beside a
+file). A directory output, or its first existing parent, must be a directory,
+and a file output's directory must exist (else exit 2). No output may be a file
+the run reads (an input flag's file, a dataset directory's files, the config
+beside --checkpoint) or another output of the run (else exit 4).
 
 train and eval-action read the model config from one ordered list of
 ``key = value`` lines: the --config file's (for eval-action without --config,
 the checkpoint's sibling config.snapshot.cfg), each --set in order, then
 train's --seed and --epochs. A later line naming a key wins, and the config is
 validated once, after the last line. train creates --out only after training
-succeeds, so a run that fails in setup or training leaves none; an --out that
-is, or lies under, an existing non-directory exits 2 before the dataset is read,
-and so does such an encode --csv-dir. A sweep-threshold CSV or chart path whose
-directory does not exist exits 2 before the sweep.
+succeeds, so a run that fails in setup or training leaves none.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import time
 
 import numpy as np
 
-from . import experiments, model, nnkit, reports, synth
+from . import experiments, model, nnkit, reports, sequence, synth
 from .errors import (
     ConfigError,
     DataConsistencyError,
@@ -42,6 +48,7 @@ from .errors import (
     EmptyActionError,
     EmptyDatasetError,
     FormatError,
+    names_file,
 )
 from .geometry import CameraIntrinsics, absent_pose, lift_to_camera, mpjpe_report
 from .rangeseg import (
@@ -71,6 +78,12 @@ from .sequence import (
     save_pose_file,
     subsample_or_pad,
 )
+
+SNAPSHOT_FILE = "config.snapshot.cfg"  # train's config beside its checkpoints; eval-action's default config
+# the flag of each input, by dest; a dataset directory's inputs are its files
+_INPUT_FLAGS = {"infile": "--in", "indir": "--in", "data": "--data", "pred": "--pred", "gt": "--gt",
+                "csv": "--csv", "checkpoint": "--checkpoint", "config": "--config"}
+
 
 class UsageError(Exception):
     pass
@@ -108,14 +121,18 @@ def _float_list(text: str) -> list[float]:
         raise UsageError(f"bad float list {text!r}: {e}") from e
 
 
+@names_file
+def _config_lines(path) -> list:
+    """(line number, text) of each line of a config file."""
+    with open(path) as f:
+        return list(enumerate(f.read().splitlines(), start=1))
+
+
 def _resolve_config(path, overrides, **flags) -> model.ActionModelConfig:
     """The model config of one ordered list of ``key = value`` lines: the
     config file's at ``path`` (numbered), each ``--set``, then each flag given.
     An error at a numbered line names the file."""
-    lines = []
-    if path:
-        with open(path) as f:
-            lines += enumerate(f.read().splitlines(), start=1)
+    lines = _config_lines(path) if path else []
     lines += [(None, pair) for pair in overrides]
     lines += [(None, f"{key} = {value}") for key, value in flags.items() if value is not None]
     try:
@@ -127,9 +144,9 @@ def _resolve_config(path, overrides, **flags) -> model.ActionModelConfig:
 
 
 # --- commands ------------------------------------------------------------------
-# Each command returns its run record, (report path, config, seed, metrics,
-# timings), which main writes as JSON, or None when the run leaves no report.
-# ``timings`` holds the timed fields that go beside wall_time_s.
+# A command whose subparser declares a report returns its run record, (config,
+# seed, metrics, timings), which main writes as JSON beside --out. ``timings``
+# holds the timed fields that go beside wall_time_s.
 
 
 def cmd_synth(args) -> tuple:
@@ -141,7 +158,7 @@ def cmd_synth(args) -> tuple:
     print(f"wrote {n} sequences to {args.out}")
     config = {"classes": args.classes, "per_class": args.per_class, "scene_frames": args.scene_frames,
               "params": dataclasses.asdict(params)}
-    return os.path.join(args.out, "report.json"), config, args.seed, {"sequences": n}, {}
+    return config, args.seed, {"sequences": n}, {}
 
 
 def _depth_files(path: str, metric: bool) -> list[tuple[str, str]]:
@@ -159,15 +176,6 @@ def _depth_files(path: str, metric: bool) -> list[tuple[str, str]]:
         if names:
             return [(stem(n), os.path.join(path, n)) for n in names]
     raise FileNotFoundError(f"no .dmap files under {path}")
-
-
-def _check_dir_path(flag: str, path: str) -> None:
-    """NotADirectoryError unless the first of ``path`` and its parents that exists is a directory."""
-    existing = os.path.abspath(path)
-    while not os.path.lexists(existing):
-        existing = os.path.dirname(existing)
-    if not os.path.isdir(existing):
-        raise NotADirectoryError(f"{flag} {path}: {existing} is not a directory")
 
 
 def _stage_timer(stages):
@@ -227,18 +235,10 @@ def cmd_segment(args) -> tuple:
     config = {"t": args.t, "metric_mm": args.metric_mm, "desharpen": args.desharpen, "fill": list(args.fill)}
     metrics = {"frames": len(stats_rows),
                "mean_kept_fraction": float(np.mean([r[1] for r in stats_rows]))}
-    return os.path.join(args.out, "report.json"), config, None, metrics, {"stage_s": stage_s}
+    return config, None, metrics, {"stage_s": stage_s}
 
 
 def cmd_sweep_threshold(args) -> tuple:
-    svg_path = args.svg or (os.path.splitext(args.out)[0] + ".svg")
-    report_path = args.out + ".report.json"
-    for path, what in ((args.out, "the --out CSV"), (report_path, "the run report")):
-        if os.path.realpath(svg_path) == os.path.realpath(path):
-            raise UsageError(f"the chart {svg_path} would overwrite {what} {path}: give --svg another path")
-    for flag, path in (("--out", args.out), ("--svg", svg_path)):
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(f"{flag} {path}: no directory {os.path.dirname(path)}")
     t_list = _float_list(args.t_list)
     master_seed, params = synth.read_fixture_params(args.data)
     stage_s, timed = _stage_timer(("scenes", "sweep", "write"))
@@ -248,7 +248,7 @@ def cmd_sweep_threshold(args) -> tuple:
     timed(
         "write",
         reports.svg_line_chart,
-        svg_path,
+        args.writes(args)["--svg"],
         [r[0] for r in rows],
         {"left": [r[1] for r in rows], "right": [r[2] for r in rows], "both": [r[3] for r in rows]},
         "segmentation threshold t",
@@ -259,13 +259,13 @@ def cmd_sweep_threshold(args) -> tuple:
     print(f"sweep ({args.mode}): best t = {best[0]:g} with MPJPE both = {best[3]:.3f} mm")
     config = {"t_list": t_list, "mode": args.mode, "scenes": args.scenes,
               "data": os.path.abspath(args.data), "params": dataclasses.asdict(params)}
-    return report_path, config, args.seed, {"rows": [list(r) for r in rows]}, {"stage_s": stage_s}
+    return config, args.seed, {"rows": [list(r) for r in rows]}, {"stage_s": stage_s}
 
 
 def cmd_lift(args) -> None:
     k, space, frames = load_pose_file(args.infile)
     if space != "2.5d":
-        raise FormatError(f"lift expects a 2.5d pose file, got space {space!r}")
+        raise FormatError(f"{args.infile}: lift expects a 2.5d pose file, got space {space!r}")
     if args.intrinsics is not None:
         k = args.intrinsics
     # absent hands carry placeholder coordinates; they stay absent zeros
@@ -278,11 +278,12 @@ def cmd_lift(args) -> None:
     print(f"lifted {len(lifted)} frames -> {args.out}")
 
 
-def cmd_eval_pose(args) -> tuple | None:
+def cmd_eval_pose(args) -> tuple:
     _, pspace, pred = load_pose_file(args.pred)
     _, gspace, gt = load_pose_file(args.gt)
-    if pspace != "3d" or gspace != "3d":
-        raise FormatError(f"eval-pose expects 3d pose files, got {pspace!r} and {gspace!r}")
+    for flag, path, space in (("--pred", args.pred, pspace), ("--gt", args.gt, gspace)):
+        if space != "3d":
+            raise FormatError(f"{path}: eval-pose expects 3d pose files, got space {space!r} for {flag}")
     pred_ids = [fr.frame_id for fr in pred]
     gt_ids = [fr.frame_id for fr in gt]
     if pred_ids != gt_ids:
@@ -295,9 +296,8 @@ def cmd_eval_pose(args) -> tuple | None:
     print(f"MPJPE left = {left:.4f} mm, right = {right:.4f} mm, both = {both:.4f} mm")
     if args.out:
         reports.write_csv(args.out, [("mpjpe_left", "mpjpe_right", "mpjpe_both"), (left, right, both)])
-        config = {"pred": os.path.abspath(args.pred), "gt": os.path.abspath(args.gt)}
-        metrics = {"mpjpe_left": left, "mpjpe_right": right, "mpjpe_both": both}
-        return args.out + ".report.json", config, None, metrics, {}
+    config = {"pred": os.path.abspath(args.pred), "gt": os.path.abspath(args.gt)}
+    return config, None, {"mpjpe_left": left, "mpjpe_right": right, "mpjpe_both": both}, {}
 
 
 def _load_3d_dataset(data_dir: str):
@@ -308,8 +308,6 @@ def _load_3d_dataset(data_dir: str):
 
 
 def cmd_encode(args) -> None:
-    if args.csv_dir:
-        _check_dir_path("--csv-dir", args.csv_dir)
     records = []
     for seq in _load_3d_dataset(args.indir).sequences:
         raw = encode_frames(seq)
@@ -329,7 +327,6 @@ def _raw_sets(data_dir: str):
 
 
 def cmd_train(args) -> tuple:
-    _check_dir_path("--out", args.out)
     cfg = _resolve_config(args.config, args.set, seed=args.seed, max_epochs=args.epochs)
     sets = _raw_sets(args.data)
 
@@ -356,7 +353,7 @@ def cmd_train(args) -> tuple:
     nnkit.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), result.best)
     nnkit.save_checkpoint(os.path.join(args.out, "last.bin"), result.model.params)
     reports.write_csv(os.path.join(args.out, "history.csv"), [model.HISTORY_HEADER, *result.history.rows])
-    with open(os.path.join(args.out, "config.snapshot.cfg"), "w") as f:
+    with open(os.path.join(args.out, SNAPSHOT_FILE), "w") as f:
         f.write(model.config_to_text(cfg))
     print(
         f"trained {len(result.history.rows)} epochs; best val acc "
@@ -368,11 +365,11 @@ def cmd_train(args) -> tuple:
         "epochs_run": len(result.history.rows),
     }
     timings = {"epoch_s": epoch_s, "seqs_per_s": seqs_per_s, "epoch_minor_faults": epoch_minor_faults}
-    return os.path.join(args.out, "report.json"), dataclasses.asdict(cfg), cfg.seed, metrics, timings
+    return dataclasses.asdict(cfg), cfg.seed, metrics, timings
 
 
-def cmd_eval_action(args) -> tuple | None:
-    sibling = os.path.join(os.path.dirname(args.checkpoint), "config.snapshot.cfg")
+def cmd_eval_action(args) -> tuple:
+    sibling = os.path.join(os.path.dirname(args.checkpoint), SNAPSHOT_FILE)
     cfg = _resolve_config(args.config or (sibling if os.path.isfile(sibling) else None), args.set)
     stage_s, timed = _stage_timer(("load", "prepare", "predict"))
     net = model.ActionModel(cfg, params=timed("load", nnkit.load_checkpoint, args.checkpoint))
@@ -387,8 +384,8 @@ def cmd_eval_action(args) -> tuple | None:
     print(f"top-1 accuracy on {args.split}: {top1:.4f} ({len(y)} sequences)")
     if args.out:
         reports.write_csv(args.out, [[f"pred_{i}" for i in range(cfg.n_classes)], *confusion.tolist()])
-        metrics = {"split": args.split, "top1": top1, "mask_group": args.mask_group}
-        return args.out + ".report.json", dataclasses.asdict(cfg), cfg.seed, metrics, {"stage_s": stage_s}
+    metrics = {"split": args.split, "top1": top1, "mask_group": args.mask_group}
+    return dataclasses.asdict(cfg), cfg.seed, metrics, {"stage_s": stage_s}
 
 
 def cmd_plot(args) -> None:
@@ -408,6 +405,7 @@ def cmd_plot(args) -> None:
 
 def build_parser() -> _Parser:
     p = _Parser(prog="egohand", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.set_defaults(dirs=(), report=False)
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="generate the synthetic fixture tree")
@@ -416,7 +414,7 @@ def build_parser() -> _Parser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--scene-frames", type=int, default=4)
     s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_synth)
+    s.set_defaults(func=cmd_synth, writes=lambda a: {"--out": a.out}, dirs=("--out",), report=True)
 
     s = sub.add_parser("segment", help="range-segment frames by depth threshold")
     s.add_argument("--depth", required=True, help=".dmap file or directory")
@@ -427,7 +425,7 @@ def build_parser() -> _Parser:
     s.add_argument("--desharpen", type=int, default=None)
     s.add_argument("--fill", type=_fill_flag, default=(0, 0, 0), help="r,g,b fill, each 0..255")
     s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_segment)
+    s.set_defaults(func=cmd_segment, writes=lambda a: {"--out": a.out}, dirs=("--out",), report=True)
 
     s = sub.add_parser("sweep-threshold", help="MPJPE vs threshold sweep")
     s.add_argument("--data", required=True, help="synth fixture tree")
@@ -437,25 +435,26 @@ def build_parser() -> _Parser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True, help="report CSV path")
     s.add_argument("--svg", default=None)
-    s.set_defaults(func=cmd_sweep_threshold)
+    s.set_defaults(func=cmd_sweep_threshold, report=True,
+                   writes=lambda a: {"--out": a.out, "--svg": a.svg or os.path.splitext(a.out)[0] + ".svg"})
 
     s = sub.add_parser("lift", help="lift a 2.5d pose file to camera space")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--intrinsics", type=_intrinsics_flag, default=None, help="fx,fy,cx,cy")
-    s.set_defaults(func=cmd_lift)
+    s.set_defaults(func=cmd_lift, writes=lambda a: {"--out": a.out})
 
     s = sub.add_parser("eval-pose", help="MPJPE report between two 3d pose files")
     s.add_argument("--pred", required=True)
     s.add_argument("--gt", required=True)
     s.add_argument("--out", default=None, help="optional CSV output")
-    s.set_defaults(func=cmd_eval_pose)
+    s.set_defaults(func=cmd_eval_pose, writes=lambda a: {"--out": a.out}, report=True)
 
     s = sub.add_parser("encode", help="encode a dataset to prepared 20x135 sequences")
     s.add_argument("--in", dest="indir", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--csv-dir", default=None)
-    s.set_defaults(func=cmd_encode)
+    s.set_defaults(func=cmd_encode, writes=lambda a: {"--out": a.out, "--csv-dir": a.csv_dir}, dirs=("--csv-dir",))
 
     s = sub.add_parser("train", help="train the action classifier")
     s.add_argument("--data", required=True)
@@ -465,7 +464,7 @@ def build_parser() -> _Parser:
     s.add_argument("--set", action="append", default=[], help="config override key=value")
     s.add_argument("--out", required=True)
     s.add_argument("--verbose", action="store_true")
-    s.set_defaults(func=cmd_train)
+    s.set_defaults(func=cmd_train, writes=lambda a: {"--out": a.out}, dirs=("--out",), report=True)
 
     s = sub.add_parser("eval-action", help="top-1 accuracy and confusion matrix")
     s.add_argument("--data", required=True)
@@ -475,14 +474,48 @@ def build_parser() -> _Parser:
     s.add_argument("--mask-group", choices=MASK_GROUPS, default=None)
     s.add_argument("--set", action="append", default=[], help="config override key=value")
     s.add_argument("--out", default=None, help="confusion CSV path")
-    s.set_defaults(func=cmd_eval_action)
+    s.set_defaults(func=cmd_eval_action, writes=lambda a: {"--out": a.out}, report=True)
 
     s = sub.add_parser("plot", help="render a CSV as a deterministic SVG line chart")
     s.add_argument("--csv", required=True)
     s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_plot)
+    s.set_defaults(func=cmd_plot, writes=lambda a: {"--out": a.out})
 
     return p
+
+
+def _check_outputs(args) -> str | None:
+    """Check the outputs a subparser declares before any work: ``writes(args)`` maps
+    each output flag to its path, ``dirs`` names the directories and ``report`` adds
+    a run report beside --out, whose path this returns. An output that cannot be
+    written exits 2; one on a file the run reads or on another output exits 4."""
+    outputs = [("the chart" if f == "--svg" else f, f, path) for f, path in args.writes(args).items() if path]
+    for _, flag, path in outputs:
+        if flag in args.dirs:  # its own files are the command's to write
+            existing = os.path.abspath(path)
+            while not os.path.lexists(existing):
+                existing = os.path.dirname(existing)
+            if not os.path.isdir(existing):
+                raise NotADirectoryError(f"{flag} {path}: {existing} is not a directory")
+        elif not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"{flag} {path}: no directory {os.path.dirname(path)}")
+        elif os.path.isdir(path):
+            raise IsADirectoryError(f"{flag} {path} is a directory")
+    report = None
+    if args.report and args.out:
+        report = os.path.join(args.out, "report.json") if "--out" in args.dirs else args.out + ".report.json"
+        outputs.insert(0, ("the run report", "--out", report))  # first, so that a clash names the chart
+    inputs = [(flag, getattr(args, dest)) for dest, flag in _INPUT_FLAGS.items() if getattr(args, dest, None)]
+    inputs += [(f, os.path.join(os.path.dirname(p), SNAPSHOT_FILE)) for f, p in inputs if f == "--checkpoint"]
+    inputs += [(f, os.path.join(p, name)) for f, p in inputs if os.path.isdir(p)
+               for name in (sequence.POSES_FILE, sequence.MANIFEST_FILE, synth.PARAMS_FILE)]
+    claimed = {os.path.realpath(p): f"the {f} input {p}" for f, p in inputs if not os.path.isdir(p)}
+    for name, flag, path in outputs:
+        real = os.path.realpath(path)
+        if real in claimed:
+            raise UsageError(f"{name} {path} would overwrite {claimed[real]}: give {flag} another path")
+        claimed[real] = f"{name} {path}"
+    return report
 
 
 # exit code of each error class; an error takes the entry of the first class
@@ -505,14 +538,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        report = _check_outputs(args)
         t0 = time.perf_counter()
         record = args.func(args)
-        if record is not None:
+        if report is not None:
             # the run report: everything but the timings re-derives the run
-            path, config, seed, metrics, timings = record
+            config, seed, metrics, timings = record
             doc = {"command": args.command, "config": config, "seed": seed, "metrics": metrics,
                    "wall_time_s": time.perf_counter() - t0, **timings}
-            reports.write_json(path, doc)
+            reports.write_json(report, doc)
     except tuple(_EXIT_CODES) as e:
         code = next(_EXIT_CODES[cls] for cls in type(e).__mro__ if cls in _EXIT_CODES)
         print(f"{_EXIT_LABELS[code]}: {e}", file=sys.stderr)

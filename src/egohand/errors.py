@@ -5,6 +5,8 @@ ValueError is reserved for argument misuse that indicates a programming
 bug rather than bad data.
 """
 
+import functools
+
 
 class EgohandError(Exception):
     """Base class for all library errors."""
@@ -71,3 +73,21 @@ class ConfigError(_LineError):
 
 class DataConsistencyError(EgohandError):
     """Two inputs that must agree (frame ids, presence flags, splits) do not."""
+
+
+def names_file(read):
+    """``read(path, ...)`` with ``path: `` leading the message of each EgohandError
+    it raises, which keeps its class and attributes; text that is not UTF-8
+    raises FormatError naming the file."""
+
+    @functools.wraps(read)
+    def read_file(path, *args):
+        try:
+            return read(path, *args)
+        except EgohandError as e:
+            e.args = (f"{path}: {e}",)
+            raise
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: {e}") from e
+
+    return read_file

@@ -32,6 +32,7 @@ from .errors import (
     NumericFaultError,
     RangeError,
     StructuralError,
+    names_file,
 )
 
 _SQRT2 = np.sqrt(2.0)
@@ -402,6 +403,7 @@ def save_checkpoint(path, params: ParamSet) -> None:
     os.replace(tmp, path)
 
 
+@names_file
 def load_checkpoint(path) -> ParamSet:
     with open(path, "rb") as f:
         buf = f.read()

@@ -19,12 +19,11 @@ u8 (0 = closer-is-smaller, 1 = closer-is-larger, 255 = mask), flag u8
 (255), each after ASCII whitespace and ``#`` comment lines and ending at one
 whitespace byte, then width*height RGB byte triples, row-major.
 
-Each format's payload must end the file; a reader's errors lead with the path.
+Each format's payload must end the file.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 import re
 import struct
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import FlatMapError, FormatError, RangeError, StructuralError
+from .errors import FlatMapError, FormatError, RangeError, StructuralError, names_file
 
 CLOSER_IS_LARGER = "closer-is-larger"
 CLOSER_IS_SMALLER = "closer-is-smaller"
@@ -205,19 +204,6 @@ def mask_stats(mask: SegMask) -> tuple[float, float]:
     return float(mask.values.mean()), float(mask.values.sum())
 
 
-def _names_file(read):
-    """``read(path)`` with the path leading the message of each error it raises."""
-
-    @functools.wraps(read)
-    def read_file(path):
-        try:
-            return read(path)
-        except (FormatError, StructuralError) as e:
-            raise type(e)(f"{path}: {e}") from e
-
-    return read_file
-
-
 def _payload(buf: bytes, start: int, size: int) -> memoryview:
     """The ``size`` bytes of ``buf`` from ``start``, which must end the file."""
     if len(buf) - start != size:
@@ -263,7 +249,7 @@ def save_depth(path, dm: DepthMap) -> None:
     _write_dmap(path, dm.values, _ORDER_TAGS[dm.order], int(dm.normalized))
 
 
-@_names_file
+@names_file
 def load_depth(path) -> DepthMap:
     values, tag, flag = _read_dmap(path)
     if tag == _MASK_TAG:
@@ -275,7 +261,7 @@ def save_mask(path, mask: SegMask) -> None:
     _write_dmap(path, mask.values, _MASK_TAG, int(mask.binary))
 
 
-@_names_file
+@names_file
 def load_mask(path) -> SegMask:
     values, tag, flag = _read_dmap(path)
     if tag != _MASK_TAG:
@@ -300,7 +286,7 @@ def save_ppm(path, frame: np.ndarray) -> None:
         f.write(np.ascontiguousarray(frame))
 
 
-@_names_file
+@names_file
 def load_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
         buf = f.read()

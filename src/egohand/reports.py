@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import FormatError
+from .errors import FormatError, names_file
 
 
 def fmt(value) -> str:
@@ -19,6 +19,7 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
+@names_file
 def write_csv(path, rows) -> None:
     """The one CSV writer: each row as a line of unquoted ``fmt`` fields; a
     header is the first row. A text field holding a comma, CR or LF would split
@@ -27,7 +28,7 @@ def write_csv(path, rows) -> None:
     for row in rows:
         for v in row:
             if isinstance(v, str) and any(c in v for c in ",\r\n"):
-                raise FormatError(f"{path}: CSV field {v!r} holds a comma or a line break")
+                raise FormatError(f"CSV field {v!r} holds a comma or a line break")
         lines.append(",".join(fmt(v) for v in row))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
@@ -47,23 +48,24 @@ def csv_lines(path) -> list:
         return [(n, line.split(",")) for n, line in enumerate(f.read().split("\n"), start=1) if line.strip()]
 
 
+@names_file
 def read_csv(path):
     """(header, rows of finite float values). Raises FormatError on
     ragged/bad data, naming the line of the file."""
     lines = csv_lines(path)
     if not lines:
-        raise FormatError(f"{path}: empty CSV")
+        raise FormatError("empty CSV")
     header = lines[0][1]
     rows = []
     for n, parts in lines[1:]:
         if len(parts) != len(header):
-            raise FormatError(f"{path}: line {n} has {len(parts)} fields, header has {len(header)}")
+            raise FormatError(f"line {n} has {len(parts)} fields, header has {len(header)}")
         try:
             row = [float(x) for x in parts]
         except ValueError as e:
-            raise FormatError(f"{path}: line {n}: {e}") from e
+            raise FormatError(f"line {n}: {e}") from e
         if not all(map(math.isfinite, row)):
-            raise FormatError(f"{path}: line {n}: values must be finite")
+            raise FormatError(f"line {n}: values must be finite")
         rows.append(row)
     return header, rows
 

@@ -30,6 +30,7 @@ from .errors import (
     DatasetFormatError,
     EmptyActionError,
     StructuralError,
+    names_file,
 )
 from .geometry import (
     CameraIntrinsics,
@@ -49,6 +50,7 @@ LABEL_INDEX = 134
 
 SPLITS = ("train", "val", "test")
 MANIFEST_HEADER = ("sequence_id", "frame_start", "frame_end", "action_label", "split")
+POSES_FILE, MANIFEST_FILE = "poses.ndjson", "manifest.csv"  # a dataset directory's files
 SPACES = ("2.5d", "3d")
 
 MASK_GROUPS = ("left", "right", "box", "label")
@@ -250,8 +252,8 @@ def save_dataset(path, dataset: Dataset) -> None:
         for seq in dataset.sequences
     ]
     frames = (fr for seq in dataset.sequences for fr in seq.frames)
-    _write_ndjson(os.path.join(path, "poses.ndjson"), _pose_docs(dataset.intrinsics, dataset.space, frames))
-    write_csv(os.path.join(path, "manifest.csv"), [MANIFEST_HEADER, *rows])
+    _write_ndjson(os.path.join(path, POSES_FILE), _pose_docs(dataset.intrinsics, dataset.space, frames))
+    write_csv(os.path.join(path, MANIFEST_FILE), [MANIFEST_HEADER, *rows])
 
 
 def save_pose_file(path, intrinsics: CameraIntrinsics, space: str, frames: list) -> None:
@@ -288,6 +290,7 @@ def _parse_header(line: str):
     return k, obj["space"]
 
 
+@names_file
 def load_pose_file(path):
     """Parse a poses.ndjson file -> (intrinsics, space, [FrameRecord]); the
     header line is required, so an empty file fails at line 1."""
@@ -334,6 +337,7 @@ def load_pose_file(path):
     return k, space, frames
 
 
+@names_file
 def _parse_manifest(path):
     lines = csv_lines(path)
     if not lines or lines[0] != (1, list(MANIFEST_HEADER)):
@@ -362,15 +366,15 @@ def _parse_manifest(path):
 
 def load_dataset(path) -> Dataset:
     """Read a dataset directory back into sequence records."""
-    k, space, frames = load_pose_file(os.path.join(path, "poses.ndjson"))
+    k, space, frames = load_pose_file(os.path.join(path, POSES_FILE))
     by_id = {fr.frame_id: fr for fr in frames}
     sequences = []
-    for sid, start, end, label, split in _parse_manifest(os.path.join(path, "manifest.csv")):
+    for sid, start, end, label, split in _parse_manifest(os.path.join(path, MANIFEST_FILE)):
         seq_frames = []
         for fid in range(start, end):
             fr = by_id.get(fid)
             if fr is None:
-                raise DataConsistencyError(f"sequence {sid}: frame {fid} missing from poses.ndjson")
+                raise DataConsistencyError(f"sequence {sid}: frame {fid} missing from {POSES_FILE}")
             if fr.split != split:
                 raise DataConsistencyError(
                     f"sequence {sid}: frame {fid} split {fr.split!r} != manifest split {split!r}"

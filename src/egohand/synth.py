@@ -37,6 +37,7 @@ from .reports import write_json
 from .sequence import N_CLASSES, Dataset, FrameRecord, ObjectObs, SequenceRecord, save_dataset
 
 N_OBJECT_LABELS = 8
+PARAMS_FILE = "params.json"  # a fixture tree's master seed and SynthParams
 
 # bone lengths in mm (wrist->base, then three phalanges), per finger
 DEFAULT_BONES = {
@@ -494,12 +495,14 @@ def write_fixture_tree(
     master_seed: int,
     scene_frames: int = 4,
 ) -> None:
-    """Emit the full fixture tree: poses.ndjson + manifest.csv + params.json
-    plus, for the first ``scene_frames`` frames, pseudo-depth / metric /
-    ground-truth-mask .dmap files and schematic PPM frames under scenes/."""
+    """Emit the full fixture tree: the dataset files (``save_dataset``), the
+    ``PARAMS_FILE`` and, for the first ``scene_frames`` frames, pseudo-depth /
+    metric / ground-truth-mask .dmap files and schematic PPM frames under scenes/."""
     if scene_frames < 0:
         raise RangeError(f"scene_frames must be >= 0, got {scene_frames}")
     dataset = generate_dataset(params, classes, per_class, master_seed)
+    scenes_dir = os.path.join(out_dir, "scenes")
+    os.makedirs(scenes_dir, exist_ok=True)  # before any file, so a tree it cannot make gets none
     save_dataset(out_dir, dataset)
     meta = {
         "master_seed": master_seed,
@@ -507,10 +510,7 @@ def write_fixture_tree(
         "per_class": per_class,
         "params": asdict(params),
     }
-    write_json(os.path.join(out_dir, "params.json"), meta)
-
-    scenes_dir = os.path.join(out_dir, "scenes")
-    os.makedirs(scenes_dir, exist_ok=True)
+    write_json(os.path.join(out_dir, PARAMS_FILE), meta)
     emitted = 0
     for seq in dataset.sequences:
         for fr in seq.frames:
@@ -529,9 +529,9 @@ def write_fixture_tree(
 
 
 def read_fixture_params(data_dir) -> tuple[int, SynthParams]:
-    """(master seed, params) from the ``params.json`` of a fixture tree; a
+    """(master seed, params) from the ``PARAMS_FILE`` of a fixture tree; a
     malformed file raises DatasetFormatError naming it and the bad field."""
-    path = os.path.join(data_dir, "params.json")
+    path = os.path.join(data_dir, PARAMS_FILE)
     with open(path) as f:
         try:
             meta = json.load(f)

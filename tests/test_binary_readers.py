@@ -6,6 +6,7 @@ stretch of it, and check which exception escapes the reader.
 """
 
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -147,7 +148,7 @@ def test_checkpoint_optimizer_table_needs_one_m_and_one_v_per_parameter(tmp_path
     pack = lambda name: nnkit._pack_entry(name, np.ones(shapes[name[-1]]))
     path = tmp_path / "c.bin"
     path.write_bytes(_checkpoint(pack("a"), pack("b"), opt=tuple(map(pack, names))))
-    with pytest.raises(FormatError, match=f"^{message}$"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {message}$"):
         nnkit.load_checkpoint(path)
 
 

@@ -1,9 +1,11 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from egohand import cli
 from egohand.cli import build_parser, main
 from egohand.geometry import CameraIntrinsics, HandPose, lift_to_camera, project_to_image
 from egohand.model import HISTORY_HEADER, ActionModelConfig
@@ -235,6 +238,28 @@ def _one_column_csv(tree, tmp):
     return ["plot", "--csv", str(tmp / "c.csv"), "--out", str(tmp / "c.svg")]
 
 
+def _not_utf8(name, argv):
+    """``argv`` (with {tmp}) on a copy of the tree whose ``name`` file, or the
+    file ``tmp/name`` outside it, starts with a byte that is not UTF-8."""
+
+    def make_argv(tree, tmp):
+        shutil.copytree(tree, tmp / "d")
+        path = tmp / "d" / name if (tmp / "d" / name).exists() else tmp / name
+        path.write_bytes(b"\xff" + (path.read_bytes() if path.exists() else b"x,y\n1,2\n"))
+        return [arg.format(tmp=tmp) for arg in argv.split()]
+
+    return make_argv
+
+
+def _bad_gt_line(tree, tmp):
+    # the third line of --gt lacks the left hand; --pred is whole
+    lines = (tree / "poses.ndjson").read_text().splitlines()
+    frame = json.loads(lines[2])
+    del frame["left"]
+    (tmp / "gt.ndjson").write_text("\n".join([*lines[:2], json.dumps(frame), *lines[3:]]) + "\n")
+    return ["eval-pose", "--pred", str(tree / "poses.ndjson"), "--gt", str(tmp / "gt.ndjson")]
+
+
 def _bad_params(edit):
     """sweep-threshold on a tree whose params.json is the fixture's after ``edit``."""
 
@@ -265,25 +290,40 @@ def _bad_params(edit):
         pytest.param(_train_with("aug_rotation=1e308"), ("aug_rotation must be <= pi, got 1e+308",),
                      id="huge-aug-rotation"),
         pytest.param(_train_with("input_dim=10"), ("input_dim must be 135", "got 10"), id="input-dim"),
-        pytest.param(_repeated_sequence_id, ("line 3", "repeated sequence_id 0"), id="repeated-sequence-id"),
-        pytest.param(_edited_dataset(_first_row(frame_end="0")), ("line 2", "empty frame range [0, 0)"),
+        pytest.param(_repeated_sequence_id, ("manifest.csv: line 3: repeated sequence_id 0",),
+                     id="repeated-sequence-id"),
+        pytest.param(_edited_dataset(_first_row(frame_end="0")), ("manifest.csv: line 2: empty frame range [0, 0)",),
                      id="empty-frame-range"),
+        pytest.param(_edited_dataset(_first_row(action_label="99")),
+                     ("manifest.csv: line 2: action label 99 outside [0, 36)",), id="manifest-label-99"),
+        pytest.param(_bad_gt_line, ("gt.ndjson: line 3: missing field 'left'",), id="eval-pose-bad-gt-line"),
+        *(pytest.param(_not_utf8(name, argv), (f"{name}: 'utf-8' codec can't decode byte 0xff",), id=f"not-utf8-{name}")
+          for name, argv in (
+              ("poses.ndjson", "encode --in {tmp}/d --out {tmp}/e.ndjson"),
+              ("manifest.csv", "encode --in {tmp}/d --out {tmp}/e.ndjson"),
+              ("c.csv", "plot --csv {tmp}/c.csv --out {tmp}/c.svg"),
+              ("c.cfg", "train --data {tmp}/d --config {tmp}/c.cfg --out {tmp}/o"),
+          )),
         pytest.param(_edited_dataset(space="2.5d"), ("expected a 3d dataset, got space '2.5d'",),
                      id="encode-2.5d-dataset"),
         pytest.param(lambda tree, tmp: ["lift", "--in", str(tree / "poses.ndjson"), "--out", str(tmp / "o")],
-                     ("lift expects a 2.5d pose file, got space '3d'",), id="lift-3d-file"),
+                     ("poses.ndjson: lift expects a 2.5d pose file, got space '3d'",), id="lift-3d-file"),
         pytest.param(lambda tree, tmp: ["eval-pose", "--pred", str(_as_space(tree, tmp, "2.5d")),
                                         "--gt", str(tree / "poses.ndjson")],
-                     ("eval-pose expects 3d pose files, got '2.5d' and '3d'",), id="eval-pose-2.5d-file"),
+                     ("p.ndjson: eval-pose expects 3d pose files, got space '2.5d' for --pred",),
+                     id="eval-pose-2.5d-file"),
         pytest.param(_one_column_csv, ("need at least one y column",), id="plot-one-column"),
-        pytest.param(_two_d_pose_file, ("line 1", "unknown space tag '2d'"), id="two-d-pose-file"),
-        pytest.param(_short_checkpoint, (), id="short-checkpoint"),
-        pytest.param(_non_object_pose_line, (), id="non-object-pose-line"),
-        pytest.param(_long_integer_pose_line(1), ("line 1: invalid JSON: Exceeds the limit",),
+        pytest.param(_two_d_pose_file, ("p.ndjson: line 1: unknown space tag '2d'",), id="two-d-pose-file"),
+        pytest.param(_short_checkpoint, ("c.bin: truncated checkpoint header",), id="short-checkpoint"),
+        pytest.param(lambda tree, tmp: ["eval-action", "--data", str(tree), "--checkpoint", str(tree / "poses.ndjson")],
+                     ("poses.ndjson: bad checkpoint magic b'{\"in'",), id="checkpoint-magic"),
+        pytest.param(_non_object_pose_line, ("poses.ndjson: line 2: expected a JSON object, got int",),
+                     id="non-object-pose-line"),
+        pytest.param(_long_integer_pose_line(1), ("poses.ndjson: line 1: invalid JSON: Exceeds the limit",),
                      id="long-integer-header"),
-        pytest.param(_long_integer_pose_line(5), ("line 5: invalid JSON: Exceeds the limit",),
+        pytest.param(_long_integer_pose_line(5), ("poses.ndjson: line 5: invalid JSON: Exceeds the limit",),
                      id="long-integer-frame"),
-        pytest.param(_nested_pose_line, ("line 5: invalid JSON", "recursion"), id="nested-pose-line"),
+        pytest.param(_nested_pose_line, ("poses.ndjson: line 5: invalid JSON", "recursion"), id="nested-pose-line"),
         pytest.param(_nested_params, ("params.json", "recursion"), id="params-nested"),
         pytest.param(_bad_params(lambda m: {**m, "params": {**m["params"], "zoom": 2}}),
                      ("params.json", "unknown params field 'zoom'"), id="params-unknown-key"),
@@ -366,6 +406,19 @@ def test_synth_count_out_of_range_exits_3_and_writes_nothing(flags, message, tmp
     assert proc.returncode == 3
     assert proc.stderr == f"format/config error: {message}\n"
     assert not (tmp_path / "t").exists()
+
+
+def test_synth_into_a_tree_whose_scenes_is_a_file_exits_2_and_writes_nothing(tmp_path):
+    (tmp_path / "x").mkdir()
+    (tmp_path / "x" / "scenes").write_text("keep me\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "egohand", "synth", "--classes", "2", "--per-class", "1", "--out", str(tmp_path / "x")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("i/o error: ") and proc.stderr.count("\n") == 1
+    assert [p.name for p in (tmp_path / "x").iterdir()] == ["scenes"]
+    assert (tmp_path / "x" / "scenes").read_text() == "keep me\n"
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -1138,6 +1191,69 @@ def test_commands_without_a_report(tree, trained, tmp_path):
         assert main(argv) == 0, argv[0]
     assert sorted(tmp_path.rglob("*report.json")) == []
     assert sorted(tree.rglob("*report.json")) + sorted(trained.rglob("*report.json")) == reports_before
+
+
+# (command, exit code, argv, case id) of a run with an output that cannot be
+# written (exit 2) or that lies on one of the run's inputs or outputs (exit 4);
+# {d} is a copy of the fixture tree, {run} one of a trained run, {taken} a file
+_OUTPUT_CASES = [
+    ("synth", 2, "synth --classes 2 --per-class 1 --out {taken}/t", "out-under-a-file"),
+    ("segment", 2, "segment --depth {d}/scenes --frames {d}/scenes --t 0.5 --out {taken}/o", "out-under-a-file"),
+    ("sweep-threshold", 2, "sweep-threshold --data {d} --t-list 0.47 --out {tmp}/nodir/r.csv", "out-in-no-dir"),
+    ("sweep-threshold", 4, "sweep-threshold --data {d} --t-list 0.47 --out {d}/params.json", "out-on-params"),
+    ("lift", 2, "lift --in {d}/poses.ndjson --out {tmp}/nodir/p.ndjson", "out-in-no-dir"),
+    ("lift", 4, "lift --in {d}/poses.ndjson --out {d}/poses.ndjson", "out-on-in"),
+    ("eval-pose", 2, "eval-pose --pred {d}/poses.ndjson --gt {d}/poses.ndjson --out {tmp}/nodir/m.csv",
+     "out-in-no-dir"),
+    ("eval-pose", 4, "eval-pose --pred {run}/p.ndjson --gt {d}/poses.ndjson --out {d}/poses.ndjson", "out-on-gt"),
+    ("encode", 2, "encode --in {d} --out {tmp}/nodir/e.ndjson", "out-in-no-dir"),
+    ("encode", 2, "encode --in {d} --out {tmp}/e.ndjson --csv-dir {taken}", "csv-dir-on-a-file"),
+    ("encode", 4, "encode --in {d} --out {d}/poses.ndjson", "out-on-poses"),
+    ("encode", 4, "encode --in {d} --out {tmp}/e.ndjson --csv-dir {tmp}/e.ndjson", "csv-dir-on-out"),
+    ("train", 2, "train --data {d} --epochs 1 --out {taken}/o", "out-under-a-file"),
+    ("train", 4, "train --data {d} --epochs 1 --config {run}/report.json --out {run}", "report-on-config"),
+    ("eval-action", 2, "eval-action --data {d} --checkpoint {run}/checkpoint.bin --out {tmp}/nodir/c.csv",
+     "out-in-no-dir"),
+    ("eval-action", 2, "eval-action --data {d} --checkpoint {run}/checkpoint.bin --out {run}", "out-on-a-dir"),
+    ("eval-action", 4, "eval-action --data {d} --checkpoint {run}/checkpoint.bin --out {run}/checkpoint.bin",
+     "out-on-checkpoint"),
+    ("eval-action", 4,
+     "eval-action --data {d} --checkpoint {run}/checkpoint.bin --out {run}/config.snapshot.cfg",
+     "out-on-snapshot"),
+    ("eval-action", 4, "eval-action --data {d} --checkpoint {run}/checkpoint.bin --out {d}/manifest.csv",
+     "out-on-manifest"),
+    ("plot", 2, "plot --csv {run}/history.csv --out {tmp}/nodir/h.svg", "out-in-no-dir"),
+    ("plot", 4, "plot --csv {run}/history.csv --out {run}/history.csv", "out-on-csv"),
+    ("plot", 4, "plot --csv {run}/history.csv --out {tmp}/./run/../run/history.csv", "out-on-csv-by-another-path"),
+]
+
+
+def _digests(root):
+    """sha256 of every file under ``root``, by its path relative to ``root``."""
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command, code, argv",
+                         [pytest.param(*case[:3], id=f"{case[0]}-{case[3]}") for case in _OUTPUT_CASES])
+def test_an_output_that_cannot_be_written_or_would_overwrite_an_input_stops_the_run_before_any_work(
+        command, code, argv, tree, trained, tmp_path, monkeypatch, capsys):
+    shutil.copytree(tree, tmp_path / "d")
+    shutil.copytree(trained, tmp_path / "run")
+    save_pose_file(tmp_path / "run" / "p.ndjson", *load_pose_file(tree / "poses.ndjson"))
+    (tmp_path / "taken").write_text("keep me\n")
+    before = sorted(tmp_path.rglob("*")), _digests(tmp_path)
+
+    def no_work(args):
+        raise AssertionError(f"{command} ran")
+
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), no_work)
+    paths = {"d": tmp_path / "d", "run": tmp_path / "run", "taken": tmp_path / "taken", "tmp": tmp_path}
+    assert main([arg.format(**paths) for arg in argv.split()]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith({2: "i/o error: ", 4: "usage error: "}[code])
+    assert (sorted(tmp_path.rglob("*")), _digests(tmp_path)) == before
 
 
 def _absent25():

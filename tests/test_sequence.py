@@ -373,7 +373,8 @@ class TestDatasetIO:
         d = tmp_path / "ds"
         d.mkdir()
         (d / "poses.ndjson").write_text("")
-        with pytest.raises(DatasetFormatError, match="^line 1: missing header line$") as ei:
+        path = re.escape(str(d / "poses.ndjson"))
+        with pytest.raises(DatasetFormatError, match=f"^{path}: line 1: missing header line$") as ei:
             load_pose_file(d / "poses.ndjson")
         assert ei.value.line == 1
         with pytest.raises(DatasetFormatError, match="missing header line"):
